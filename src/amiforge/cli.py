@@ -16,9 +16,8 @@ import time
 from . import __version__, density
 from .arith import DEFAULT_SIEVE_BUDGET, build_sigma_sieve, parse_factored
 from .construct import construct_multiamicable, find_seed_tuples
-from .families import FamilySpec, Mismatch, check
+from .families import FIXED_K, KINDS, FamilySpec, Mismatch, check
 from .search import (
-    CoverageError,
     SearchConfig,
     _needed_coverage,
     enumerate_family,
@@ -29,28 +28,6 @@ from .search import (
 ENV_SIEVE_LIMIT = "AMIFORGE_SIEVE_LIMIT"
 ENV_WORKERS = "AMIFORGE_WORKERS"
 DEFAULT_SIEVE_LIMIT = 10**6
-
-# Families reachable from the command line.
-CLI_FAMILIES = (
-    "amicable-pair",
-    "perfect",
-    "dickson",
-    "yanney",
-    "cohen-pair",
-    "multiamicable",
-    "alpha-beta",
-    "pm",
-    "wpm",
-    "gm",
-    "wgm",
-    "hm",
-    "whm",
-    "feebly",
-    "mp",
-)
-
-_FIXED_K = {"perfect": 1, "amicable-pair": 2, "cohen-pair": 2, "alpha-beta": 2}
-
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -80,14 +57,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--limit", type=int, default=None)
 
     p = sub.add_parser("check", parents=[common], help="test one tuple against a family")
-    p.add_argument("family", choices=CLI_FAMILIES)
+    p.add_argument("family", choices=KINDS)
     p.add_argument("--p", type=int, default=None)
     p.add_argument("--q", type=int, default=None)
     p.add_argument("--alphas", default=None, help="comma-separated weights")
     p.add_argument("--tuple", required=True, dest="tuple_text", help="comma-separated members; factored forms like 2^3*13 accepted")
 
     p = sub.add_parser("search", parents=[common], help="enumerate a family up to a limit")
-    p.add_argument("family", choices=CLI_FAMILIES)
+    p.add_argument("family", choices=KINDS)
     p.add_argument("--p", type=int, default=None)
     p.add_argument("--q", type=int, default=None)
     p.add_argument("--alphas", default=None)
@@ -183,13 +160,24 @@ def _family_spec(family: str, k, p, q, alphas_text, tuple_len=None) -> FamilySpe
     if k is None:
         if tuple_len is not None:
             k = tuple_len
-        elif family in _FIXED_K:
-            k = _FIXED_K[family]
+        elif family in FIXED_K:
+            k = FIXED_K[family]
         elif family == "multiamicable" and alphas:
             k = len(alphas)
         else:
             k = 2
     return FamilySpec(family, k, p=p, q=q, alphas=alphas)
+
+
+def _csv(header: str, rows, sep: str = ";") -> str:
+    """A header line, then one line per row; tuple cells are joined with commas."""
+
+    def cell(value) -> str:
+        return ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
+
+    lines = [header]
+    lines.extend(sep.join(map(cell, row)) for row in rows)
+    return "\n".join(lines) + "\n"
 
 
 def _record_row(record) -> dict:
@@ -213,19 +201,9 @@ def _search_payload(report) -> dict:
 
 
 def _search_csv(report) -> str:
-    lines = ["tuple;sigmas;family;params"]
-    for r in report.records:
-        lines.append(
-            ";".join(
-                (
-                    ",".join(str(n) for n in r.members),
-                    ",".join(str(s) for s in r.sigmas),
-                    report.spec.kind,
-                    _params_text(report.spec),
-                )
-            )
-        )
-    return "\n".join(lines) + "\n"
+    params = _params_text(report.spec)
+    rows = ((r.members, r.sigmas, report.spec.kind, params) for r in report.records)
+    return _csv("tuple;sigmas;family;params", rows)
 
 
 def _cmd_sieve(args):
@@ -234,9 +212,7 @@ def _cmd_sieve(args):
     values = sieve.as_list()
     params = {"limit": size}
     results = {"limit": size, "sigma": values}
-    csv_lines = ["n,sigma"]
-    csv_lines.extend(f"{n},{s}" for n, s in enumerate(values, start=1))
-    return params, results, "\n".join(csv_lines) + "\n", 0
+    return params, results, _csv("n,sigma", enumerate(values, start=1), sep=","), 0
 
 
 def _cmd_check(args):
@@ -255,16 +231,8 @@ def _cmd_check(args):
     else:
         results = {"verdict": True, "sigmas": list(outcome.sigmas)}
         detail = "sigmas " + ",".join(str(s) for s in outcome.sigmas)
-    csv_text = "family;params;tuple;verdict;detail\n" + ";".join(
-        (
-            spec.kind,
-            _params_text(spec),
-            ",".join(str(n) for n in members),
-            str(results["verdict"]).lower(),
-            detail,
-        )
-    ) + "\n"
-    return params, results, csv_text, 0
+    row = (spec.kind, _params_text(spec), members, str(results["verdict"]).lower(), detail)
+    return params, results, _csv("family;params;tuple;verdict;detail", [row]), 0
 
 
 def _cmd_search(args):
@@ -308,20 +276,10 @@ def _cmd_construct(args):
         }
         for b in rows
     ]
-    csv_lines = ["alphas;ns;target;a;tuple"]
-    for b in rows:
-        csv_lines.append(
-            ";".join(
-                (
-                    ",".join(str(a) for a in b.seed.alphas),
-                    ",".join(str(n) for n in b.seed.ns),
-                    f"{b.seed.target.numerator}/{b.seed.target.denominator}",
-                    str(b.a),
-                    ",".join(str(n) for n in b.members),
-                )
-            )
-        )
-    return params, results, "\n".join(csv_lines) + "\n", 0
+    csv_rows = (
+        (b.seed.alphas, b.seed.ns, r["target"], b.a, b.members) for b, r in zip(rows, results)
+    )
+    return params, results, _csv("alphas;ns;target;a;tuple", csv_rows), 0
 
 
 def _series_payload(series) -> list[dict]:
@@ -332,10 +290,8 @@ def _series_payload(series) -> list[dict]:
 
 
 def _series_csv(series) -> str:
-    lines = ["x,count,ratio,bound"]
-    for x, c in zip(series.checkpoints, series.counts):
-        lines.append(f"{x},{c},{c / x!r},")
-    return "\n".join(lines) + "\n"
+    rows = ((x, c, c / x, "") for x, c in zip(series.checkpoints, series.counts))
+    return _csv("x,count,ratio,bound", rows, sep=",")
 
 
 def _cmd_density(args):
@@ -367,12 +323,8 @@ def _cmd_density(args):
             }
             for r in reports
         ]
-        lines = ["x,k,lhs,rhs,margin,holds,exact"]
-        lines.extend(
-            f"{r.x},{r.k},{float(r.lhs)!r},{r.rhs!r},{r.margin!r},{r.holds},{r.exact}"
-            for r in reports
-        )
-        return params, results, "\n".join(lines) + "\n", 0
+        rows = ((r.x, r.k, float(r.lhs), r.rhs, r.margin, r.holds, r.exact) for r in reports)
+        return params, results, _csv("x,k,lhs,rhs,margin,holds,exact", rows, sep=","), 0
 
     if mode == "pomerance":
         top = int(max(pts))
@@ -381,9 +333,8 @@ def _cmd_density(args):
         results = [
             {"x": x, "count": c, "bound": bound, "ratio": ratio} for x, c, bound, ratio in rows
         ]
-        lines = ["x,count,ratio,bound"]
-        lines.extend(f"{x!r},{c},{ratio!r},{bound!r}" for x, c, bound, ratio in rows)
-        return params, results, "\n".join(lines) + "\n", 0
+        csv_rows = ((x, c, ratio, bound) for x, c, bound, ratio in rows)
+        return params, results, _csv("x,count,ratio,bound", csv_rows, sep=","), 0
 
     top = max(pts)
     sieve = _build_sieve(explicit or top, args)
@@ -427,22 +378,20 @@ def _cmd_verify_tables(args):
         "failed": len(report.failures),
         "all_pass": report.all_pass,
     }
-    lines = ["group;family;params;tuple;verdict;sigmas;detail"]
-    for r in report.rows:
-        lines.append(
-            ";".join(
-                (
-                    r.group,
-                    r.spec.kind,
-                    _params_text(r.spec),
-                    ",".join(str(n) for n in r.members),
-                    "pass" if r.passed else "FAIL",
-                    ",".join(str(s) for s in r.sigmas),
-                    r.detail,
-                )
-            )
+    csv_rows = (
+        (
+            r.group,
+            r.spec.kind,
+            _params_text(r.spec),
+            r.members,
+            "pass" if r.passed else "FAIL",
+            r.sigmas,
+            r.detail,
         )
-    return {}, results, "\n".join(lines) + "\n", 0 if report.all_pass else 1
+        for r in report.rows
+    )
+    header = "group;family;params;tuple;verdict;sigmas;detail"
+    return {}, results, _csv(header, csv_rows), 0 if report.all_pass else 1
 
 
 _HANDLERS = {
@@ -467,7 +416,7 @@ def run(argv=None) -> int:
     t0 = time.perf_counter()
     try:
         params, results, csv_text, code = _HANDLERS[args.command](args)
-    except (CoverageError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     elapsed = time.perf_counter() - t0
@@ -485,8 +434,12 @@ def run(argv=None) -> int:
         text = json.dumps(envelope, indent=2, sort_keys=True) + "\n"
 
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return code

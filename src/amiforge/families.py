@@ -1,11 +1,14 @@
 """Membership predicates for the amicability families.
 
-Every predicate works on exact integers (or Fractions where the defining
-equation divides), so a True verdict is a proof at the tested tuple.
+Each family's defining equations are written once, in `_equations`; `holds`,
+`check` with its mismatch diagnostics, and the `is_*` predicates all derive
+from it. Every equation is decided on exact integers (or Fractions where the
+defining equation divides), so a True verdict is a proof at the tested tuple.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -33,7 +36,7 @@ KINDS = (
 _NEEDS_P = {"pm", "wpm", "hm", "whm", "mp"}
 _NEEDS_Q = {"pm", "hm", "mp"}
 _NEEDS_ALPHAS = {"cohen-pair", "multiamicable", "alpha-beta"}
-_FIXED_K = {
+FIXED_K = {
     "perfect": 1,
     "amicable-number": 1,
     "amicable-pair": 2,
@@ -58,7 +61,7 @@ class FamilySpec:
             raise ValueError(f"unknown family kind {self.kind!r}")
         if self.k < 1:
             raise ValueError("k must be >= 1")
-        fixed = _FIXED_K.get(self.kind)
+        fixed = FIXED_K.get(self.kind)
         if fixed is not None and self.k != fixed:
             raise ValueError(f"{self.kind} requires k = {fixed}")
         if self.k < _MIN_K.get(self.kind, 1):
@@ -98,23 +101,13 @@ class FamilySpec:
         return f"{self.kind}({' '.join(parts)})"
 
 
-def _validate_members(t) -> tuple[int, ...]:
-    t = tuple(t)
-    if not t:
-        raise ValueError("tuple must be non-empty")
-    if min(t) < 1:
-        raise ValueError("tuple members must be positive integers")
-    return t
-
-
 def is_perfect(n: int, sieve: SigmaSieve | None = None) -> bool:
-    return sigma(n, sieve) == 2 * n
+    return holds(FamilySpec("perfect", 1), (n,), sieve)
 
 
 def is_amicable_pair(m: int, n: int, sieve: SigmaSieve | None = None) -> bool:
     """sigma(m) = sigma(n) = m + n. Perfect numbers enter as (n, n)."""
-    sm = sigma(m, sieve)
-    return sm == sigma(n, sieve) and sm == m + n
+    return holds(FamilySpec("amicable-pair", 2), (m, n), sieve)
 
 
 def is_amicable_number(n: int, sieve: SigmaSieve | None = None, exclude_perfect: bool = True) -> bool:
@@ -123,98 +116,49 @@ def is_amicable_number(n: int, sieve: SigmaSieve | None = None, exclude_perfect:
     Perfect numbers satisfy the equation trivially and are excluded by
     default.
     """
-    if n < 2:
-        raise ValueError("amicable-number test requires n >= 2 (aliquot of 1 is 0)")
-    sn = sigma(n, sieve)
-    if exclude_perfect and sn == 2 * n:
-        return False
-    return sigma(sn - n, sieve) == sn
+    return holds(FamilySpec("amicable-number", 1), (n,), sieve) or (
+        not exclude_perfect and is_perfect(n, sieve)
+    )
 
 
 def is_dickson_tuple(t, sieve: SigmaSieve | None = None) -> bool:
     """sigma(n_i) = n_1 + ... + n_k for every member."""
-    t = _validate_members(t)
-    if len(t) < 2:
-        raise ValueError("dickson tuples require k >= 2")
-    total = sum(t)
-    return all(sigma(n, sieve) == total for n in t)
+    return holds(FamilySpec("dickson", len(t)), t, sieve)
 
 
 def is_yanney_tuple(t, sieve: SigmaSieve | None = None) -> bool:
     """(k - 1) * sigma(n_i) = n_1 + ... + n_k for every member."""
-    t = _validate_members(t)
-    if len(t) < 2:
-        raise ValueError("yanney tuples require k >= 2")
-    total = sum(t)
-    k = len(t)
-    return all((k - 1) * sigma(n, sieve) == total for n in t)
+    return holds(FamilySpec("yanney", len(t)), t, sieve)
 
 
 def is_cohen_pair(m: int, n: int, alpha: int, beta: int, sieve: SigmaSieve | None = None) -> bool:
     """s(m) = alpha * n and s(n) = beta * m."""
-    if min(m, n, alpha, beta) < 1:
-        raise ValueError("cohen-pair arguments must be positive")
-    return sigma(m, sieve) - m == alpha * n and sigma(n, sieve) - n == beta * m
+    return holds(FamilySpec("cohen-pair", 2, alphas=(alpha, beta)), (m, n), sieve)
 
 
 def is_multiamicable(t, alphas, sieve: SigmaSieve | None = None) -> bool:
     """sigma(n_1) = ... = sigma(n_k) = alpha_1*n_1 + ... + alpha_k*n_k."""
-    t = _validate_members(t)
-    alphas = tuple(alphas)
-    if len(alphas) != len(t):
-        raise ValueError("alphas must have one weight per tuple member")
-    if min(alphas) < 1:
-        raise ValueError("alphas must be positive integers")
-    target = sum(a * n for a, n in zip(alphas, t))
-    return all(sigma(n, sieve) == target for n in t)
+    return holds(FamilySpec("multiamicable", len(t), alphas=alphas), t, sieve)
 
 
 def is_alpha_beta_pair(m: int, n: int, alpha: int, beta: int, sieve: SigmaSieve | None = None) -> bool:
     """m = s(alpha * n) and n = s(beta * m)."""
-    if min(m, n, alpha, beta) < 1:
-        raise ValueError("alpha-beta arguments must be positive")
-    an = alpha * n
-    bm = beta * m
-    return sigma(an, sieve) - an == m and sigma(bm, sieve) - bm == n
+    return holds(FamilySpec("alpha-beta", 2, alphas=(alpha, beta)), (m, n), sieve)
 
 
 def is_pm(t, p: int, q: int, sieve: SigmaSieve | None = None) -> bool:
     """sigma^p(n_1) + ... + sigma^p(n_k) = q * (n_1 + ... + n_k)^p."""
-    t = _validate_members(t)
-    if p < 1 or q < 1:
-        raise ValueError("pm requires p >= 1 and q >= 1")
-    total = sum(t)
-    return sum(sigma(n, sieve) ** p for n in t) == q * total**p
+    return holds(FamilySpec("pm", len(t), p=p, q=q), t, sieve)
 
 
 def is_wpm(t, p: int, sieve: SigmaSieve | None = None) -> bool:
     """n_1*sigma^p(n_1) + ... + n_k*sigma^p(n_k) = (n_1 + ... + n_k)^(p+1)."""
-    t = _validate_members(t)
-    if p < 1:
-        raise ValueError("wpm requires p >= 1")
-    total = sum(t)
-    return sum(n * sigma(n, sieve) ** p for n in t) == total ** (p + 1)
+    return holds(FamilySpec("wpm", len(t), p=p), t, sieve)
 
 
 def is_gm(t, sieve: SigmaSieve | None = None) -> bool:
     """sigma(n_1) * ... * sigma(n_k) = (n_1 + ... + n_k)^k."""
-    t = _validate_members(t)
-    total = sum(t)
-    prod = 1
-    for n in t:
-        prod *= sigma(n, sieve)
-    return prod == total ** len(t)
-
-
-def _wgm_exponents(t, sieve: SigmaSieve | None):
-    """Prime-exponent vectors of both sides of the wgm equation."""
-    total = sum(t)
-    rhs = {p: total * e for p, e in factorize(total).factors}
-    lhs: dict[int, int] = {}
-    for n in t:
-        for p, e in factorize(sigma(n, sieve)).factors:
-            lhs[p] = lhs.get(p, 0) + n * e
-    return lhs, rhs
+    return holds(FamilySpec("gm", len(t)), t, sieve)
 
 
 def is_wgm(t, sieve: SigmaSieve | None = None) -> bool:
@@ -223,85 +167,119 @@ def is_wgm(t, sieve: SigmaSieve | None = None) -> bool:
     Compared through prime-exponent vectors, never through the astronomically
     large powers themselves.
     """
-    t = _validate_members(t)
-    lhs, rhs = _wgm_exponents(t, sieve)
-    return lhs == rhs
+    return holds(FamilySpec("wgm", len(t)), t, sieve)
 
 
 def is_hm(t, p: int, q: int, sieve: SigmaSieve | None = None) -> bool:
     """(1/sigma^p(n_1) + ... + 1/sigma^p(n_k)) * (n_1 + ... + n_k)^p = q."""
-    t = _validate_members(t)
-    if p < 1 or q < 1:
-        raise ValueError("hm requires p >= 1 and q >= 1")
-    total = sum(t)
-    return sum(Fraction(1, sigma(n, sieve) ** p) for n in t) * total**p == q
+    return holds(FamilySpec("hm", len(t), p=p, q=q), t, sieve)
 
 
 def is_whm(t, p: int, sieve: SigmaSieve | None = None) -> bool:
     """(n_1^p/sigma^p(n_1) + ... ) * (n_1 + ... + n_k)^p = n_1^p + ... + n_k^p."""
-    t = _validate_members(t)
-    if p < 1:
-        raise ValueError("whm requires p >= 1")
-    total = sum(t)
-    lhs = sum(Fraction(n**p, sigma(n, sieve) ** p) for n in t) * total**p
-    return lhs == sum(n**p for n in t)
+    return holds(FamilySpec("whm", len(t), p=p), t, sieve)
 
 
 def is_feebly_amicable(t, sieve: SigmaSieve | None = None) -> bool:
     """n_1/sigma(n_1) + ... + n_k/sigma(n_k) = 1."""
-    t = _validate_members(t)
-    return sum(Fraction(n, sigma(n, sieve)) for n in t) == 1
+    return holds(FamilySpec("feebly", len(t)), t, sieve)
 
 
 def is_mp(t, p: int, q: int, sieve: SigmaSieve | None = None) -> bool:
     """sigma^p(n_1) + ... + sigma^p(n_k) = q * (n_1^p + ... + n_k^p), p >= 2."""
-    t = _validate_members(t)
-    if p < 2:
-        raise ValueError("mp requires p >= 2")
-    if q < 1:
-        raise ValueError("mp requires q >= 1")
-    return sum(sigma(n, sieve) ** p for n in t) == q * sum(n**p for n in t)
+    return holds(FamilySpec("mp", len(t), p=p, q=q), t, sieve)
+
+
+def _equations(spec: FamilySpec, t: tuple[int, ...], sieve: SigmaSieve | None):
+    """Yield (equation, lhs, rhs) for each defining equation of spec at t.
+
+    t is a member exactly when lhs == rhs for every triple. Consumers stop
+    at the first unequal triple, so the equations after it are never
+    evaluated.
+    """
+    kind, p, q = spec.kind, spec.p, spec.q
+    sg = [sigma(n, sieve) for n in t]
+    total = sum(t)
+    if kind == "perfect":
+        yield "sigma(n) = 2n", sg[0], 2 * t[0]
+    elif kind == "amicable-number":
+        (n,), (sn,) = t, sg
+        if n < 2:
+            raise ValueError("amicable-number test requires n >= 2 (aliquot of 1 is 0)")
+        if sn == 2 * n:
+            # Perfect numbers solve the equation below trivially; this
+            # triple is unequal by construction and so excludes them.
+            yield "n not perfect", f"sigma({n}) = {sn}", f"2n = {2 * n} (perfect excluded)"
+        yield f"sigma(s({n})) = sigma({n})", sigma(sn - n, sieve), sn
+    elif kind == "amicable-pair":
+        for n, s in zip(t, sg):
+            yield f"sigma({n}) = m + n", s, total
+    elif kind == "dickson":
+        for n, s in zip(t, sg):
+            yield f"sigma({n}) = sum", s, total
+    elif kind == "yanney":
+        for n, s in zip(t, sg):
+            yield f"(k-1)*sigma({n}) = sum", (spec.k - 1) * s, total
+    elif kind == "cohen-pair":
+        (m, n), (a, b) = t, spec.alphas
+        yield f"s({m}) = alpha*n", sg[0] - m, a * n
+        yield f"s({n}) = beta*m", sg[1] - n, b * m
+    elif kind == "multiamicable":
+        target = sum(a * n for a, n in zip(spec.alphas, t))
+        for n, s in zip(t, sg):
+            yield f"sigma({n}) = sum alpha_i*n_i", s, target
+    elif kind == "alpha-beta":
+        (m, n), (a, b) = t, spec.alphas
+        an, bm = a * n, b * m
+        yield f"s({a}*{n}) = m", sigma(an, sieve) - an, m
+        yield f"s({b}*{m}) = n", sigma(bm, sieve) - bm, n
+    elif kind == "pm":
+        yield "sum sigma^p = q*(sum n)^p", sum(s**p for s in sg), q * total**p
+    elif kind == "wpm":
+        lhs = sum(n * s**p for n, s in zip(t, sg))
+        yield "sum n*sigma^p = (sum n)^(p+1)", lhs, total ** (p + 1)
+    elif kind == "gm":
+        yield "prod sigma = (sum n)^k", math.prod(sg), total**spec.k
+    elif kind == "wgm":
+        # Prime-exponent vectors of both sides, one equation per prime.
+        lhs: dict[int, int] = {}
+        for n, s in zip(t, sg):
+            for prime, e in factorize(s).factors:
+                lhs[prime] = lhs.get(prime, 0) + n * e
+        rhs = {prime: total * e for prime, e in factorize(total).factors}
+        for prime in sorted(lhs.keys() | rhs.keys()):
+            yield (
+                f"exponent of {prime} in prod sigma(n_i)^(n_i) = (sum n)^(sum n)",
+                lhs.get(prime, 0),
+                rhs.get(prime, 0),
+            )
+    elif kind == "hm":
+        lhs = sum(Fraction(1, s**p) for s in sg) * total**p
+        yield "(sum 1/sigma^p)*(sum n)^p = q", lhs, q
+    elif kind == "whm":
+        lhs = sum(Fraction(n**p, s**p) for n, s in zip(t, sg)) * total**p
+        yield "(sum n^p/sigma^p)*(sum n)^p = sum n^p", lhs, sum(n**p for n in t)
+    elif kind == "feebly":
+        yield "sum n/sigma(n) = 1", sum(Fraction(n, s) for n, s in zip(t, sg)), 1
+    elif kind == "mp":
+        yield "sum sigma^p = q*(sum n^p)", sum(s**p for s in sg), q * sum(n**p for n in t)
+
+
+def _validate_members(members, k: int) -> tuple[int, ...]:
+    t = tuple(members)
+    if not t:
+        raise ValueError("tuple must be non-empty")
+    if min(t) < 1:
+        raise ValueError("tuple members must be positive integers")
+    if len(t) != k:
+        raise ValueError(f"tuple has {len(t)} members but spec.k = {k}")
+    return t
 
 
 def holds(spec: FamilySpec, members, sieve: SigmaSieve | None = None) -> bool:
     """Evaluate the membership predicate of spec at the given tuple."""
-    t = _validate_members(members)
-    if len(t) != spec.k:
-        raise ValueError(f"tuple has {len(t)} members but spec.k = {spec.k}")
-    kind = spec.kind
-    if kind == "perfect":
-        return is_perfect(t[0], sieve)
-    if kind == "amicable-number":
-        return is_amicable_number(t[0], sieve)
-    if kind == "amicable-pair":
-        return is_amicable_pair(t[0], t[1], sieve)
-    if kind == "dickson":
-        return is_dickson_tuple(t, sieve)
-    if kind == "yanney":
-        return is_yanney_tuple(t, sieve)
-    if kind == "cohen-pair":
-        return is_cohen_pair(t[0], t[1], spec.alphas[0], spec.alphas[1], sieve)
-    if kind == "multiamicable":
-        return is_multiamicable(t, spec.alphas, sieve)
-    if kind == "alpha-beta":
-        return is_alpha_beta_pair(t[0], t[1], spec.alphas[0], spec.alphas[1], sieve)
-    if kind == "pm":
-        return is_pm(t, spec.p, spec.q, sieve)
-    if kind == "wpm":
-        return is_wpm(t, spec.p, sieve)
-    if kind == "gm":
-        return is_gm(t, sieve)
-    if kind == "wgm":
-        return is_wgm(t, sieve)
-    if kind == "hm":
-        return is_hm(t, spec.p, spec.q, sieve)
-    if kind == "whm":
-        return is_whm(t, spec.p, sieve)
-    if kind == "feebly":
-        return is_feebly_amicable(t, sieve)
-    if kind == "mp":
-        return is_mp(t, spec.p, spec.q, sieve)
-    raise ValueError(f"unhandled kind {kind!r}")
+    t = _validate_members(members, spec.k)
+    return all(lhs == rhs for _, lhs, rhs in _equations(spec, t, sieve))
 
 
 @dataclass(frozen=True)
@@ -328,91 +306,10 @@ class Mismatch:
         return f"{self.equation}: LHS {self.lhs} != RHS {self.rhs}"
 
 
-def _first_violation(spec: FamilySpec, t, sieve) -> tuple[str, str, str]:
-    """Locate the first equation of the family that fails at t."""
-    kind = spec.kind
-    sg = [sigma(n, sieve) for n in t]
-    total = sum(t)
-    if kind == "perfect":
-        return ("sigma(n) = 2n", str(sg[0]), str(2 * t[0]))
-    if kind == "amicable-number":
-        n, sn = t[0], sg[0]
-        if sn == 2 * n:
-            return ("n not perfect", f"sigma({n}) = {sn}", f"2n = {2 * n} (perfect excluded)")
-        return (f"sigma(s({n})) = sigma({n})", str(sigma(sn - n, sieve)), str(sn))
-    if kind == "amicable-pair":
-        for n, s in zip(t, sg):
-            if s != total:
-                return (f"sigma({n}) = m + n", str(s), str(total))
-    if kind == "dickson":
-        for n, s in zip(t, sg):
-            if s != total:
-                return (f"sigma({n}) = sum", str(s), str(total))
-    if kind == "yanney":
-        k = len(t)
-        for n, s in zip(t, sg):
-            if (k - 1) * s != total:
-                return (f"(k-1)*sigma({n}) = sum", str((k - 1) * s), str(total))
-    if kind == "cohen-pair":
-        a, b = spec.alphas
-        m, n = t
-        if sg[0] - m != a * n:
-            return (f"s({m}) = alpha*n", str(sg[0] - m), str(a * n))
-        return (f"s({n}) = beta*m", str(sg[1] - n), str(b * m))
-    if kind == "multiamicable":
-        target = sum(a * n for a, n in zip(spec.alphas, t))
-        for n, s in zip(t, sg):
-            if s != target:
-                return (f"sigma({n}) = sum alpha_i*n_i", str(s), str(target))
-    if kind == "alpha-beta":
-        a, b = spec.alphas
-        m, n = t
-        an, bm = a * n, b * m
-        if sigma(an, sieve) - an != m:
-            return (f"s({a}*{n}) = m", str(sigma(an, sieve) - an), str(m))
-        return (f"s({b}*{m}) = n", str(sigma(bm, sieve) - bm), str(n))
-    if kind == "pm":
-        lhs = sum(s ** spec.p for s in sg)
-        return ("sum sigma^p = q*(sum n)^p", str(lhs), str(spec.q * total**spec.p))
-    if kind == "wpm":
-        lhs = sum(n * s**spec.p for n, s in zip(t, sg))
-        return ("sum n*sigma^p = (sum n)^(p+1)", str(lhs), str(total ** (spec.p + 1)))
-    if kind == "gm":
-        prod = 1
-        for s in sg:
-            prod *= s
-        return ("prod sigma = (sum n)^k", str(prod), str(total ** len(t)))
-    if kind == "wgm":
-        lhs, rhs = _wgm_exponents(t, sieve)
-        for p in sorted(set(lhs) | set(rhs)):
-            if lhs.get(p, 0) != rhs.get(p, 0):
-                return (
-                    f"exponent of {p} in prod sigma(n_i)^(n_i) = (sum n)^(sum n)",
-                    str(lhs.get(p, 0)),
-                    str(rhs.get(p, 0)),
-                )
-    if kind == "hm":
-        lhs = sum(Fraction(1, s**spec.p) for s in sg) * total**spec.p
-        return ("(sum 1/sigma^p)*(sum n)^p = q", str(lhs), str(spec.q))
-    if kind == "whm":
-        lhs = sum(Fraction(n**spec.p, s**spec.p) for n, s in zip(t, sg)) * total**spec.p
-        return ("(sum n^p/sigma^p)*(sum n)^p = sum n^p", str(lhs), str(sum(n**spec.p for n in t)))
-    if kind == "feebly":
-        lhs = sum(Fraction(n, s) for n, s in zip(t, sg))
-        return ("sum n/sigma(n) = 1", str(lhs), "1")
-    if kind == "mp":
-        lhs = sum(s**spec.p for s in sg)
-        return ("sum sigma^p = q*(sum n^p)", str(lhs), str(spec.q * sum(n**spec.p for n in t)))
-    raise AssertionError(f"no violated equation found for {spec.describe()} at {t}")
-
-
 def check(spec: FamilySpec, members, sieve: SigmaSieve | None = None, provenance: str = "found"):
     """Full membership check: TupleRecord on success, Mismatch on failure."""
-    t = _validate_members(members)
-    if len(t) != spec.k:
-        raise ValueError(f"tuple has {len(t)} members but spec.k = {spec.k}")
-    if holds(spec, t, sieve):
-        sigmas = tuple(sigma(n, sieve) for n in t)
-        return TupleRecord(spec, t, sigmas, provenance)
-    equation, lhs, rhs = _first_violation(spec, t, sieve)
-    return Mismatch(spec, t, equation, lhs, rhs)
+    t = _validate_members(members, spec.k)
+    for equation, lhs, rhs in _equations(spec, t, sieve):
+        if lhs != rhs:
+            return Mismatch(spec, t, equation, str(lhs), str(rhs))
+    return TupleRecord(spec, t, tuple(sigma(n, sieve) for n in t), provenance)

@@ -44,22 +44,7 @@ class SearchReport:
     label: str = ""
 
 
-# Kinds whose outer loop walks 1..limit directly; the rest group by sigma.
-_RANGE_KINDS = {
-    "perfect",
-    "amicable-number",
-    "amicable-pair",
-    "alpha-beta",
-    "cohen-pair",
-    "pm",
-    "wpm",
-    "gm",
-    "wgm",
-    "hm",
-    "whm",
-    "feebly",
-    "mp",
-}
+# Kinds grouped by sigma value; every other kind walks 1..limit directly.
 _BUCKET_KINDS = {"multiamicable", "dickson", "yanney"}
 
 

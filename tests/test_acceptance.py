@@ -2,8 +2,8 @@
 
 Criterion 5 is recorded honestly as FAIL: the k=3 zeta-product bound it
 asserts is arithmetically false from x = 24 on (exact rational evidence;
-analysis in the decisions ledger), so that test is marked xfail rather than
-being glossed over.
+analysis in README.md, section "Criterion 5 is an expected failure, on
+purpose"), so that test is marked xfail rather than being glossed over.
 """
 
 import json
@@ -218,7 +218,8 @@ def test_criterion_5_lemma_bounds():
         "k<=2 cells all hold and the k=1 rearrangement identity is exact, BUT the "
         f"k=3 bound zeta(2)^3*zeta(5)*x is exceeded at {worst}; the stated constant "
         "lies below the true average order of (sigma(n)/n)^3 (first violation at "
-        "x=24), so the criterion is unsatisfiable as written - see notes/decisions.md"
+        "x=24), so the criterion is unsatisfiable as written - see README.md, section "
+        "'Criterion 5 is an expected failure, on purpose'"
     )
     record(5, "lemma bound grid", False, detail)
     pytest.xfail("k=3 lemma bound is arithmetically false for x >= 24; " + detail)

@@ -45,6 +45,13 @@ def test_check_multiamicable_true(capsys):
     assert doc["params"]["tuple"] == [1560, 1740]
 
 
+def test_check_amicable_number_true(capsys):
+    code, doc = run_json(capsys, ["check", "amicable-number", "--tuple", "220"])
+    assert code == 0
+    assert doc["results"] == {"verdict": True, "sigmas": [504]}
+    assert doc["params"]["params"] == {"kind": "amicable-number", "k": 1}
+
+
 def test_check_accepts_factored_tuples(capsys):
     code, doc = run_json(
         capsys, ["check", "amicable-pair", "--tuple", "2^2*5*11,2^2*71"]
@@ -89,6 +96,14 @@ def test_search_json(capsys):
     assert results["records"][0]["sigmas"] == [4, 42]
     assert all(r["provenance"] == "found" for r in results["records"])
     assert doc["params"]["workers"] == 1
+
+
+def test_search_amicable_number(capsys):
+    code, doc = run_json(
+        capsys, ["search", "amicable-number", "--limit", "1300", "--workers", "1"]
+    )
+    assert code == 0
+    assert [r["tuple"] for r in doc["results"]["records"]] == [[220], [284], [1184], [1210]]
 
 
 def test_search_csv(capsys):
@@ -261,6 +276,8 @@ def test_usage_errors_exit_two(capsys):
         ["search", "pm", "--p", "1", "--q", "2", "--limit", "10", "--workers", "0"],
         ["search", "pm", "--p", "1", "--q", "2", "--limit", "0"],
         ["sieve", "--limit", "10", "--sieve-budget", "4"],
+        ["check", "perfect", "--tuple", "6", "--out", "/nonexistent-dir/x.json"],
+        ["check", "amicable-number", "--tuple", "1"],
     ]
     for argv in cases:
         assert cli.run(argv) == 2, argv

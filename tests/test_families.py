@@ -258,28 +258,47 @@ def test_check_mismatch_pm():
 
 
 def test_check_mismatch_has_real_violation():
+    # (equation, lhs, rhs) of the first broken equation, pinned exactly
+    wgm_side = "in prod sigma(n_i)^(n_i) = (sum n)^(sum n)"
     cases = [
-        (FamilySpec("perfect", 1), (10,)),
-        (FamilySpec("amicable-number", 1), (10,)),
-        (FamilySpec("amicable-pair", 2), (4, 12)),
-        (FamilySpec("dickson", 3), (1, 2, 3)),
-        (FamilySpec("yanney", 3), (220, 284, 504)),
-        (FamilySpec("cohen-pair", 2, alphas=(1, 1)), (10, 14)),
-        (FamilySpec("multiamicable", 2, alphas=(1, 2)), (220, 284)),
-        (FamilySpec("alpha-beta", 2, alphas=(1, 2)), (5, 6)),
-        (FamilySpec("wpm", 2, p=1), (4, 7)),
-        (FamilySpec("gm", 2), (28, 85)),
-        (FamilySpec("wgm", 2), (4, 6)),
-        (FamilySpec("hm", 2, p=1, q=2), (20, 29)),
-        (FamilySpec("whm", 2, p=1), (4, 13)),
-        (FamilySpec("feebly", 1), (6,)),
-        (FamilySpec("mp", 2, p=2, q=2), (1, 3)),
+        (FamilySpec("perfect", 1), (10,), ("sigma(n) = 2n", "18", "20")),
+        (FamilySpec("amicable-number", 1), (10,), ("sigma(s(10)) = sigma(10)", "15", "18")),
+        (
+            FamilySpec("amicable-number", 1),
+            (6,),
+            ("n not perfect", "sigma(6) = 12", "2n = 12 (perfect excluded)"),
+        ),
+        (FamilySpec("amicable-pair", 2), (4, 12), ("sigma(4) = m + n", "7", "16")),
+        (FamilySpec("dickson", 3), (1, 2, 3), ("sigma(1) = sum", "1", "6")),
+        (FamilySpec("yanney", 3), (220, 284, 504), ("(k-1)*sigma(504) = sum", "3120", "1008")),
+        (FamilySpec("cohen-pair", 2, alphas=(1, 1)), (10, 14), ("s(10) = alpha*n", "8", "14")),
+        (
+            FamilySpec("multiamicable", 2, alphas=(1, 2)),
+            (220, 284),
+            ("sigma(220) = sum alpha_i*n_i", "504", "788"),
+        ),
+        (FamilySpec("alpha-beta", 2, alphas=(1, 2)), (5, 6), ("s(1*6) = m", "6", "5")),
+        (FamilySpec("pm", 2, p=1, q=2), (3, 21), ("sum sigma^p = q*(sum n)^p", "36", "48")),
+        (FamilySpec("wpm", 2, p=1), (4, 7), ("sum n*sigma^p = (sum n)^(p+1)", "84", "121")),
+        (FamilySpec("gm", 2), (28, 85), ("prod sigma = (sum n)^k", "6048", "12769")),
+        (FamilySpec("wgm", 2), (4, 6), (f"exponent of 2 {wgm_side}", "12", "10")),
+        # primes 3, 17, 19 occur; the exponents of 3 agree, so 17 is the first mismatch
+        (FamilySpec("wgm", 2), (2, 49), (f"exponent of 17 {wgm_side}", "0", "51")),
+        (FamilySpec("hm", 2, p=1, q=2), (20, 29), ("(sum 1/sigma^p)*(sum n)^p = q", "14/5", "2")),
+        (
+            FamilySpec("whm", 2, p=1),
+            (4, 13),
+            ("(sum n^p/sigma^p)*(sum n)^p = sum n^p", "51/2", "17"),
+        ),
+        (FamilySpec("feebly", 1), (6,), ("sum n/sigma(n) = 1", "1/2", "1")),
+        (FamilySpec("mp", 2, p=2, q=2), (1, 3), ("sum sigma^p = q*(sum n^p)", "17", "20")),
     ]
-    for spec, members in cases:
+    assert {spec.kind for spec, _, _ in cases} == set(KINDS)
+    for spec, members, expected in cases:
         out = check(spec, members)
         assert isinstance(out, Mismatch), spec.kind
-        assert out.lhs != out.rhs
-        assert out.equation
+        assert (out.equation, out.lhs, out.rhs) == expected, spec.kind
+        assert not holds(spec, members)
 
 
 def test_whm_one_is_feebly(sieve_10k):
