@@ -3,6 +3,7 @@
 __version__ = "0.1.0"
 
 from .arith import (
+    CoverageError,
     Factorization,
     SigmaSieve,
     abundancy,
@@ -41,7 +42,6 @@ from .families import (
     is_yanney_tuple,
 )
 from .search import (
-    CoverageError,
     SearchConfig,
     SearchReport,
     conjecture_census,

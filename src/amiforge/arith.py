@@ -142,6 +142,24 @@ def build_sigma_sieve(limit: int, budget_bytes: int = DEFAULT_SIEVE_BUDGET) -> S
     return SigmaSieve(limit, table)
 
 
+class CoverageError(ValueError):
+    """The provided sieve does not cover the requested scan."""
+
+
+def covering_sieve(limit: int, sieve: SigmaSieve | None = None) -> SigmaSieve:
+    """A sieve covering 1..limit: the caller's own, or a new one when none is given.
+
+    Raises CoverageError when the caller's sieve stops short of limit.
+    """
+    if sieve is None:
+        return build_sigma_sieve(limit)
+    if sieve.limit < limit:
+        raise CoverageError(
+            f"sieve covers 1..{sieve.limit} but the scan needs sigma up to {limit}"
+        )
+    return sieve
+
+
 def sigma(n: int, sieve: SigmaSieve | None = None) -> int:
     """Sum of all divisors of n, from the sieve when it covers n."""
     if n < 1:

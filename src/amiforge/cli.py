@@ -16,7 +16,7 @@ import time
 from . import __version__, density
 from .arith import DEFAULT_SIEVE_BUDGET, build_sigma_sieve, parse_factored
 from .construct import construct_multiamicable, find_seed_tuples
-from .families import FIXED_K, KINDS, FamilySpec, Mismatch, check
+from .families import FIXED_K, KINDS, FamilySpec, Mismatch, _joined, check
 from .search import (
     SearchConfig,
     _needed_coverage,
@@ -134,25 +134,14 @@ def _build_sieve(size: int, args):
 
 
 def _spec_params(spec: FamilySpec) -> dict:
-    params = {"kind": spec.kind, "k": spec.k}
-    if spec.p is not None:
-        params["p"] = spec.p
-    if spec.q is not None:
-        params["q"] = spec.q
-    if spec.alphas is not None:
-        params["alphas"] = list(spec.alphas)
+    params = {"kind": spec.kind}
+    for name, value in spec.params():
+        params[name] = list(value) if isinstance(value, tuple) else value
     return params
 
 
 def _params_text(spec: FamilySpec) -> str:
-    parts = [f"k={spec.k}"]
-    if spec.p is not None:
-        parts.append(f"p={spec.p}")
-    if spec.q is not None:
-        parts.append(f"q={spec.q}")
-    if spec.alphas is not None:
-        parts.append("alphas=" + "/".join(str(a) for a in spec.alphas))
-    return ",".join(parts)
+    return ",".join(f"{name}={_joined(value, '/')}" for name, value in spec.params())
 
 
 def _family_spec(family: str, k, p, q, alphas_text, tuple_len=None) -> FamilySpec:
@@ -171,12 +160,8 @@ def _family_spec(family: str, k, p, q, alphas_text, tuple_len=None) -> FamilySpe
 
 def _csv(header: str, rows, sep: str = ";") -> str:
     """A header line, then one line per row; tuple cells are joined with commas."""
-
-    def cell(value) -> str:
-        return ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
-
     lines = [header]
-    lines.extend(sep.join(map(cell, row)) for row in rows)
+    lines.extend(sep.join(_joined(value, ",") for value in row) for row in rows)
     return "\n".join(lines) + "\n"
 
 
@@ -207,7 +192,7 @@ def _search_csv(report) -> str:
 
 
 def _cmd_sieve(args):
-    size = args.limit if args.limit is not None else _resolve_sieve_limit(args) or DEFAULT_SIEVE_LIMIT
+    size = args.limit if args.limit is not None else args.sieve_limit or DEFAULT_SIEVE_LIMIT
     sieve = _build_sieve(size, args)
     values = sieve.as_list()
     params = {"limit": size}
@@ -237,15 +222,14 @@ def _cmd_check(args):
 
 def _cmd_search(args):
     spec = _family_spec(args.family, args.k, args.p, args.q, args.alphas)
-    workers = _resolve_workers(args)
-    size = _resolve_sieve_limit(args) or _needed_coverage(spec, args.limit)
+    size = args.sieve_limit or _needed_coverage(spec, args.limit)
     sieve = _build_sieve(size, args)
-    report = enumerate_family(SearchConfig(spec, args.limit, workers=workers, sieve=sieve))
+    report = enumerate_family(SearchConfig(spec, args.limit, workers=args.workers, sieve=sieve))
     params = {
         "family": spec.kind,
         "params": _spec_params(spec),
         "limit": args.limit,
-        "workers": workers,
+        "workers": args.workers,
         "sieve_limit": size,
     }
     return params, _search_payload(report), _search_csv(report), 0
@@ -255,7 +239,6 @@ def _cmd_construct(args):
     alphas = tuple(_parse_int_list(args.alphas, "alphas"))
     if (args.ns is None) == (args.seed_limit is None):
         raise ValueError("construct requires exactly one of --ns or --seed-limit")
-    workers = _resolve_workers(args)
     if args.ns is not None:
         seeds = [_parse_tuple(args.ns)]
         params = {"alphas": list(alphas), "ns": list(seeds[0]), "a_bound": args.a_bound}
@@ -265,7 +248,7 @@ def _cmd_construct(args):
         params = {"alphas": list(alphas), "seed_limit": args.seed_limit, "a_bound": args.a_bound}
     rows = []
     for ns in seeds:
-        for built in construct_multiamicable(alphas, ns, args.a_bound, workers=workers):
+        for built in construct_multiamicable(alphas, ns, args.a_bound, workers=args.workers):
             rows.append(built)
     results = [
         {
@@ -304,12 +287,11 @@ def _cmd_density(args):
     else:
         pts = _parse_int_list(args.checkpoints, "checkpoints")
     params = {"mode": mode, "checkpoints": pts}
-    explicit = _resolve_sieve_limit(args)
 
     if mode == "lemma":
         params["k"] = args.k
         top = int(max(pts))
-        sieve = _build_sieve(explicit or top, args)
+        sieve = _build_sieve(args.sieve_limit or top, args)
         reports = [density.lemma_sum_check(x, args.k, sieve) for x in pts]
         results = [
             {
@@ -328,7 +310,7 @@ def _cmd_density(args):
 
     if mode == "pomerance":
         top = int(max(pts))
-        sieve = _build_sieve(explicit or max(top, 1), args)
+        sieve = _build_sieve(args.sieve_limit or max(top, 1), args)
         rows = density.pomerance_curve(pts, sieve)
         results = [
             {"x": x, "count": c, "bound": bound, "ratio": ratio} for x, c, bound, ratio in rows
@@ -337,7 +319,7 @@ def _cmd_density(args):
         return params, results, _csv("x,count,ratio,bound", csv_rows, sep=","), 0
 
     top = max(pts)
-    sieve = _build_sieve(explicit or top, args)
+    sieve = _build_sieve(args.sieve_limit or top, args)
     if mode == "multi":
         params["alpha"], params["beta"] = args.alpha, args.beta
         series = density.count_multiamicable_pairs(args.alpha, args.beta, pts, sieve)
@@ -347,8 +329,7 @@ def _cmd_density(args):
 
 
 def _cmd_scan_question(args):
-    explicit = _resolve_sieve_limit(args)
-    sieve = _build_sieve(explicit or args.limit, args)
+    sieve = _build_sieve(args.sieve_limit or args.limit, args)
     report = scan_open_question(args.limit, sieve)
     params = {"limit": args.limit}
     payload = _search_payload(report)
@@ -357,8 +338,7 @@ def _cmd_scan_question(args):
 
 
 def _cmd_verify_tables(args):
-    explicit = _resolve_sieve_limit(args)
-    sieve = _build_sieve(explicit, args) if explicit else None
+    sieve = _build_sieve(args.sieve_limit, args) if args.sieve_limit else None
     report = verify_tables(sieve)
     rows = [
         {
@@ -415,6 +395,8 @@ def run(argv=None) -> int:
 
     t0 = time.perf_counter()
     try:
+        args.workers = _resolve_workers(args)
+        args.sieve_limit = _resolve_sieve_limit(args)
         params, results, csv_text, code = _HANDLERS[args.command](args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

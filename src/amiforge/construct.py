@@ -13,9 +13,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .arith import SigmaSieve, sigma
+from .arith import SigmaSieve, covering_sieve, sigma
 from .families import is_multiamicable
 from .parallel import partition_range, run_tasks
+from .search import _sigma_buckets
 
 
 @dataclass(frozen=True)
@@ -111,7 +112,10 @@ def construct_multiamicable(alphas, ns, a_bound: int, workers: int = 1) -> list[
 
 def find_seed_tuples(alphas, n_limit: int, sieve: SigmaSieve | None = None) -> list[SeedTuple]:
     """All strictly increasing equal-sigma seeds N_1 < ... < N_k <= n_limit
-    whose target ratio is at least 1, grouped from sigma buckets."""
+    whose target ratio is at least 1, grouped from sigma buckets.
+
+    Raises CoverageError when the given sieve stops short of n_limit.
+    """
     alphas = tuple(alphas)
     k = len(alphas)
     if k < 2:
@@ -120,11 +124,9 @@ def find_seed_tuples(alphas, n_limit: int, sieve: SigmaSieve | None = None) -> l
         raise ValueError("alphas must be positive integers")
     if n_limit < 1:
         raise ValueError("N_limit must be >= 1")
-    buckets: dict[int, list[int]] = {}
-    for n in range(1, n_limit + 1):
-        buckets.setdefault(sigma(n, sieve), []).append(n)
+    sig = covering_sieve(n_limit, sieve).table[: n_limit + 1].tolist()
     out = []
-    for s_value, members in sorted(buckets.items()):
+    for s_value, members in _sigma_buckets(sig, n_limit):
         if len(members) < k:
             continue
         for combo in combinations(members, k):

@@ -12,7 +12,9 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import SigmaSieve, build_sigma_sieve, sigma, zeta_approx
+from .arith import SigmaSieve, covering_sieve, sigma, zeta_approx
+from .families import FamilySpec
+from .search import SearchConfig, enumerate_family
 
 EXACT_SUM_LIMIT = 10**5  # largest x summed with exact rationals
 ZETA_EPS = 1e-9
@@ -47,32 +49,19 @@ def _validate_checkpoints(checkpoints) -> list[int]:
     return pts
 
 
-def _ensure_sieve(limit: int, sieve: SigmaSieve | None) -> SigmaSieve:
-    if sieve is None:
-        return build_sigma_sieve(limit)
-    if sieve.limit < limit:
-        raise ValueError(f"sieve covers 1..{sieve.limit} but {limit} is required")
-    return sieve
-
-
 def amicable_members(limit: int, sieve: SigmaSieve | None = None, exclude_perfect: bool = True) -> list[int]:
     """All amicable numbers n <= limit: sigma(s(n)) = sigma(n), n not perfect.
 
-    s(n) may exceed the sieve, in which case sigma falls back to
-    factorization.
+    The members are those of the amicable-number search, so limit shares its
+    cap MAX_SEARCH_LIMIT; with exclude_perfect=False the perfect numbers are
+    merged in.
     """
-    if limit < 1:
-        raise ValueError("limit must be >= 1")
-    sieve = _ensure_sieve(limit, sieve)
-    sig = sieve.table[: limit + 1].tolist()
-    out = []
-    for n in range(2, limit + 1):
-        sn = sig[n]
-        if exclude_perfect and sn == 2 * n:
-            continue
-        if sigma(sn - n, sieve) == sn:
-            out.append(n)
-    return out
+    kinds = ("amicable-number",) if exclude_perfect else ("amicable-number", "perfect")
+    members = []
+    for kind in kinds:
+        report = enumerate_family(SearchConfig(FamilySpec(kind, 1), limit, sieve=sieve))
+        members.extend(r.members[0] for r in report.records)
+    return sorted(members)
 
 
 def _series(checkpoints: list[int], members: list[int]) -> CountSeries:
@@ -98,7 +87,7 @@ def count_multiamicable_pairs(alpha: int, beta: int, checkpoints, sieve: SigmaSi
         raise ValueError("alpha and beta must be positive integers")
     pts = _validate_checkpoints(checkpoints)
     limit = pts[-1]
-    sieve = _ensure_sieve(limit, sieve)
+    sieve = covering_sieve(limit, sieve)
     sig = sieve.table[: limit + 1].tolist()
     members = []
     for m in range(1, limit + 1):
@@ -156,7 +145,7 @@ def lemma_sum_check(
         raise ValueError("x must be >= 1")
     if k < 1:
         raise ValueError("k must be >= 1")
-    sieve = _ensure_sieve(x, sieve)
+    sieve = covering_sieve(x, sieve)
     sig = sieve.table[: x + 1].tolist()
 
     exact = x <= EXACT_SUM_LIMIT
@@ -203,13 +192,7 @@ def pomerance_curve(checkpoints, sieve: SigmaSieve | None = None) -> list[tuple[
     Report only: the bound is asymptotic, so no assertion is made at any
     finite checkpoint. log is the natural logarithm.
     """
-    pts = list(checkpoints)
-    if not pts:
-        raise ValueError("checkpoints must be non-empty")
-    if any(x < 1 for x in pts):
-        raise ValueError("checkpoints must be >= 1")
-    if any(b <= a for a, b in zip(pts, pts[1:])):
-        raise ValueError("checkpoints must be strictly increasing")
+    pts = _validate_checkpoints(checkpoints)
     top = math.floor(pts[-1])
     members = amicable_members(top, sieve) if top >= 2 else []
     rows = []

@@ -90,15 +90,19 @@ class FamilySpec:
             if min(self.alphas) < 1:
                 raise ValueError("alphas must be positive integers")
 
+    def params(self) -> list[tuple[str, int | tuple[int, ...]]]:
+        """(name, value) of each parameter that is set, in the order k, p, q, alphas."""
+        named = (("k", self.k), ("p", self.p), ("q", self.q), ("alphas", self.alphas))
+        return [(name, value) for name, value in named if value is not None]
+
     def describe(self) -> str:
-        parts = [f"k={self.k}"]
-        if self.p is not None:
-            parts.append(f"p={self.p}")
-        if self.q is not None:
-            parts.append(f"q={self.q}")
-        if self.alphas is not None:
-            parts.append("alphas=" + ",".join(str(a) for a in self.alphas))
+        parts = [f"{name}={_joined(value, ',')}" for name, value in self.params()]
         return f"{self.kind}({' '.join(parts)})"
+
+
+def _joined(value, sep: str) -> str:
+    """value as text; the entries of a tuple are joined with sep."""
+    return sep.join(map(str, value)) if isinstance(value, tuple) else str(value)
 
 
 def is_perfect(n: int, sieve: SigmaSieve | None = None) -> bool:

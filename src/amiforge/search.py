@@ -14,15 +14,13 @@ from bisect import bisect_left
 from dataclasses import dataclass
 
 from . import tables
-from .arith import SigmaSieve, build_sigma_sieve, sigma
+# CoverageError is imported here so that callers of the scans can catch it
+# from this module, which raises it through covering_sieve.
+from .arith import CoverageError, SigmaSieve, build_sigma_sieve, covering_sieve, sigma
 from .families import FamilySpec, Mismatch, TupleRecord, check, is_wgm
 from .parallel import partition_range, run_tasks
 
 MAX_SEARCH_LIMIT = 10**7  # keeps sigma buckets and tables within memory bounds
-
-
-class CoverageError(ValueError):
-    """The provided sieve does not cover the requested scan."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -347,13 +345,12 @@ def enumerate_family(config: SearchConfig) -> SearchReport:
     if limit > MAX_SEARCH_LIMIT:
         raise ValueError(f"search limit {limit} exceeds the cap of {MAX_SEARCH_LIMIT}")
     workers = max(1, config.workers)
-    sieve = config.sieve
-    if sieve is None:
+    # A built sieve also covers the alpha*n that alpha-beta reads; a caller's
+    # sieve need only cover limit, since sigma factorizes past its end.
+    if config.sieve is None:
         sieve = build_sigma_sieve(_needed_coverage(spec, limit))
-    elif sieve.limit < limit:
-        raise CoverageError(
-            f"sieve covers 1..{sieve.limit} but the scan needs sigma up to {limit}"
-        )
+    else:
+        sieve = covering_sieve(limit, config.sieve)
 
     if spec.kind in _BUCKET_KINDS:
         items = _sigma_buckets(sieve.table[: limit + 1].tolist(), limit)
@@ -366,15 +363,22 @@ def enumerate_family(config: SearchConfig) -> SearchReport:
     results = run_tasks(_run_task, tasks, workers)
     found = [t for tuples, _ in results for t in tuples]
     scanned = sum(count for _, count in results)
-    found.sort()
+    records = _verified(spec, found, sieve)
+    return SearchReport(spec, limit, workers, records, scanned, time.perf_counter() - t0)
 
+
+def _verified(spec: FamilySpec, found, sieve: SigmaSieve) -> list[TupleRecord]:
+    """The found tuples in sorted order, each re-proven by families.check.
+
+    A tuple that fails the check is a bug in the scan and raises RuntimeError.
+    """
     records = []
-    for t in found:
+    for t in sorted(found):
         outcome = check(spec, t, sieve, provenance="found")
         if isinstance(outcome, Mismatch):
             raise RuntimeError(f"search produced a non-member: {outcome.describe()}")
         records.append(outcome)
-    return SearchReport(spec, limit, workers, records, scanned, time.perf_counter() - t0)
+    return records
 
 
 @dataclass
@@ -417,41 +421,29 @@ def scan_open_question(limit: int, sieve: SigmaSieve | None = None) -> SearchRep
     """Pairs m <= n <= limit with sigma(m) = sigma(n) and sigma(m)^2 = m^2 + n^2.
 
     Such a pair would answer the open question on mp(2,2) pairs with equal
-    sigma; every scan so far comes back empty.
+    sigma; every scan so far comes back empty. The second equation fixes the
+    partner of each m as n = sqrt(sigma(m)^2 - m^2), so the scan visits each
+    candidate m once.
     """
     t0 = time.perf_counter()
     if limit < 1:
         raise ValueError("scan limit must be >= 1")
-    if sieve is None:
-        sieve = build_sigma_sieve(limit)
-    elif sieve.limit < limit:
-        raise CoverageError(
-            f"sieve covers 1..{sieve.limit} but the scan needs sigma up to {limit}"
-        )
+    sieve = covering_sieve(limit, sieve)
     sig = sieve.table[: limit + 1].tolist()
     spec = FamilySpec("mp", 2, p=2, q=2)
     found = []
-    scanned = 0
-    for _, members in _sigma_buckets(sig, limit):
-        for i, m in enumerate(members):
-            target = sig[m] * sig[m] - m * m
-            for n in members[i:]:
-                scanned += 1
-                if n * n == target:
-                    found.append((m, n))
-    found.sort()
-    records = []
-    for t in found:
-        outcome = check(spec, t, sieve, provenance="found")
-        if isinstance(outcome, Mismatch):
-            raise RuntimeError(f"scan produced a non-member: {outcome.describe()}")
-        records.append(outcome)
+    for m in range(1, limit + 1):
+        sm = sig[m]
+        target = sm * sm - m * m
+        n = math.isqrt(target)
+        if m <= n <= limit and n * n == target and sig[n] == sm:
+            found.append((m, n))
     return SearchReport(
         spec,
         limit,
         1,
-        records,
-        scanned,
+        _verified(spec, found, sieve),
+        limit,
         time.perf_counter() - t0,
         label="equal-sigma mp(2,2) pairs",
     )

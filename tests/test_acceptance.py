@@ -270,7 +270,7 @@ def test_criterion_7_density_echo(sieve_100k):
 def test_criterion_8_open_question_scan(sieve_10k):
     report = scan_open_question(10**4, sieve_10k)
     ok = report.records == []
-    detail = f"no equal-sigma mp(2,2) pair up to 10^4 ({report.scanned} candidate pairs examined)"
+    detail = f"no equal-sigma mp(2,2) pair up to 10^4 ({report.scanned} candidates examined)"
     assert record(8, "open-question scan", ok, detail), detail
 
 

@@ -278,6 +278,11 @@ def test_usage_errors_exit_two(capsys):
         ["sieve", "--limit", "10", "--sieve-budget", "4"],
         ["check", "perfect", "--tuple", "6", "--out", "/nonexistent-dir/x.json"],
         ["check", "amicable-number", "--tuple", "1"],
+        ["check", "perfect", "--tuple", "6", "--workers", "0"],
+        ["verify-tables", "--workers", "0"],
+        ["density", "lemma", "--k", "1", "--checkpoints", "10", "--workers", "0"],
+        ["scan-question", "--limit", "10", "--workers", "0"],
+        ["construct", "--alphas", "1,2", "--ns", "104,116", "--a-bound", "20", "--sieve-limit", "-5"],
     ]
     for argv in cases:
         assert cli.run(argv) == 2, argv

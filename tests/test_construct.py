@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from amiforge.arith import sigma
+from amiforge.arith import CoverageError, sigma
 from amiforge.construct import (
     construct_multiamicable,
     find_multipliers,
@@ -108,6 +108,11 @@ def test_find_seed_tuples_small_limit_empty(sieve_1k):
 def test_find_seed_tuples_includes_other_table_seed():
     seeds = find_seed_tuples((1, 2), 2300)
     assert (2140, 2272) in [s.ns for s in seeds]
+
+
+def test_find_seed_tuples_sieve_too_small(sieve_1k):
+    with pytest.raises(CoverageError):
+        find_seed_tuples((1, 2), 2000, sieve_1k)
 
 
 def test_find_seed_tuples_requires_k_at_least_two(sieve_1k):

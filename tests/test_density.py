@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from amiforge.arith import zeta_approx
+from amiforge import arith, density, search
+from amiforge.arith import CoverageError, zeta_approx
 from amiforge.density import (
     BoundReport,
     amicable_members,
@@ -54,8 +55,19 @@ def test_count_multiamicable_examples(sieve_10k):
 
 
 def test_sieve_too_small_raises(sieve_1k):
-    with pytest.raises(ValueError):
+    with pytest.raises(CoverageError):
         amicable_members(2000, sieve_1k)
+
+
+def test_amicable_members_search_cap(monkeypatch):
+    # the cap is enforced before any sieve is built
+    def no_sieve(*args, **kwargs):
+        raise AssertionError("a sieve was built for a limit over the cap")
+
+    for module in (arith, search, density):
+        monkeypatch.setattr(module, "build_sigma_sieve", no_sieve, raising=False)
+    with pytest.raises(ValueError, match="exceeds the cap"):
+        amicable_members(search.MAX_SEARCH_LIMIT + 1)
 
 
 def test_lemma_example_x10_k1(sieve_1k):

@@ -1,6 +1,6 @@
 import pytest
 
-from amiforge.arith import build_sigma_sieve, sigma
+from amiforge.arith import SigmaSieve, build_sigma_sieve, sigma
 from amiforge.families import FamilySpec, holds
 from amiforge.search import (
     MAX_SEARCH_LIMIT,
@@ -185,13 +185,24 @@ def test_small_sieve_raises_coverage_error(sieve_1k):
 def test_scan_open_question_empty(sieve_1k):
     report = scan_open_question(1000, sieve_1k)
     assert report.records == []
-    assert report.scanned > 0
+    assert report.scanned == 1000
     assert report.label == "equal-sigma mp(2,2) pairs"
     assert report.spec.kind == "mp" and report.spec.p == 2 and report.spec.q == 2
     with pytest.raises(ValueError):
         scan_open_question(0)
     with pytest.raises(CoverageError):
         scan_open_question(2000, sieve_1k)
+
+
+def test_scan_open_question_finds_planted_pair(sieve_1k):
+    # every real scan comes back empty, so plant sigma(3) = sigma(4) = 5,
+    # which makes (3, 4) solve 5^2 = 3^2 + 4^2 with equal sigma
+    table = sieve_1k.table.copy()
+    table[3] = table[4] = 5
+    table.setflags(write=False)
+    report = scan_open_question(1000, SigmaSieve(sieve_1k.limit, table))
+    assert [r.members for r in report.records] == [(3, 4)]
+    assert report.records[0].sigmas == (5, 5)
 
 
 def test_census_examples(sieve_10k):
