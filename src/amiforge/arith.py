@@ -120,12 +120,18 @@ class SigmaSieve:
 
 
 def build_sigma_sieve(limit: int, budget_bytes: int = DEFAULT_SIEVE_BUDGET) -> SigmaSieve:
-    """Tabulate sigma up to limit by divisor accumulation.
+    """Tabulate sigma up to limit by accumulating divisor pairs.
 
-    Every d <= limit/2 adds itself to all proper multiples; starting the table
-    at arange(limit + 1) seeds each n with its divisor n. Runs in O(limit log
-    limit) int64 additions. Raises ValueError when the table would not fit the
-    memory budget (8 bytes per entry, 2 GiB by default).
+    Each n = d*m with d <= m has the divisor pair (d, m). For every
+    d <= isqrt(limit), the table entries n = d*m, m = d, d+1, ..., get d + m
+    added in one slice-add; at n = d*d the pair counts d twice, so d is
+    taken off once there. That is isqrt(limit) Python iterations and about
+    limit*ln(limit)/2 int64 additions. The d + m values are built in place
+    in one reusable arange, so the temporaries never exceed one table's
+    size: the sieve holds at most two tables, 16 bytes per entry. Every
+    entry stays below 2^40 for limit <= 2^31, far from int64 overflow.
+    Raises ValueError when the table would not fit the memory budget
+    (8 bytes per entry, 2 GiB by default).
     """
     if limit < 1:
         raise ValueError("sieve limit must be >= 1")
@@ -134,10 +140,14 @@ def build_sigma_sieve(limit: int, budget_bytes: int = DEFAULT_SIEVE_BUDGET) -> S
         raise ValueError(
             f"sieve to {limit} needs {need} bytes which exceeds the budget of {budget_bytes}"
         )
-    table = np.arange(limit + 1, dtype=np.int64)
-    for d in range(1, limit // 2 + 1):
-        table[2 * d :: d] += d
-    table[0] = 0
+    table = np.zeros(limit + 1, dtype=np.int64)
+    partner = np.arange(limit + 1, dtype=np.int64)
+    for d in range(1, math.isqrt(limit) + 1):
+        pair_sums = partner[d : limit // d + 1]
+        pair_sums += d
+        table[d * d :: d] += pair_sums
+        pair_sums -= d
+        table[d * d] -= d
     table.setflags(write=False)
     return SigmaSieve(limit, table)
 

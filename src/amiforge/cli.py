@@ -20,6 +20,7 @@ from .families import FIXED_K, KINDS, FamilySpec, Mismatch, _joined, check
 from .search import (
     SearchConfig,
     _needed_coverage,
+    check_search_limit,
     enumerate_family,
     scan_open_question,
     verify_tables,
@@ -222,6 +223,7 @@ def _cmd_check(args):
 
 def _cmd_search(args):
     spec = _family_spec(args.family, args.k, args.p, args.q, args.alphas)
+    check_search_limit(args.limit)
     size = args.sieve_limit or _needed_coverage(spec, args.limit)
     sieve = _build_sieve(size, args)
     report = enumerate_family(SearchConfig(spec, args.limit, workers=args.workers, sieve=sieve))
@@ -309,8 +311,9 @@ def _cmd_density(args):
         return params, results, _csv("x,k,lhs,rhs,margin,holds,exact", rows, sep=","), 0
 
     if mode == "pomerance":
-        top = int(max(pts))
-        sieve = _build_sieve(args.sieve_limit or max(top, 1), args)
+        top = max(int(max(pts)), 1)
+        check_search_limit(top)
+        sieve = _build_sieve(args.sieve_limit or top, args)
         rows = density.pomerance_curve(pts, sieve)
         results = [
             {"x": x, "count": c, "bound": bound, "ratio": ratio} for x, c, bound, ratio in rows
@@ -319,6 +322,8 @@ def _cmd_density(args):
         return params, results, _csv("x,count,ratio,bound", csv_rows, sep=","), 0
 
     top = max(pts)
+    if mode == "amicable":
+        check_search_limit(top)
     sieve = _build_sieve(args.sieve_limit or top, args)
     if mode == "multi":
         params["alpha"], params["beta"] = args.alpha, args.beta

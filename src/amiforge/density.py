@@ -12,9 +12,9 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import SigmaSieve, covering_sieve, sigma, zeta_approx
+from .arith import SigmaSieve, covering_sieve, zeta_approx
 from .families import FamilySpec
-from .search import SearchConfig, enumerate_family
+from .search import SearchConfig, enumerate_family, partner_pairs
 
 EXACT_SUM_LIMIT = 10**5  # largest x summed with exact rationals
 ZETA_EPS = 1e-9
@@ -81,23 +81,16 @@ def count_multiamicable_pairs(alpha: int, beta: int, checkpoints, sieve: SigmaSi
     m < n, counted by the smaller member m <= x.
 
     n is recovered from the equation as (sigma(m) - alpha*m) / beta and then
-    verified, so n itself needs no scan bound.
+    verified, so n itself needs no scan bound: a partner past the sieve is
+    checked with the exact sigma().
     """
     if alpha < 1 or beta < 1:
         raise ValueError("alpha and beta must be positive integers")
     pts = _validate_checkpoints(checkpoints)
     limit = pts[-1]
     sieve = covering_sieve(limit, sieve)
-    sig = sieve.table[: limit + 1].tolist()
-    members = []
-    for m in range(1, limit + 1):
-        sm = sig[m]
-        n, rem = divmod(sm - alpha * m, beta)
-        if rem or n <= m:
-            continue
-        if sigma(n, sieve) == sm:
-            members.append(m)
-    return _series(pts, members)
+    members, _ = partner_pairs(sieve, limit, (alpha, beta), strict=True, partner_limit=None)
+    return _series(pts, members.tolist())
 
 
 def _primes_up_to(x: int) -> list[int]:

@@ -1,9 +1,15 @@
 """Bounded exhaustive enumeration of every family, plus table verification
 and scan harnesses for the open conjecture and question.
 
-Parallel runs block-partition the outer loop, workers emit locally ordered
-results over a shared immutable sieve, and the merge applies one global sort,
-so reports are identical for any worker count.
+The linear kinds run in this process as whole-array numpy passes over the
+sigma table: perfect numbers, amicable numbers and pairs, Cohen and
+alpha-beta pairs, and multiamicable, Dickson and Yanney tuples of one or two
+members, which solve sigma(m) = a*m + b*n for the partner n. Only the
+super-linear kinds use worker processes: the mean families block-partition
+their outer loop and the bucket kinds at k >= 3 partition the sigma buckets.
+Workers emit locally ordered results over a shared immutable sieve, and the
+merge applies one global sort, so reports are identical for any worker
+count.
 """
 
 from __future__ import annotations
@@ -13,6 +19,8 @@ import time
 from bisect import bisect_left
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import tables
 # CoverageError is imported here so that callers of the scans can catch it
 # from this module, which raises it through covering_sieve.
@@ -21,6 +29,13 @@ from .families import FamilySpec, Mismatch, TupleRecord, check, is_wgm
 from .parallel import partition_range, run_tasks
 
 MAX_SEARCH_LIMIT = 10**7  # keeps sigma buckets and tables within memory bounds
+
+# sigma(n) < 2^40 for every n <= 2^31, which bounds any sieve table of up to
+# 16 GiB. The linear kernels compare weights and aliquot sums only with
+# members, table entries, and their quotients and remainders, all below 2^40.
+# A value of 2^62 or more can therefore never match, and capping it at 2^62
+# keeps that while fitting int64.
+_CAP = 1 << 62
 
 
 @dataclass(frozen=True, eq=False)
@@ -42,7 +57,7 @@ class SearchReport:
     label: str = ""
 
 
-# Kinds grouped by sigma value; every other kind walks 1..limit directly.
+# Kinds grouped by sigma value when they have three or more members.
 _BUCKET_KINDS = {"multiamicable", "dickson", "yanney"}
 
 
@@ -53,6 +68,145 @@ class _Task:
     sieve: SigmaSieve
     span: tuple[int, int] | None = None
     items: tuple[tuple[int, tuple[int, ...]], ...] | None = None
+
+
+def _capped(value: int) -> int:
+    return min(value, _CAP)
+
+
+def _aliquots(sieve: SigmaSieve, w: int, v: np.ndarray) -> np.ndarray:
+    """s(w*v) = sigma(w*v) - w*v for each v >= 1, capped at 2^62.
+
+    int64: the table serves every v <= sieve.limit // w, so w*v is an index
+    within the table (a capped weight has no such v). The exact sigma()
+    serves the rest, one index at a time, and the cap touches only values
+    that no kernel compares with anything as large.
+    """
+    s = np.empty(len(v), dtype=np.int64)
+    inside = v <= sieve.limit // w
+    wv = _capped(w) * v[inside]
+    s[inside] = sieve.table[wv] - wv
+    for i in np.flatnonzero(~inside).tolist():
+        x = w * int(v[i])
+        s[i] = _capped(sigma(x) - x)
+    return s
+
+
+def _perfect(spec: FamilySpec, limit: int, sieve: SigmaSieve):
+    """n <= limit with sigma(n) = 2n. int64: 2n <= 2*MAX_SEARCH_LIMIT."""
+    n = np.arange(1, limit + 1)
+    return [(v,) for v in n[sieve.table[1 : limit + 1] == 2 * n].tolist()]
+
+
+def _amicable_numbers(spec: FamilySpec, limit: int, sieve: SigmaSieve):
+    """2 <= n <= limit with s(n) != n and sigma(s(n)) = sigma(n), that is
+    s(s(n)) = sigma(n) - s(n) = n.
+
+    int64: s(n) is a difference of table entries and no product is formed.
+    An s(n) past the sieve is read through the exact sigma().
+    """
+    n = np.arange(2, limit + 1)
+    s = sieve.table[2 : limit + 1] - n
+    keep = s != n
+    n, s = n[keep], s[keep]
+    return [(v,) for v in n[_aliquots(sieve, 1, s) == n].tolist()]
+
+
+def partner_pairs(sieve: SigmaSieve, limit: int, alphas, strict: bool, partner_limit: int | None):
+    """Arrays (m, n) of the pairs with sigma(m) = sigma(n) = a*m + b*n, m <= limit,
+    m < n when strict and m <= n otherwise, and n <= partner_limit when one
+    is given; the sieve must cover limit.
+
+    The equation gives the partner n = (sigma(m) - a*m) / b, so each m is
+    visited once, and n >= m exactly when sigma(m) >= (a + b)*m (n > m when
+    sigma(m) > (a + b)*m). int64: that test is made in division form,
+    sigma(m) // m >= a + b, or (sigma(m) - 1) // m when strict; past it
+    a*m <= sigma(m) < 2^40, and b only divides. A partner past the sieve is
+    read through the exact sigma().
+    """
+    a, b = _capped(alphas[0]), _capped(alphas[1])
+    m = np.arange(1, limit + 1)
+    m = m[(sieve.table[1 : limit + 1] - strict) // m >= _capped(a + b)]
+    s = sieve.table[m]
+    r = s - a * m
+    keep = r % b == 0
+    m, s, n = m[keep], s[keep], r[keep] // b
+    if partner_limit is not None:
+        keep = n <= partner_limit
+        m, s, n = m[keep], s[keep], n[keep]
+    hit = _aliquots(sieve, 1, n) == s - n
+    return m[hit], n[hit]
+
+
+def _solved_tuples(spec: FamilySpec, limit: int, sieve: SigmaSieve):
+    """amicable-pair, and multiamicable, Dickson and Yanney tuples of at most two
+    members: sigma(m) = sigma(n) = a*m + b*n with (a, b) the multiamicable
+    weights and (1, 1) otherwise, since (k-1)*sigma = sum at k = 2 is the
+    Dickson equation.
+
+    A multiamicable singleton solves sigma(m) = a*m, tested as
+    sigma(m) % m == 0 and sigma(m) // m == a, so int64 holds no product.
+    """
+    if spec.kind == "multiamicable":
+        alphas, strict = spec.alphas, True
+    else:
+        alphas, strict = (1, 1), False
+    if len(alphas) == 1:
+        m = np.arange(1, limit + 1)
+        s = sieve.table[1 : limit + 1]
+        return [(v,) for v in m[(s % m == 0) & (s // m == _capped(alphas[0]))].tolist()]
+    m, n = partner_pairs(sieve, limit, alphas, strict, limit)
+    return list(zip(m.tolist(), n.tolist()))
+
+
+def _cohen_pairs(spec: FamilySpec, limit: int, sieve: SigmaSieve):
+    """(m, n), both <= limit, with s(m) = a*n and s(n) = b*m; m <= n when a = b.
+
+    int64: n = s(m) / a is a quotient, and s(n) = b*m is tested as
+    s(n) % m == 0 and s(n) // m == b, so no weight product is formed.
+    """
+    same = spec.alphas[0] == spec.alphas[1]
+    a, b = _capped(spec.alphas[0]), _capped(spec.alphas[1])
+    m = np.arange(1, limit + 1)
+    r = sieve.table[1 : limit + 1] - m
+    keep = (r >= a) & (r % a == 0)
+    m, n = m[keep], r[keep] // a
+    keep = n <= limit
+    if same:
+        keep &= m <= n
+    m, n = m[keep], n[keep]
+    rn = sieve.table[n] - n
+    hit = (rn % m == 0) & (rn // m == b)
+    return list(zip(m[hit].tolist(), n[hit].tolist()))
+
+
+def _alpha_beta_pairs(spec: FamilySpec, limit: int, sieve: SigmaSieve):
+    """(m, n), both <= limit, with s(a*n) = m and s(b*m) = n; m <= n when a = b.
+
+    int64: both reads go through _aliquots, which forms a*n and b*m only
+    as indices within the table and reads past it through the exact sigma().
+    """
+    a, b = spec.alphas
+    n = np.arange(1, limit + 1)
+    m = _aliquots(sieve, a, n)
+    keep = (m >= 1) & (m <= limit)
+    if a == b:
+        keep &= m <= n
+    n, m = n[keep], m[keep]
+    hit = _aliquots(sieve, b, m) == n
+    return list(zip(m[hit].tolist(), n[hit].tolist()))
+
+
+_LINEAR_KERNELS = {
+    "perfect": _perfect,
+    "amicable-number": _amicable_numbers,
+    "amicable-pair": _solved_tuples,
+    "cohen-pair": _cohen_pairs,
+    "alpha-beta": _alpha_beta_pairs,
+    "multiamicable": _solved_tuples,
+    "dickson": _solved_tuples,
+    "yanney": _solved_tuples,
+}
 
 
 def _sigma_buckets(sig: list[int], limit: int) -> list[tuple[int, tuple[int, ...]]]:
@@ -79,11 +233,8 @@ def _solve_bucket(members, alphas, tails, target, strict):
             rem = target - partial
             if rem >= last_a and rem % last_a == 0:
                 v = rem // last_a
-                if v in mset:
-                    if not chosen:
-                        out.append((v,))
-                    elif (v > chosen[-1]) if strict else (v >= chosen[-1]):
-                        out.append(tuple(chosen) + (v,))
+                if v in mset and ((v > chosen[-1]) if strict else (v >= chosen[-1])):
+                    out.append(tuple(chosen) + (v,))
             return
         rest = tails[i]
         for idx in range(start, len(members)):
@@ -114,65 +265,7 @@ def _bucket_kernel(task: _Task):
     return out, scanned
 
 
-def _range_kernel(task: _Task):
-    spec, limit = task.spec, task.limit
-    lo, hi = task.span
-    sig = task.sieve.table.tolist()
-    tab_lim = task.sieve.limit
-    kind = spec.kind
-    out = []
-    scanned = hi - lo
-
-    def sx(v: int) -> int:
-        return sig[v] if v <= tab_lim else sigma(v)
-
-    if kind == "perfect":
-        for n in range(lo, hi):
-            if sig[n] == 2 * n:
-                out.append((n,))
-    elif kind == "amicable-number":
-        for n in range(max(lo, 2), hi):
-            sn = sig[n]
-            if sn == 2 * n:
-                continue
-            if sx(sn - n) == sn:
-                out.append((n,))
-    elif kind == "amicable-pair":
-        for m in range(lo, hi):
-            n = sig[m] - m
-            if m <= n <= limit and sig[n] == sig[m]:
-                out.append((m, n))
-    elif kind == "alpha-beta":
-        a, b = spec.alphas
-        for n in range(lo, hi):
-            an = a * n
-            m = sx(an) - an
-            if m < 1 or m > limit:
-                continue
-            if a == b and m > n:
-                continue
-            bm = b * m
-            if sx(bm) - bm == n:
-                out.append((m, n))
-    elif kind == "cohen-pair":
-        a, b = spec.alphas
-        for m in range(lo, hi):
-            r = sig[m] - m
-            if r < a:
-                continue
-            n, rem = divmod(r, a)
-            if rem or n > limit:
-                continue
-            if a == b and n < m:
-                continue
-            if sig[n] - n == b * m:
-                out.append((m, n))
-    else:
-        return _mean_family_kernel(task, sig)
-    return out, scanned
-
-
-def _mean_family_kernel(task: _Task, sig: list[int]):
+def _mean_family_kernel(task: _Task):
     """Non-decreasing k-tuple scan for the mean-equation families.
 
     Prefix aggregates are carried exactly; for pm with p=1 and for mp the
@@ -183,6 +276,7 @@ def _mean_family_kernel(task: _Task, sig: list[int]):
     lo, hi = task.span
     kind, k, p, q = spec.kind, spec.k, spec.p, spec.q
     sieve = task.sieve
+    sig = sieve.table.tolist()
     out = []
     scanned = 0
 
@@ -327,7 +421,7 @@ def _mean_family_kernel(task: _Task, sig: list[int]):
 def _run_task(task: _Task):
     if task.items is not None:
         return _bucket_kernel(task)
-    return _range_kernel(task)
+    return _mean_family_kernel(task)
 
 
 def _needed_coverage(spec: FamilySpec, limit: int) -> int:
@@ -336,14 +430,23 @@ def _needed_coverage(spec: FamilySpec, limit: int) -> int:
     return limit
 
 
-def enumerate_family(config: SearchConfig) -> SearchReport:
-    """Every tuple of the family with all elements <= config.limit."""
-    t0 = time.perf_counter()
-    spec, limit = config.spec, config.limit
+def check_search_limit(limit: int) -> None:
+    """Raise ValueError unless 1 <= limit <= MAX_SEARCH_LIMIT."""
     if limit < 1:
         raise ValueError("search limit must be >= 1")
     if limit > MAX_SEARCH_LIMIT:
         raise ValueError(f"search limit {limit} exceeds the cap of {MAX_SEARCH_LIMIT}")
+
+
+def enumerate_family(config: SearchConfig) -> SearchReport:
+    """Every tuple of the family with all elements <= config.limit.
+
+    The linear kinds run in this process whatever config.workers says; the
+    report still echoes the requested worker count.
+    """
+    t0 = time.perf_counter()
+    spec, limit = config.spec, config.limit
+    check_search_limit(limit)
     workers = max(1, config.workers)
     # A built sieve also covers the alpha*n that alpha-beta reads; a caller's
     # sieve need only cover limit, since sigma factorizes past its end.
@@ -352,17 +455,20 @@ def enumerate_family(config: SearchConfig) -> SearchReport:
     else:
         sieve = covering_sieve(limit, config.sieve)
 
-    if spec.kind in _BUCKET_KINDS:
-        items = _sigma_buckets(sieve.table[: limit + 1].tolist(), limit)
-        spans = partition_range(0, len(items), workers)
-        tasks = [_Task(spec, limit, sieve, items=tuple(items[a:b])) for a, b in spans]
+    linear = _LINEAR_KERNELS.get(spec.kind)
+    if linear is not None and (spec.kind not in _BUCKET_KINDS or spec.k <= 2):
+        found, scanned = linear(spec, limit, sieve), limit
     else:
-        spans = partition_range(1, limit + 1, workers)
-        tasks = [_Task(spec, limit, sieve, span=span) for span in spans]
-
-    results = run_tasks(_run_task, tasks, workers)
-    found = [t for tuples, _ in results for t in tuples]
-    scanned = sum(count for _, count in results)
+        if spec.kind in _BUCKET_KINDS:
+            items = _sigma_buckets(sieve.table[: limit + 1].tolist(), limit)
+            spans = partition_range(0, len(items), workers)
+            tasks = [_Task(spec, limit, sieve, items=tuple(items[a:b])) for a, b in spans]
+        else:
+            spans = partition_range(1, limit + 1, workers)
+            tasks = [_Task(spec, limit, sieve, span=span) for span in spans]
+        results = run_tasks(_run_task, tasks, workers)
+        found = [t for tuples, _ in results for t in tuples]
+        scanned = sum(count for _, count in results)
     records = _verified(spec, found, sieve)
     return SearchReport(spec, limit, workers, records, scanned, time.perf_counter() - t0)
 

@@ -130,6 +130,12 @@ def test_sieve_agrees_with_divisor_loop(sieve_10k):
         assert sieve_10k.sigma(n) == expect
         assert sigma(n) == expect
         assert sigma(n, sieve_10k) == expect
+    # every limit 1..200 lies at, just below or just above a perfect square,
+    # where the divisor pair (d, d) is counted once
+    for limit in range(1, 201):
+        table = build_sigma_sieve(limit).table
+        assert table[0] == 0
+        assert table[1:].tolist() == [oracles.divisor_sigma(n) for n in range(1, limit + 1)], limit
 
 
 def test_sieve_out_of_range():

@@ -283,10 +283,33 @@ def test_usage_errors_exit_two(capsys):
         ["density", "lemma", "--k", "1", "--checkpoints", "10", "--workers", "0"],
         ["scan-question", "--limit", "10", "--workers", "0"],
         ["construct", "--alphas", "1,2", "--ns", "104,116", "--a-bound", "20", "--sieve-limit", "-5"],
+        ["search", "amicable-pair", "--limit", "10000001", "--workers", "1"],
+        ["search", "amicable-pair", "--limit", "-3", "--workers", "1"],
+        ["density", "amicable", "--checkpoints", "10000001", "--workers", "1"],
+        ["density", "amicable", "--checkpoints", "0", "--workers", "1"],
+        ["density", "pomerance", "--checkpoints", "1e8", "--workers", "1"],
     ]
     for argv in cases:
         assert cli.run(argv) == 2, argv
         capsys.readouterr()  # drain
+
+
+def test_search_cap_checked_before_sieve(monkeypatch, capsys):
+    # an over-cap limit is refused before any sieve is built
+    def no_sieve(*args, **kwargs):
+        raise AssertionError("a sieve was built for a limit over the cap")
+
+    monkeypatch.setattr(cli, "build_sigma_sieve", no_sieve)
+    for argv in (
+        ["search", "amicable-pair", "--limit", "10000001", "--workers", "1"],
+        ["search", "multiamicable", "--alphas", "1,2", "--limit", "10000001", "--workers", "2"],
+        ["density", "amicable", "--checkpoints", "100,10000001", "--workers", "1"],
+        ["density", "pomerance", "--checkpoints", "300,1e8", "--workers", "1"],
+    ):
+        assert cli.run(argv) == 2, argv
+        assert "search limit" in capsys.readouterr().err, argv
+    assert cli.run(["search", "perfect", "--limit", "10000001", "--workers", "1"]) == 2
+    assert capsys.readouterr().err == "error: search limit 10000001 exceeds the cap of 10000000\n"
 
 
 def test_out_writes_file(tmp_path, capsys):

@@ -54,6 +54,27 @@ def test_count_multiamicable_examples(sieve_10k):
         count_multiamicable_pairs(0, 1, (100,), sieve_10k)
 
 
+def test_count_multiamicable_partner_past_x():
+    # M(x) counts by the smaller member m <= x, so the partner n may lie past
+    # x and past a sieve that ends at x; it is then checked by exact sigma
+    def brute(alpha, beta, x):
+        count = 0
+        for m in range(1, x + 1):
+            s = oracles.divisor_sigma(m)
+            n, rem = divmod(s - alpha * m, beta)
+            if not rem and n > m and oracles.divisor_sigma(n) == s:
+                count += 1
+        return count
+
+    for alpha, beta, pts in ((1, 1, (250, 1200, 2700)), (1, 2, (1600,)), (2, 1, (3000,)), (3, 5, (2000,))):
+        sieve = arith.build_sigma_sieve(pts[-1])
+        series = count_multiamicable_pairs(alpha, beta, pts, sieve)
+        assert series.counts == tuple(brute(alpha, beta, x) for x in pts), (alpha, beta)
+    assert count_multiamicable_pairs(1, 1, (250, 1200), arith.build_sigma_sieve(1200)).counts == (1, 2)
+    # (1560, 1740) is the first (1, 2) pair; its partner is past x = 1600
+    assert count_multiamicable_pairs(1, 2, (1600,), arith.build_sigma_sieve(1600)).counts == (1,)
+
+
 def test_sieve_too_small_raises(sieve_1k):
     with pytest.raises(CoverageError):
         amicable_members(2000, sieve_1k)

@@ -159,7 +159,15 @@ def test_worker_counts_agree(sieve_10k):
     for spec, limit in (
         (FamilySpec("pm", 2, p=1, q=2), 500),
         (FamilySpec("multiamicable", 2, alphas=(1, 2)), 2000),
+        (FamilySpec("multiamicable", 2, alphas=(1, 1)), 3000),
+        (FamilySpec("multiamicable", 2, alphas=(2, 1)), 3000),
         (FamilySpec("amicable-pair", 2), 3000),
+        (FamilySpec("amicable-number", 1), 3000),
+        (FamilySpec("perfect", 1), 3000),
+        (FamilySpec("cohen-pair", 2, alphas=(2, 3)), 3000),
+        (FamilySpec("alpha-beta", 2, alphas=(1, 2)), 3000),
+        (FamilySpec("dickson", 2), 3000),
+        (FamilySpec("yanney", 2), 3000),
         (FamilySpec("gm", 2), 300),
     ):
         outcomes = []
@@ -168,6 +176,48 @@ def test_worker_counts_agree(sieve_10k):
             outcomes.append((members_of(report), report.scanned))
             assert report.workers == workers
         assert outcomes[0] == outcomes[1] == outcomes[2]
+
+
+def test_amicable_number_reads_past_the_sieve():
+    # with the sieve ending at the limit, s(n) > limit (s(284) = 220 but
+    # s(1184) = 1210 > 1200) is decided by the exact sigma fallback
+    sieve = build_sigma_sieve(1200)
+    report = enumerate_family(SearchConfig(FamilySpec("amicable-number", 1), 1200, sieve=sieve))
+    assert members_of(report) == oracles.naive_family("amicable-number", 1200)
+    assert members_of(report) == [(220,), (284,), (1184,)]
+
+
+def test_alpha_beta_with_sieve_covering_only_limit():
+    # a*n and b*m past the caller's sieve go through the exact sigma fallback
+    sieve = build_sigma_sieve(150)
+    for alphas in ((1, 2), (2, 1), (1, 3), (3, 5), (2, 2)):
+        spec = FamilySpec("alpha-beta", 2, alphas=alphas)
+        found = members_of(enumerate_family(SearchConfig(spec, 150, sieve=sieve)))
+        assert found == oracles.naive_family("alpha-beta", 150, alphas=alphas), alphas
+        if alphas == (1, 2):
+            assert (26, 46) in found
+
+
+def test_weights_past_int64(sieve_1k):
+    # weights of 2^40 and 2^64 exceed every sigma value below the limit, so
+    # no tuple can meet them; the int64 kernels must say so and not overflow
+    for big in (2**40, 2**64):
+        for alphas in ((1, big), (big, 1), (big, big)):
+            for kind in ("cohen-pair", "multiamicable"):
+                spec = FamilySpec(kind, 2, alphas=alphas)
+                report = enumerate_family(SearchConfig(spec, 300, sieve=sieve_1k))
+                assert members_of(report) == oracles.naive_family(kind, 300, alphas=alphas) == []
+        report = enumerate_family(SearchConfig(FamilySpec("multiamicable", 1, alphas=(big,)), 300, sieve=sieve_1k))
+        assert report.records == []
+
+
+def test_multiamicable_singletons_are_multiperfect(sieve_1k):
+    for a in (1, 2, 3):
+        spec = FamilySpec("multiamicable", 1, alphas=(a,))
+        report = enumerate_family(SearchConfig(spec, 1000, sieve=sieve_1k))
+        assert members_of(report) == oracles.naive_family("multiamicable", 1000, alphas=(a,)), a
+    report = enumerate_family(SearchConfig(FamilySpec("multiamicable", 1, alphas=(3,)), 1000, sieve=sieve_1k))
+    assert members_of(report) == [(120,), (672,)]
 
 
 def test_limit_validation(sieve_1k):
