@@ -50,7 +50,12 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help=f"worker processes (default: available parallelism, env {ENV_WORKERS})",
     )
-    common.add_argument("--sieve-budget", type=int, default=None, help="sieve memory budget in bytes")
+    common.add_argument(
+        "--sieve-budget",
+        type=int,
+        default=DEFAULT_SIEVE_BUDGET,
+        help="sieve memory budget in bytes",
+    )
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -129,11 +134,6 @@ def _resolve_sieve_limit(args):
     return limit
 
 
-def _build_sieve(size: int, args):
-    budget = args.sieve_budget if args.sieve_budget is not None else DEFAULT_SIEVE_BUDGET
-    return build_sigma_sieve(size, budget)
-
-
 def _spec_params(spec: FamilySpec) -> dict:
     params = {"kind": spec.kind}
     for name, value in spec.params():
@@ -194,7 +194,7 @@ def _search_csv(report) -> str:
 
 def _cmd_sieve(args):
     size = args.limit if args.limit is not None else args.sieve_limit or DEFAULT_SIEVE_LIMIT
-    sieve = _build_sieve(size, args)
+    sieve = build_sigma_sieve(size, args.sieve_budget)
     values = sieve.as_list()
     params = {"limit": size}
     results = {"limit": size, "sigma": values}
@@ -223,9 +223,9 @@ def _cmd_check(args):
 
 def _cmd_search(args):
     spec = _family_spec(args.family, args.k, args.p, args.q, args.alphas)
-    check_search_limit(args.limit)
-    size = args.sieve_limit or _needed_coverage(spec, args.limit)
-    sieve = _build_sieve(size, args)
+    check_search_limit(args.limit, spec)
+    size = args.sieve_limit or _needed_coverage(spec, args.limit, args.sieve_budget)
+    sieve = build_sigma_sieve(size, args.sieve_budget)
     report = enumerate_family(SearchConfig(spec, args.limit, workers=args.workers, sieve=sieve))
     params = {
         "family": spec.kind,
@@ -245,7 +245,7 @@ def _cmd_construct(args):
         seeds = [_parse_tuple(args.ns)]
         params = {"alphas": list(alphas), "ns": list(seeds[0]), "a_bound": args.a_bound}
     else:
-        sieve = _build_sieve(args.seed_limit, args)
+        sieve = build_sigma_sieve(args.seed_limit, args.sieve_budget)
         seeds = [s.ns for s in find_seed_tuples(alphas, args.seed_limit, sieve)]
         params = {"alphas": list(alphas), "seed_limit": args.seed_limit, "a_bound": args.a_bound}
     rows = []
@@ -293,7 +293,7 @@ def _cmd_density(args):
     if mode == "lemma":
         params["k"] = args.k
         top = int(max(pts))
-        sieve = _build_sieve(args.sieve_limit or top, args)
+        sieve = build_sigma_sieve(args.sieve_limit or top, args.sieve_budget)
         reports = [density.lemma_sum_check(x, args.k, sieve) for x in pts]
         results = [
             {
@@ -313,7 +313,7 @@ def _cmd_density(args):
     if mode == "pomerance":
         top = max(int(max(pts)), 1)
         check_search_limit(top)
-        sieve = _build_sieve(args.sieve_limit or top, args)
+        sieve = build_sigma_sieve(args.sieve_limit or top, args.sieve_budget)
         rows = density.pomerance_curve(pts, sieve)
         results = [
             {"x": x, "count": c, "bound": bound, "ratio": ratio} for x, c, bound, ratio in rows
@@ -324,7 +324,7 @@ def _cmd_density(args):
     top = max(pts)
     if mode == "amicable":
         check_search_limit(top)
-    sieve = _build_sieve(args.sieve_limit or top, args)
+    sieve = build_sigma_sieve(args.sieve_limit or top, args.sieve_budget)
     if mode == "multi":
         params["alpha"], params["beta"] = args.alpha, args.beta
         series = density.count_multiamicable_pairs(args.alpha, args.beta, pts, sieve)
@@ -334,7 +334,8 @@ def _cmd_density(args):
 
 
 def _cmd_scan_question(args):
-    sieve = _build_sieve(args.sieve_limit or args.limit, args)
+    check_search_limit(args.limit)
+    sieve = build_sigma_sieve(args.sieve_limit or args.limit, args.sieve_budget)
     report = scan_open_question(args.limit, sieve)
     params = {"limit": args.limit}
     payload = _search_payload(report)
@@ -343,7 +344,7 @@ def _cmd_scan_question(args):
 
 
 def _cmd_verify_tables(args):
-    sieve = _build_sieve(args.sieve_limit, args) if args.sieve_limit else None
+    sieve = build_sigma_sieve(args.sieve_limit, args.sieve_budget) if args.sieve_limit else None
     report = verify_tables(sieve)
     rows = [
         {

@@ -2,15 +2,17 @@
 
 Each family's defining equations are written once, in `_equations`; `holds`,
 `check` with its mismatch diagnostics, and the `is_*` predicates all derive
-from it. Every equation is decided on exact integers (or Fractions where the
-defining equation divides), so a True verdict is a proof at the tested tuple.
+from it. The mean families' equations are the `MEAN_EQUATIONS` table, which
+the search evaluates too. Every equation is decided on exact integers (or
+Fractions where the defining equation divides), so a True verdict is a proof
+at the tested tuple.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 
 from .arith import SigmaSieve, factorize, sigma
 
@@ -201,7 +203,7 @@ def _equations(spec: FamilySpec, t: tuple[int, ...], sieve: SigmaSieve | None):
     at the first unequal triple, so the equations after it are never
     evaluated.
     """
-    kind, p, q = spec.kind, spec.p, spec.q
+    kind = spec.kind
     sg = [sigma(n, sieve) for n in t]
     total = sum(t)
     if kind == "perfect":
@@ -237,13 +239,6 @@ def _equations(spec: FamilySpec, t: tuple[int, ...], sieve: SigmaSieve | None):
         an, bm = a * n, b * m
         yield f"s({a}*{n}) = m", sigma(an, sieve) - an, m
         yield f"s({b}*{m}) = n", sigma(bm, sieve) - bm, n
-    elif kind == "pm":
-        yield "sum sigma^p = q*(sum n)^p", sum(s**p for s in sg), q * total**p
-    elif kind == "wpm":
-        lhs = sum(n * s**p for n, s in zip(t, sg))
-        yield "sum n*sigma^p = (sum n)^(p+1)", lhs, total ** (p + 1)
-    elif kind == "gm":
-        yield "prod sigma = (sum n)^k", math.prod(sg), total**spec.k
     elif kind == "wgm":
         # Prime-exponent vectors of both sides, one equation per prime.
         lhs: dict[int, int] = {}
@@ -253,20 +248,89 @@ def _equations(spec: FamilySpec, t: tuple[int, ...], sieve: SigmaSieve | None):
         rhs = {prime: total * e for prime, e in factorize(total).factors}
         for prime in sorted(lhs.keys() | rhs.keys()):
             yield (
-                f"exponent of {prime} in prod sigma(n_i)^(n_i) = (sum n)^(sum n)",
+                f"exponent of {prime} in {MEAN_EQUATIONS['wgm'][0]}",
                 lhs.get(prime, 0),
                 rhs.get(prime, 0),
             )
-    elif kind == "hm":
-        lhs = sum(Fraction(1, s**p) for s in sg) * total**p
-        yield "(sum 1/sigma^p)*(sum n)^p = q", lhs, q
-    elif kind == "whm":
-        lhs = sum(Fraction(n**p, s**p) for n, s in zip(t, sg)) * total**p
-        yield "(sum n^p/sigma^p)*(sum n)^p = sum n^p", lhs, sum(n**p for n in t)
-    elif kind == "feebly":
-        yield "sum n/sigma(n) = 1", sum(Fraction(n, s) for n, s in zip(t, sg)), 1
-    elif kind == "mp":
-        yield "sum sigma^p = q*(sum n^p)", sum(s**p for s in sg), q * sum(n**p for n in t)
+    elif kind in MEAN_EQUATIONS:
+        num, den, rhs = mean_sides(
+            spec,
+            lambda a, b: [n**a * s**b for n, s in zip(t, sg)],
+            lambda e: total**e,
+        )
+        yield MEAN_EQUATIONS[kind][0], Fraction(num, den), rhs
+
+
+# The mean families, each written once as a cleared-denominator identity
+# num = rhs * den, read as num / den = rhs. A side is a product of factors
+# over the per-member columns n^a * sigma(n)^b:
+#   ("sum", a, b)    sum_i n_i^a * sigma(n_i)^b
+#   ("prod", a, b)   prod_i n_i^a * sigma(n_i)^b
+#   ("cross", a, b)  sum_i n_i^a * prod_{j != i} sigma(n_j)^b
+#   ("total", e)     (sum_i n_i)^e
+#   ("q",)           the parameter q
+# An exponent is an int, "p", "k", or "n", which stands for the member
+# itself in sigma(n)^n and for the total itself in (sum n)^(sum n). check
+# decides wgm through prime exponents instead, since its powers are
+# astronomically large; the search reads its entry modulo a prime.
+MEAN_EQUATIONS = {
+    "pm": ("sum sigma^p = q*(sum n)^p", [("sum", 0, "p")], [], [("q",), ("total", "p")]),
+    "wpm": ("sum n*sigma^p = (sum n)^(p+1)", [("sum", 1, "p")], [], [("total", 1), ("total", "p")]),
+    "gm": ("prod sigma = (sum n)^k", [("prod", 0, 1)], [], [("total", "k")]),
+    "wgm": ("prod sigma(n_i)^(n_i) = (sum n)^(sum n)", [("prod", 0, "n")], [], [("total", "n")]),
+    "hm": (
+        "(sum 1/sigma^p)*(sum n)^p = q",
+        [("total", "p"), ("cross", 0, "p")],
+        [("prod", 0, "p")],
+        [("q",)],
+    ),
+    "whm": (
+        "(sum n^p/sigma^p)*(sum n)^p = sum n^p",
+        [("total", "p"), ("cross", "p", "p")],
+        [("prod", 0, "p")],
+        [("sum", "p", 0)],
+    ),
+    "feebly": ("sum n/sigma(n) = 1", [("cross", 1, 1)], [("prod", 0, 1)], []),
+    "mp": ("sum sigma^p = q*(sum n^p)", [("sum", 0, "p")], [], [("q",), ("sum", "p", 0)]),
+}
+
+
+def mean_sides(spec: FamilySpec, column, power, mod: int | None = None):
+    """(num, den, rhs) of spec's MEAN_EQUATIONS entry, so that a tuple is a
+    member exactly when num == rhs * den.
+
+    column(a, b) gives the members' values of n^a * sigma(n)^b as a list
+    and power(e) gives (sum n)^e, with each exponent resolved to an int or
+    "n". The sides are exact when mod is None and residues modulo mod
+    otherwise, reduced after every add and multiply; the values may be ints
+    or numpy arrays.
+    """
+    exponent = {"p": spec.p, "k": spec.k}
+
+    mul = (lambda x, y: x * y) if mod is None else (lambda x, y: x * y % mod)
+    add = (lambda x, y: x + y) if mod is None else (lambda x, y: (x + y) % mod)
+
+    def factor(f):
+        if f[0] == "q":
+            return spec.q if mod is None else spec.q % mod
+        if f[0] == "total":
+            return power(exponent.get(f[1], f[1]))
+        a, b = (exponent.get(e, e) for e in f[1:])
+        if f[0] == "cross":
+            # sum_i f_i * prod_{j != i} g_j, carried with the prefix product of g
+            fs, gs = column(a, 0), column(0, b)
+            acc, prod = fs[0], gs[0]
+            for fi, gi in zip(fs[1:], gs[1:]):
+                acc = add(mul(acc, gi), mul(prod, fi))
+                prod = mul(prod, gi)
+            return acc
+        return reduce(add if f[0] == "sum" else mul, column(a, b))
+
+    def side(factors):
+        return reduce(mul, map(factor, factors)) if factors else 1
+
+    _, num, den, rhs = MEAN_EQUATIONS[spec.kind]
+    return side(num), side(den), side(rhs)
 
 
 def _validate_members(members, k: int) -> tuple[int, ...]:

@@ -4,28 +4,36 @@ and scan harnesses for the open conjecture and question.
 The linear kinds run in this process as whole-array numpy passes over the
 sigma table: perfect numbers, amicable numbers and pairs, Cohen and
 alpha-beta pairs, and multiamicable, Dickson and Yanney tuples of one or two
-members, which solve sigma(m) = a*m + b*n for the partner n. Only the
-super-linear kinds use worker processes: the mean families block-partition
-their outer loop and the bucket kinds at k >= 3 partition the sigma buckets.
-Workers emit locally ordered results over a shared immutable sieve, and the
-merge applies one global sort, so reports are identical for any worker
-count.
-"""
+members, which solve sigma(m) = a*m + b*n for the partner n. The mean
+families run in this process too: each block of candidate tuples evaluates
+the family's families.MEAN_EQUATIONS entry modulo a prime, and the exact
+check confirms the few that pass. Only the bucket kinds at k >= 3 use worker
+processes, which partition the sigma buckets and emit locally ordered
+results; the merge applies one global sort, so reports are identical for
+any worker count."""
 
 from __future__ import annotations
 
 import math
 import time
-from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cache
+from itertools import combinations_with_replacement
 
 import numpy as np
 
 from . import tables
 # CoverageError is imported here so that callers of the scans can catch it
 # from this module, which raises it through covering_sieve.
-from .arith import CoverageError, SigmaSieve, build_sigma_sieve, covering_sieve, sigma
-from .families import FamilySpec, Mismatch, TupleRecord, check, is_wgm
+from .arith import (
+    DEFAULT_SIEVE_BUDGET,
+    CoverageError,
+    SigmaSieve,
+    build_sigma_sieve,
+    covering_sieve,
+    sigma,
+)
+from .families import MEAN_EQUATIONS, FamilySpec, Mismatch, TupleRecord, check, mean_sides
 from .parallel import partition_range, run_tasks
 
 MAX_SEARCH_LIMIT = 10**7  # keeps sigma buckets and tables within memory bounds
@@ -36,6 +44,11 @@ MAX_SEARCH_LIMIT = 10**7  # keeps sigma buckets and tables within memory bounds
 # A value of 2^62 or more can therefore never match, and capping it at 2^62
 # keeps that while fitting int64.
 _CAP = 1 << 62
+
+# The mean families' row filter works modulo this prime, 2^31 - 1, and
+# evaluates at most _BLOCK candidate tuples at a time.
+_MODULUS = 2**31 - 1
+_BLOCK = 1 << 13
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,15 +72,6 @@ class SearchReport:
 
 # Kinds grouped by sigma value when they have three or more members.
 _BUCKET_KINDS = {"multiamicable", "dickson", "yanney"}
-
-
-@dataclass(frozen=True, eq=False)
-class _Task:
-    spec: FamilySpec
-    limit: int
-    sieve: SigmaSieve
-    span: tuple[int, int] | None = None
-    items: tuple[tuple[int, tuple[int, ...]], ...] | None = None
 
 
 def _capped(value: int) -> int:
@@ -249,8 +253,9 @@ def _solve_bucket(members, alphas, tails, target, strict):
     return out
 
 
-def _bucket_kernel(task: _Task):
-    spec = task.spec
+def _bucket_kernel(task):
+    """The tuples of task = (spec, sigma buckets), and the number of buckets."""
+    spec, items = task
     if spec.kind == "multiamicable":
         alphas, strict = spec.alphas, True
     else:
@@ -259,217 +264,187 @@ def _bucket_kernel(task: _Task):
     factor = spec.k - 1 if spec.kind == "yanney" else 1
     out = []
     scanned = 0
-    for s_value, members in task.items:
+    for s_value, members in items:
         scanned += 1
         out.extend(_solve_bucket(members, alphas, tails, factor * s_value, strict))
     return out, scanned
 
 
-def _mean_family_kernel(task: _Task):
-    """Non-decreasing k-tuple scan for the mean-equation families.
+def _powmod(base: np.ndarray, exp, mod: int) -> np.ndarray:
+    """base**exp % mod elementwise by square-and-multiply; base holds
+    residues below mod and exp is an int or an array of ints >= 0."""
+    out = np.ones_like(base)
+    exp = np.broadcast_to(np.asarray(exp, dtype=np.int64), base.shape).copy()
+    while exp.any():
+        out = np.where(exp & 1, out * base % mod, out)
+        base = base * base % mod
+        exp >>= 1
+    return out
 
-    Prefix aggregates are carried exactly; for pm with p=1 and for mp the
-    defining equation isolates the last element, which is then resolved by a
-    precomputed key index instead of a scan.
+
+def _tuple_blocks(k: int, limit: int):
+    """The non-decreasing k-tuples over 1..limit in lexicographic order, in
+    blocks of at most _BLOCK tuples, each block a list of k member arrays.
+
+    Each (k-1)-prefix is fixed in turn and its last slot runs over
+    [prefix[-1], limit], split where a block fills up.
     """
-    spec, limit = task.spec, task.limit
-    lo, hi = task.span
-    kind, k, p, q = spec.kind, spec.k, spec.p, spec.q
-    sieve = task.sieve
-    sig = sieve.table.tolist()
-    out = []
-    scanned = 0
-
-    index: dict[int, list[int]] | None = None
-    key = None
-    if kind == "pm" and p == 1:
-        index = {}
-        for n in range(1, limit + 1):
-            index.setdefault(sig[n] - q * n, []).append(n)
-
-        def key(st):
-            return q * st[1] - st[0]
-
-    elif kind == "mp":
-        index = {}
-        for n in range(1, limit + 1):
-            index.setdefault(sig[n] ** p - q * n**p, []).append(n)
-
-        def key(st):
-            return q * st[1] - st[0]
-
-    if kind == "pm":
-        init = (0, 0)  # (sum sigma^p, sum n)
-
-        def push(st, v):
-            return (st[0] + sig[v] ** p, st[1] + v)
-
-        def test(st, v, prefix):
-            return st[0] + sig[v] ** p == q * (st[1] + v) ** p
-
-    elif kind == "mp":
-        init = (0, 0)  # (sum sigma^p, sum n^p)
-
-        def push(st, v):
-            return (st[0] + sig[v] ** p, st[1] + v**p)
-
-        def test(st, v, prefix):
-            return st[0] + sig[v] ** p == q * (st[1] + v**p)
-
-    elif kind == "wpm":
-        init = (0, 0)  # (sum n*sigma^p, sum n)
-
-        def push(st, v):
-            return (st[0] + v * sig[v] ** p, st[1] + v)
-
-        def test(st, v, prefix):
-            return st[0] + v * sig[v] ** p == (st[1] + v) ** (p + 1)
-
-    elif kind == "gm":
-        init = (1, 0)  # (prod sigma, sum n)
-
-        def push(st, v):
-            return (st[0] * sig[v], st[1] + v)
-
-        def test(st, v, prefix):
-            return st[0] * sig[v] == (st[1] + v) ** k
-
-    elif kind == "wgm":
-        logsig = [0.0] * (limit + 1)
-        for n in range(1, limit + 1):
-            logsig[n] = math.log(sig[n])
-        init = (0.0, 0)  # (sum n*log sigma, sum n)
-
-        def push(st, v):
-            return (st[0] + v * logsig[v], st[1] + v)
-
-        def test(st, v, prefix):
-            # cheap log filter, then the exact prime-exponent comparison
-            s = st[1] + v
-            if abs(st[0] + v * logsig[v] - s * math.log(s)) > 1e-6:
-                return False
-            return is_wgm(prefix + (v,), sieve)
-
-    elif kind == "hm":
-        init = (1, 0, 0)  # (prod sigma^p, sum of products excluding one, sum n)
-
-        def push(st, v):
-            svp = sig[v] ** p
-            return (st[0] * svp, st[1] * svp + st[0], st[2] + v)
-
-        def test(st, v, prefix):
-            svp = sig[v] ** p
-            return (st[2] + v) ** p * (st[1] * svp + st[0]) == q * st[0] * svp
-
-    elif kind == "whm":
-        init = (1, 0, 0, 0)  # (prod sigma^p, weighted excl-one sum, sum n^p, sum n)
-
-        def push(st, v):
-            svp = sig[v] ** p
-            vp = v**p
-            return (st[0] * svp, st[1] * svp + vp * st[0], st[2] + vp, st[3] + v)
-
-        def test(st, v, prefix):
-            svp = sig[v] ** p
-            vp = v**p
-            return (st[3] + v) ** p * (st[1] * svp + vp * st[0]) == (st[2] + vp) * st[0] * svp
-
-    elif kind == "feebly":
-        init = (1, 0)  # (prod sigma, weighted excl-one sum)
-
-        def push(st, v):
-            sv = sig[v]
-            return (st[0] * sv, st[1] * sv + v * st[0])
-
-        def test(st, v, prefix):
-            sv = sig[v]
-            return st[1] * sv + v * st[0] == st[0] * sv
-
-    else:
-        raise AssertionError(f"unexpected kind {kind!r}")
-
-    def close(prefix, st, start, stop):
-        nonlocal scanned
-        if index is not None:
-            scanned += 1
-            lst = index.get(key(st))
-            if lst:
-                i = bisect_left(lst, start)
-                while i < len(lst) and lst[i] < stop:
-                    out.append(prefix + (lst[i],))
-                    i += 1
-        else:
-            for v in range(start, stop):
-                scanned += 1
-                if test(st, v, prefix):
-                    out.append(prefix + (v,))
-
-    def rec(depth, prev, prefix, st):
-        if depth == k - 1:
-            start = lo if depth == 0 else prev
-            stop = hi if depth == 0 else limit + 1
-            close(prefix, st, start, stop)
-            return
-        rng = range(lo, hi) if depth == 0 else range(prev, limit + 1)
-        for v in rng:
-            rec(depth + 1, v, prefix + (v,), push(st, v))
-
-    rec(0, 1, (), init)
-    return out, scanned
+    pending, size = [], 0
+    for prefix in combinations_with_replacement(range(1, limit + 1), k - 1):
+        lo = prefix[-1] if prefix else 1
+        while lo <= limit:
+            hi = min(limit + 1, lo + _BLOCK - size)
+            pending.append((prefix, lo, hi))
+            size, lo = size + hi - lo, hi
+            if size == _BLOCK:
+                yield _block(pending, k)
+                pending, size = [], 0
+    if pending:
+        yield _block(pending, k)
 
 
-def _run_task(task: _Task):
-    if task.items is not None:
-        return _bucket_kernel(task)
-    return _mean_family_kernel(task)
+def _block(pending, k: int) -> list[np.ndarray]:
+    """Member arrays of the rows (prefix, lo, hi): prefix + (v,) for lo <= v < hi."""
+    lo = np.array([lo for _, lo, _ in pending])
+    length = np.array([hi - lo for _, lo, hi in pending])
+    prefixes = np.array([prefix for prefix, _, _ in pending], dtype=np.int64).reshape(len(pending), k - 1)
+    return [np.repeat(col, length) for col in prefixes.T] + [_ranges(lo, length)]
 
 
-def _needed_coverage(spec: FamilySpec, limit: int) -> int:
-    if spec.kind == "alpha-beta":
+def _ranges(lo: np.ndarray, length: np.ndarray) -> np.ndarray:
+    """The concatenated ranges lo[i] .. lo[i] + length[i] - 1."""
+    return np.arange(length.sum()) + np.repeat(lo - (np.cumsum(length) - length), length)
+
+
+def _additive(spec: FamilySpec) -> bool:
+    """Whether spec's MEAN_EQUATIONS entry reads sum_i key(n_i) = 0: no
+    denominator, and each side q times one sum or the first power of the
+    total (pm with p = 1, and mp)."""
+    _, num, den, rhs = MEAN_EQUATIONS[spec.kind]
+
+    def linear(side):
+        rest = [f for f in side if f[0] != "q"]
+        if len(rest) != 1:
+            return False
+        factor = rest[0]
+        if factor[0] == "total":
+            return (spec.p if factor[1] == "p" else factor[1]) == 1
+        return factor[0] == "sum"
+
+    return not den and linear(num) and linear(rhs)
+
+
+def _mean_family_kernel(spec: FamilySpec, limit: int, sieve: SigmaSieve) -> list[TupleRecord]:
+    """The records, in sorted order, of every non-decreasing k-tuple over
+    1..limit that satisfies spec's MEAN_EQUATIONS entry.
+
+    Each block of candidate tuples evaluates the entry in residues modulo the
+    prime _MODULUS < 2^31, from the columns n^a * sigma(n)^b over 1..limit
+    and the powers of the total over 1..k*limit, each tabulated once per run
+    by square-and-multiply. When the entry is additive, sum_i key(n_i) = 0,
+    the last member is solved for instead: each (k-1)-prefix looks up the
+    members whose key residue is minus the prefix's sum in the key column
+    sorted once, so k = 2 costs O(L log L) rather than L^2 / 2 evaluations.
+    int64: every value is a residue below 2^31, reduced after each add and
+    multiply, so a sum stays below 2^32 and a product below 2^62; a sorted
+    entry key * (limit + 1) + n stays below 2^31 * 2^24 = 2^55. A member's
+    equation holds in the integers and hence modulo the prime, so the filter
+    cannot drop a member. A candidate that passes is kept only when
+    families.check proves it, so a false positive is dropped and each record
+    is proven once. Only sieve.table[: limit + 1] is read.
+    """
+    mod, k = _MODULUS, spec.k
+    n = np.arange(limit + 1, dtype=np.int64)
+    sig = sieve.table[: limit + 1] % mod
+
+    @cache
+    def columns(a, b):
+        return _powmod(n, a, mod) * _powmod(sig, n if b == "n" else b, mod) % mod
+
+    @cache
+    def powers(e):
+        t = np.arange(k * limit + 1, dtype=np.int64)
+        return _powmod(t % mod, t if e == "n" else e, mod)
+
+    def filtered():
+        for members in _tuple_blocks(k, limit):
+            total = sum(members)
+            column = cache(lambda a, b: [columns(a, b)[m] for m in members])
+            num, den, rhs = mean_sides(spec, column, lambda e: powers(e)[total], mod)
+            hit = np.flatnonzero(num == rhs * den % mod)
+            yield [m[hit] for m in members]
+
+    def solved():
+        # the key of one member: its entry at k = 1, where the total is n
+        num, _, rhs = mean_sides(spec, lambda a, b: [columns(a, b)], lambda e: columns(e, 0), mod)
+        key = (num - rhs) % mod
+        keyed = np.sort(key[1:] * (limit + 1) + n[1:])
+        for prefixes in _tuple_blocks(k - 1, limit):
+            base = (-sum(key[m] for m in prefixes) % mod) * (limit + 1)
+            lo = np.searchsorted(keyed, base + prefixes[-1])
+            count = np.searchsorted(keyed, base + limit + 1) - lo
+            yield [np.repeat(m, count) for m in prefixes] + [keyed[_ranges(lo, count)] % (limit + 1)]
+
+    records = []
+    for members in solved() if k > 1 and _additive(spec) else filtered():
+        for t in zip(*(m.tolist() for m in members)):
+            outcome = check(spec, t, sieve)
+            if isinstance(outcome, TupleRecord):
+                records.append(outcome)
+    return sorted(records, key=lambda r: r.members)
+
+
+def _needed_coverage(spec: FamilySpec, limit: int, budget: int = DEFAULT_SIEVE_BUDGET) -> int:
+    """The sieve size a search builds: alpha-beta reads sigma at alpha*n, so it
+    covers max(alphas)*limit when the budget allows and limit otherwise, since
+    _aliquots reads past the sieve exactly."""
+    if spec.kind == "alpha-beta" and 8 * (max(spec.alphas) * limit + 1) <= budget:
         return max(spec.alphas) * limit
     return limit
 
 
-def check_search_limit(limit: int) -> None:
-    """Raise ValueError unless 1 <= limit <= MAX_SEARCH_LIMIT."""
+def check_search_limit(limit: int, spec: FamilySpec | None = None) -> None:
+    """Raise ValueError unless 1 <= limit <= MAX_SEARCH_LIMIT and spec's p,
+    when given, fits the int64 exponents of the mean families' filter."""
     if limit < 1:
         raise ValueError("search limit must be >= 1")
     if limit > MAX_SEARCH_LIMIT:
         raise ValueError(f"search limit {limit} exceeds the cap of {MAX_SEARCH_LIMIT}")
+    if spec is not None and spec.p is not None and spec.p >= 2**63:
+        raise ValueError(f"search p {spec.p} must be below 2^63")
 
 
 def enumerate_family(config: SearchConfig) -> SearchReport:
     """Every tuple of the family with all elements <= config.limit.
 
-    The linear kinds run in this process whatever config.workers says; the
-    report still echoes the requested worker count.
+    Only the bucket kinds at k >= 3 use config.workers; every other kind
+    runs in this process, and the report still echoes the requested count.
     """
     t0 = time.perf_counter()
     spec, limit = config.spec, config.limit
-    check_search_limit(limit)
+    check_search_limit(limit, spec)
     workers = max(1, config.workers)
-    # A built sieve also covers the alpha*n that alpha-beta reads; a caller's
-    # sieve need only cover limit, since sigma factorizes past its end.
+    # A built sieve also covers the alpha*n that alpha-beta reads, within the
+    # budget; a caller's sieve need only cover limit, since sigma factorizes
+    # past its end.
     if config.sieve is None:
         sieve = build_sigma_sieve(_needed_coverage(spec, limit))
     else:
         sieve = covering_sieve(limit, config.sieve)
 
     linear = _LINEAR_KERNELS.get(spec.kind)
-    if linear is not None and (spec.kind not in _BUCKET_KINDS or spec.k <= 2):
-        found, scanned = linear(spec, limit, sieve), limit
+    if spec.kind in MEAN_EQUATIONS:
+        records = _mean_family_kernel(spec, limit, sieve)
+        scanned = math.comb(limit + spec.k - 1, spec.k)
+    elif linear is not None and (spec.kind not in _BUCKET_KINDS or spec.k <= 2):
+        records, scanned = _verified(spec, linear(spec, limit, sieve), sieve), limit
     else:
-        if spec.kind in _BUCKET_KINDS:
-            items = _sigma_buckets(sieve.table[: limit + 1].tolist(), limit)
-            spans = partition_range(0, len(items), workers)
-            tasks = [_Task(spec, limit, sieve, items=tuple(items[a:b])) for a, b in spans]
-        else:
-            spans = partition_range(1, limit + 1, workers)
-            tasks = [_Task(spec, limit, sieve, span=span) for span in spans]
-        results = run_tasks(_run_task, tasks, workers)
-        found = [t for tuples, _ in results for t in tuples]
+        items = _sigma_buckets(sieve.table[: limit + 1].tolist(), limit)
+        spans = partition_range(0, len(items), workers)
+        tasks = [(spec, items[a:b]) for a, b in spans]
+        results = run_tasks(_bucket_kernel, tasks, workers)
+        records = _verified(spec, [t for tuples, _ in results for t in tuples], sieve)
         scanned = sum(count for _, count in results)
-    records = _verified(spec, found, sieve)
     return SearchReport(spec, limit, workers, records, scanned, time.perf_counter() - t0)
 
 
@@ -528,22 +503,28 @@ def scan_open_question(limit: int, sieve: SigmaSieve | None = None) -> SearchRep
 
     Such a pair would answer the open question on mp(2,2) pairs with equal
     sigma; every scan so far comes back empty. The second equation fixes the
-    partner of each m as n = sqrt(sigma(m)^2 - m^2), so the scan visits each
-    candidate m once.
+    partner of each m as n = isqrt(sigma(m)^2 - m^2), so one numpy pass
+    visits each candidate m once.
+
+    int64: the limit is capped at MAX_SEARCH_LIMIT = 10^7, and sigma(m) < 2^26
+    for every m <= 10^7, so the target sigma(m)^2 - m^2 is below 2^52. float64
+    holds it exactly, and its sqrt, truncated, is within one of isqrt(target);
+    n is corrected by one either way and kept only when n*n == target exactly.
     """
     t0 = time.perf_counter()
-    if limit < 1:
-        raise ValueError("scan limit must be >= 1")
+    check_search_limit(limit)
     sieve = covering_sieve(limit, sieve)
-    sig = sieve.table[: limit + 1].tolist()
     spec = FamilySpec("mp", 2, p=2, q=2)
-    found = []
-    for m in range(1, limit + 1):
-        sm = sig[m]
-        target = sm * sm - m * m
-        n = math.isqrt(target)
-        if m <= n <= limit and n * n == target and sig[n] == sm:
-            found.append((m, n))
+    m = np.arange(1, limit + 1)
+    s = sieve.table[1 : limit + 1]
+    target = s * s - m * m
+    n = np.sqrt(np.maximum(target, 0)).astype(np.int64)
+    n -= n * n > target
+    n += (n + 1) * (n + 1) <= target
+    keep = (m <= n) & (n <= limit) & (n * n == target)
+    m, s, n = m[keep], s[keep], n[keep]
+    hit = sieve.table[n] == s
+    found = list(zip(m[hit].tolist(), n[hit].tolist()))
     return SearchReport(
         spec,
         limit,

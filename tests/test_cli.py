@@ -12,6 +12,8 @@ from amiforge import cli
 from amiforge.families import FamilySpec
 from amiforge.search import TableReport, TableRowResult
 
+import oracles
+
 REPO = Path(__file__).resolve().parents[1]
 
 
@@ -288,6 +290,8 @@ def test_usage_errors_exit_two(capsys):
         ["density", "amicable", "--checkpoints", "10000001", "--workers", "1"],
         ["density", "amicable", "--checkpoints", "0", "--workers", "1"],
         ["density", "pomerance", "--checkpoints", "1e8", "--workers", "1"],
+        ["search", "pm", "--k", "2", "--p", "9223372036854775808", "--q", "1", "--limit", "5", "--workers", "1"],
+        ["scan-question", "--limit", "10000001", "--workers", "1"],
     ]
     for argv in cases:
         assert cli.run(argv) == 2, argv
@@ -305,11 +309,25 @@ def test_search_cap_checked_before_sieve(monkeypatch, capsys):
         ["search", "multiamicable", "--alphas", "1,2", "--limit", "10000001", "--workers", "2"],
         ["density", "amicable", "--checkpoints", "100,10000001", "--workers", "1"],
         ["density", "pomerance", "--checkpoints", "300,1e8", "--workers", "1"],
+        ["scan-question", "--limit", "10000001", "--workers", "1"],
     ):
         assert cli.run(argv) == 2, argv
         assert "search limit" in capsys.readouterr().err, argv
     assert cli.run(["search", "perfect", "--limit", "10000001", "--workers", "1"]) == 2
     assert capsys.readouterr().err == "error: search limit 10000001 exceeds the cap of 10000000\n"
+
+
+def test_alpha_beta_weight_past_the_budget(capsys):
+    # the 1000*limit sieve needs 8*(300000+1) bytes; under a smaller budget
+    # the search covers the limit only and reads past it exactly
+    argv = ["search", "alpha-beta", "--alphas", "1,1000", "--limit", "300", "--workers", "1"]
+    code, doc = run_json(capsys, argv + ["--sieve-budget", str(8 * 300001 - 1)])
+    assert code == 0
+    assert doc["params"]["sieve_limit"] == 300
+    found = [tuple(r["tuple"]) for r in doc["results"]["records"]]
+    assert found == oracles.naive_family("alpha-beta", 300, alphas=(1, 1000))
+    code, doc = run_json(capsys, argv)
+    assert code == 0 and doc["params"]["sieve_limit"] == 300000
 
 
 def test_out_writes_file(tmp_path, capsys):

@@ -1,7 +1,10 @@
+import math
+
 import pytest
 
+from amiforge import search
 from amiforge.arith import SigmaSieve, build_sigma_sieve, sigma
-from amiforge.families import FamilySpec, holds
+from amiforge.families import MEAN_EQUATIONS, FamilySpec, holds
 from amiforge.search import (
     MAX_SEARCH_LIMIT,
     CoverageError,
@@ -169,6 +172,14 @@ def test_worker_counts_agree(sieve_10k):
         (FamilySpec("dickson", 2), 3000),
         (FamilySpec("yanney", 2), 3000),
         (FamilySpec("gm", 2), 300),
+        (FamilySpec("hm", 2, p=1, q=2), 500),
+        (FamilySpec("whm", 2, p=1), 500),
+        (FamilySpec("feebly", 2), 500),
+        (FamilySpec("wgm", 2), 500),
+        (FamilySpec("wpm", 2, p=1), 500),
+        (FamilySpec("pm", 2, p=2, q=2), 500),
+        (FamilySpec("mp", 2, p=2, q=2), 500),
+        (FamilySpec("gm", 3), 120),
     ):
         outcomes = []
         for workers in (1, 2, 8):
@@ -176,6 +187,97 @@ def test_worker_counts_agree(sieve_10k):
             outcomes.append((members_of(report), report.scanned))
             assert report.workers == workers
         assert outcomes[0] == outcomes[1] == outcomes[2]
+
+
+# one spec per mean family, with the oracle's keyword arguments
+MEAN_CASES = [
+    dict(kind="pm", p=1, q=2),
+    dict(kind="pm", p=2, q=2),
+    dict(kind="mp", p=2, q=2),
+    dict(kind="wpm", p=1),
+    dict(kind="gm"),
+    dict(kind="wgm"),
+    dict(kind="hm", p=1, q=2),
+    dict(kind="whm", p=1),
+    dict(kind="feebly"),
+]
+
+
+def mean_spec(k, kind, **kw):
+    return FamilySpec(kind, k, **kw)
+
+
+def test_mean_families_single_members_match_oracle(sieve_1k):
+    assert {kw["kind"] for kw in MEAN_CASES} == set(MEAN_EQUATIONS)
+    for kw in MEAN_CASES:
+        report = enumerate_family(SearchConfig(mean_spec(1, **kw), 1000, sieve=sieve_1k))
+        assert members_of(report) == oracles.naive_family(limit=1000, k=1, **kw), kw
+
+
+def test_mean_filter_false_positives_are_dropped(sieve_1k, monkeypatch):
+    # modulo 7 about one candidate in seven passes the row filter; the exact
+    # check must drop every non-member without raising
+    calls = []
+    exact_check = search.check
+    monkeypatch.setattr(search, "_MODULUS", 7)
+    monkeypatch.setattr(search, "check", lambda *args: calls.append(args) or exact_check(*args))
+    for kw in MEAN_CASES:
+        for k, limit in ((2, 60), (3, 20)):
+            calls.clear()
+            report = enumerate_family(SearchConfig(mean_spec(k, **kw), limit, sieve=sieve_1k))
+            assert members_of(report) == oracles.naive_family(limit=limit, k=k, **kw), (kw, k)
+            assert len(calls) > len(report.records), (kw, k)
+
+
+def test_additive_mean_families_solve_the_last_member(monkeypatch):
+    # pm with p = 1 and mp read sum_i key(n_i) = 0 and solve for the last
+    # member: the table is evaluated once, for the key column, instead of
+    # once per block of the L^2 / 2 pairs (5 * 10^9 here)
+    limit = 100_000
+    sieve = build_sigma_sieve(limit)
+    sig = sieve.table.tolist()
+    calls = []
+    exact_sides = search.mean_sides
+
+    def once(*args):
+        calls.append(args)
+        assert len(calls) == 1, "the table was evaluated per block of candidate tuples"
+        return exact_sides(*args)
+
+    monkeypatch.setattr(search, "mean_sides", once)
+    for kind, p, q in (("pm", 1, 3), ("mp", 2, 2), ("mp", 3, 1)):
+        calls.clear()
+        report = enumerate_family(SearchConfig(FamilySpec(kind, 2, p=p, q=q), limit, sieve=sieve))
+        by_key = {}
+        for n in range(1, limit + 1):
+            by_key.setdefault(sig[n] ** p - q * n**p, []).append(n)
+        expected = sorted(
+            (m, n) for m in range(1, limit + 1) for n in by_key.get(q * m**p - sig[m] ** p, ()) if m <= n
+        )
+        assert members_of(report) == expected, (kind, p, q)
+    calls.clear()
+    report = enumerate_family(SearchConfig(FamilySpec("pm", 3, p=1, q=3), 200, sieve=sieve))
+    assert members_of(report) == oracles.naive_family("pm", 200, k=3, p=1, q=3)
+
+
+def test_mean_kernel_reads_only_the_limit(sieve_10k):
+    # entries past the limit are zero, which no sigma is; the records must not change
+    table = sieve_10k.table.copy()
+    table[301:] = 0
+    table.setflags(write=False)
+    garbled = SigmaSieve(sieve_10k.limit, table)
+    for spec in (FamilySpec("hm", 2, p=1, q=2), FamilySpec("wgm", 2)):
+        clean = enumerate_family(SearchConfig(spec, 300, sieve=sieve_10k))
+        assert members_of(enumerate_family(SearchConfig(spec, 300, sieve=garbled))) == members_of(clean)
+        assert clean.records
+
+
+def test_mean_scanned_counts_candidate_tuples(sieve_1k):
+    # C(L + k - 1, k) non-decreasing k-tuples, whatever the family and parameters
+    for spec in (FamilySpec("hm", 2, p=1, q=2), FamilySpec("pm", 2, p=1, q=2), FamilySpec("mp", 2, p=2, q=2)):
+        assert enumerate_family(SearchConfig(spec, 10, sieve=sieve_1k)).scanned == 55
+    report = enumerate_family(SearchConfig(FamilySpec("gm", 3), 10, sieve=sieve_1k))
+    assert report.scanned == math.comb(12, 3) == 220
 
 
 def test_amicable_number_reads_past_the_sieve():
@@ -242,6 +344,8 @@ def test_scan_open_question_empty(sieve_1k):
         scan_open_question(0)
     with pytest.raises(CoverageError):
         scan_open_question(2000, sieve_1k)
+    with pytest.raises(ValueError, match="exceeds the cap"):
+        scan_open_question(MAX_SEARCH_LIMIT + 1, sieve_1k)
 
 
 def test_scan_open_question_finds_planted_pair(sieve_1k):
