@@ -48,7 +48,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=None,
-        help=f"worker processes (default: available parallelism, env {ENV_WORKERS})",
+        help=f"worker count, accepted and echoed; every command runs in one process (env {ENV_WORKERS})",
     )
     common.add_argument(
         "--sieve-budget",
@@ -241,17 +241,20 @@ def _cmd_construct(args):
     alphas = tuple(_parse_int_list(args.alphas, "alphas"))
     if (args.ns is None) == (args.seed_limit is None):
         raise ValueError("construct requires exactly one of --ns or --seed-limit")
+    if args.a_bound < 1:
+        raise ValueError("bound must be >= 1")
+    # one sieve serves the seed search and every multiplier scan, so the
+    # budget refuses an oversized --a-bound before any work starts
+    sieve = build_sigma_sieve(max(args.seed_limit or 1, args.a_bound), args.sieve_budget)
     if args.ns is not None:
         seeds = [_parse_tuple(args.ns)]
         params = {"alphas": list(alphas), "ns": list(seeds[0]), "a_bound": args.a_bound}
     else:
-        sieve = build_sigma_sieve(args.seed_limit, args.sieve_budget)
         seeds = [s.ns for s in find_seed_tuples(alphas, args.seed_limit, sieve)]
         params = {"alphas": list(alphas), "seed_limit": args.seed_limit, "a_bound": args.a_bound}
     rows = []
     for ns in seeds:
-        for built in construct_multiamicable(alphas, ns, args.a_bound, workers=args.workers):
-            rows.append(built)
+        rows.extend(construct_multiamicable(alphas, ns, args.a_bound, sieve=sieve))
     results = [
         {
             "seed": {"alphas": list(b.seed.alphas), "ns": list(b.seed.ns)},

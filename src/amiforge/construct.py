@@ -13,10 +13,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
+
 from .arith import SigmaSieve, covering_sieve, sigma
 from .families import is_multiamicable
-from .parallel import partition_range, run_tasks
-from .search import _sigma_buckets
+from .search import _capped, sigma_groups
 
 
 @dataclass(frozen=True)
@@ -53,54 +54,42 @@ def seed_ratio(alphas, ns) -> SeedTuple:
     return SeedTuple(alphas, ns, target)
 
 
-@dataclass(frozen=True)
-class _MultiplierTask:
-    num: int
-    den: int
-    coprime_to: tuple[int, ...]
-    span: tuple[int, int]  # range of multiples j, candidates a = j*den
-
-
-def _multiplier_kernel(task: _MultiplierTask):
-    num, den = task.num, task.den
-    out = []
-    for j in range(*task.span):
-        a = j * den
-        if sigma(a) * den != num * a:
-            continue
-        if all(math.gcd(a, n) == 1 for n in task.coprime_to):
-            out.append(a)
-    return out
-
-
-def find_multipliers(target: Fraction, bound: int, coprime_to=(), workers: int = 1) -> list[int]:
+def find_multipliers(target: Fraction, bound: int, coprime_to=(), sieve: SigmaSieve | None = None) -> list[int]:
     """All a <= bound with sigma(a)/a = target and gcd(a, n) = 1 for each n.
 
-    sigma(a)/a = num/den in lowest terms forces den | a, so only multiples of
-    the denominator are scanned. Ascending, possibly empty.
+    sigma(a)/a = num/den in lowest terms forces den | a, so a = j*den, and
+    then sigma(a)/a = num/den exactly when sigma(a) = num*j. One pass over
+    the multiples of den in the sieve keeps a when sigma(a) % num == 0 and
+    sigma(a) // num == j. int64: that is division form, so no product with
+    num is formed, and a num capped at 2^62 divides no table entry, all of
+    which are below 2^40. The coprimality filter then runs over the
+    survivors only. Ascending, possibly empty.
+
+    Raises CoverageError when the given sieve stops short of bound.
     """
     target = Fraction(target)
     if target < 1:
         raise ValueError("target must be >= 1: sigma(a)/a >= 1 for every a")
     if bound < 1:
         raise ValueError("bound must be >= 1")
-    den = target.denominator
-    last = bound // den
-    if last < 1:
+    table = covering_sieve(bound, sieve).table
+    num, den = _capped(target.numerator), target.denominator
+    if den > bound:
         return []
-    spans = partition_range(1, last + 1, max(1, workers))
-    tasks = [
-        _MultiplierTask(target.numerator, den, tuple(coprime_to), span) for span in spans
-    ]
-    results = run_tasks(_multiplier_kernel, tasks, max(1, workers))
-    return [a for chunk in results for a in chunk]
+    j = np.arange(1, bound // den + 1)
+    s = table[j * den]
+    hit = j[(s % num == 0) & (s // num == j)] * den
+    return [a for a in hit.tolist() if all(math.gcd(a, n) == 1 for n in coprime_to)]
 
 
-def construct_multiamicable(alphas, ns, a_bound: int, workers: int = 1) -> list[ConstructedTuple]:
-    """Multiamicable tuples (a*N_1, ..., a*N_k) for every admissible a <= a_bound."""
+def construct_multiamicable(alphas, ns, a_bound: int, sieve: SigmaSieve | None = None) -> list[ConstructedTuple]:
+    """Multiamicable tuples (a*N_1, ..., a*N_k) for every admissible a <= a_bound.
+
+    Raises CoverageError when the given sieve stops short of a_bound.
+    """
     seed = seed_ratio(alphas, ns)
     out = []
-    for a in find_multipliers(seed.target, a_bound, seed.ns, workers=workers):
+    for a in find_multipliers(seed.target, a_bound, seed.ns, sieve=sieve):
         members = tuple(a * n for n in seed.ns)
         if not is_multiamicable(members, seed.alphas):
             raise RuntimeError(
@@ -112,7 +101,7 @@ def construct_multiamicable(alphas, ns, a_bound: int, workers: int = 1) -> list[
 
 def find_seed_tuples(alphas, n_limit: int, sieve: SigmaSieve | None = None) -> list[SeedTuple]:
     """All strictly increasing equal-sigma seeds N_1 < ... < N_k <= n_limit
-    whose target ratio is at least 1, grouped from sigma buckets.
+    whose target ratio is at least 1, from the search's sigma groups.
 
     Raises CoverageError when the given sieve stops short of n_limit.
     """
@@ -124,11 +113,8 @@ def find_seed_tuples(alphas, n_limit: int, sieve: SigmaSieve | None = None) -> l
         raise ValueError("alphas must be positive integers")
     if n_limit < 1:
         raise ValueError("N_limit must be >= 1")
-    sig = covering_sieve(n_limit, sieve).table[: n_limit + 1].tolist()
     out = []
-    for s_value, members in _sigma_buckets(sig, n_limit):
-        if len(members) < k:
-            continue
+    for s_value, members in sigma_groups(covering_sieve(n_limit, sieve), n_limit, k):
         for combo in combinations(members, k):
             target = Fraction(sum(a * n for a, n in zip(alphas, combo)), s_value)
             if target >= 1:

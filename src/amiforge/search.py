@@ -7,10 +7,11 @@ alpha-beta pairs, and multiamicable, Dickson and Yanney tuples of one or two
 members, which solve sigma(m) = a*m + b*n for the partner n. The mean
 families run in this process too: each block of candidate tuples evaluates
 the family's families.MEAN_EQUATIONS entry modulo a prime, and the exact
-check confirms the few that pass. Only the bucket kinds at k >= 3 use worker
-processes, which partition the sigma buckets and emit locally ordered
-results; the merge applies one global sort, so reports are identical for
-any worker count."""
+check confirms the few that pass. Multiamicable, Dickson and Yanney tuples
+of three or more members group 1..L by sigma with one stable argsort and
+grow their prefixes within each group in numpy chunks. Every search runs in
+this one process; the worker count is only echoed, so reports are identical
+for any worker count."""
 
 from __future__ import annotations
 
@@ -34,7 +35,6 @@ from .arith import (
     sigma,
 )
 from .families import MEAN_EQUATIONS, FamilySpec, Mismatch, TupleRecord, check, mean_sides
-from .parallel import partition_range, run_tasks
 
 MAX_SEARCH_LIMIT = 10**7  # keeps sigma buckets and tables within memory bounds
 
@@ -50,12 +50,15 @@ _CAP = 1 << 62
 _MODULUS = 2**31 - 1
 _BLOCK = 1 << 13
 
+# The bucket kinds at k >= 3 expand about _CHUNK prefixes at a time.
+_CHUNK = 1 << 20
+
 
 @dataclass(frozen=True, eq=False)
 class SearchConfig:
     spec: FamilySpec
     limit: int
-    workers: int = 1
+    workers: int = 1  # echoed in the report; every search runs in this process
     sieve: SigmaSieve | None = None
 
 
@@ -213,61 +216,103 @@ _LINEAR_KERNELS = {
 }
 
 
-def _sigma_buckets(sig: list[int], limit: int) -> list[tuple[int, tuple[int, ...]]]:
-    """Group 1..limit by sigma value; members ascending, keys ascending."""
-    buckets: dict[int, list[int]] = {}
-    for n in range(1, limit + 1):
-        buckets.setdefault(sig[n], []).append(n)
-    return [(s, tuple(ns)) for s, ns in sorted(buckets.items())]
+def _by_sigma(sieve: SigmaSieve, limit: int) -> tuple[np.ndarray, np.ndarray]:
+    """1..limit ordered by (sigma(n), n), and the sigma of each: one stable
+    argsort of the table, after which each sigma value's members form one
+    ascending run."""
+    order = np.argsort(sieve.table[1 : limit + 1], kind="stable")
+    return order + 1, sieve.table[1:][order]
 
 
-def _solve_bucket(members, alphas, tails, target, strict):
-    """All (strictly or weakly) increasing tuples from one sigma bucket with
-    weighted element sum equal to target. The last element is solved for
-    directly; earlier slots scan with the lower-bound prune
-    partial + (sum of remaining alphas) * candidate > target."""
-    k = len(alphas)
-    mset = set(members)
-    last_a = alphas[-1]
-    out = []
-
-    def rec(start, chosen, partial):
-        i = len(chosen)
-        if i == k - 1:
-            rem = target - partial
-            if rem >= last_a and rem % last_a == 0:
-                v = rem // last_a
-                if v in mset and ((v > chosen[-1]) if strict else (v >= chosen[-1])):
-                    out.append(tuple(chosen) + (v,))
-            return
-        rest = tails[i]
-        for idx in range(start, len(members)):
-            v = members[idx]
-            if partial + rest * v > target:
-                break
-            chosen.append(v)
-            rec(idx + 1 if strict else idx, chosen, partial + alphas[i] * v)
-            chosen.pop()
-
-    rec(0, [], 0)
-    return out
+def sigma_groups(sieve: SigmaSieve, limit: int, size: int) -> list[tuple[int, tuple[int, ...]]]:
+    """(sigma, members) of each sigma value shared by at least size members
+    of 1..limit; members ascending, sigma values ascending."""
+    n, sig = _by_sigma(sieve, limit)
+    starts = np.flatnonzero(np.diff(sig, prepend=-1))
+    ends = np.append(starts[1:], limit)
+    keep = ends - starts >= size
+    return [
+        (int(sig[a]), tuple(n[a:b].tolist()))
+        for a, b in zip(starts[keep].tolist(), ends[keep].tolist())
+    ]
 
 
-def _bucket_kernel(task):
-    """The tuples of task = (spec, sigma buckets), and the number of buckets."""
-    spec, items = task
+def _chunks(count: np.ndarray) -> list[tuple[int, int]]:
+    """Slices [a, b) of the rows whose counts sum to about _CHUNK each; a
+    slice exceeds it only by the count of its last row."""
+    total = np.cumsum(count)
+    cuts = np.searchsorted(total, np.arange(_CHUNK, total[-1] if len(total) else 0, _CHUNK), side="right")
+    bounds = [0, *cuts.tolist(), len(count)]
+    return [(a, b) for a, b in zip(bounds, bounds[1:]) if a < b]
+
+
+def _bucket_tuples(spec: FamilySpec, limit: int, sieve: SigmaSieve):
+    """Multiamicable, Dickson and Yanney tuples of k >= 3 members <= limit:
+    members of one sigma value with a_1*n_1 + ... + a_k*n_k = T. The weights
+    are the alphas for multiamicable, members strictly increasing, and 1
+    otherwise, members non-decreasing; T is sigma times k - 1 for yanney and
+    times 1 otherwise.
+
+    1..limit is sorted once by the key sigma*(limit + 1) + n, so each sigma
+    value's members form one ascending run. Prefixes grow one slot at a time
+    within a run, in chunks of about _CHUNK rows: slot i admits v from the
+    previous member on (after it when strict) up to the last v with
+    partial + tails[i]*v <= T, where tails[i] = a_i + ... + a_k, since every
+    later member is >= v; that end is one searchsorted on the key. The last
+    member v = (T - partial) / a_k is kept when the division is exact,
+    v <= limit (a larger v would alias into the next run), v >= the previous
+    member (> when strict), and its key is present.
+
+    int64: sigma < 2^26 for n <= MAX_SEARCH_LIMIT, so a key is below 2^50,
+    and so is T = sigma outside yanney. Weights and tails are capped at
+    _CAP, which exceeds that T, so a capped one admits no member, as its
+    true value would not. Yanney weights are 1; its factor k - 1 and its T
+    are capped at _CAP, and T = n_1 + ... + n_k passes 2^62 only for
+    k > 2^38. Slot i ends at the quotient (T - partial) // tails[i], so
+    a_i*v is formed only once it is bounded by T - partial, and every
+    partial sum stays <= T <= 2^62.
+    """
     if spec.kind == "multiamicable":
-        alphas, strict = spec.alphas, True
+        alphas, strict = spec.alphas, 1
     else:
-        alphas, strict = (1,) * spec.k, False
-    tails = [sum(alphas[i:]) for i in range(len(alphas))]
-    factor = spec.k - 1 if spec.kind == "yanney" else 1
-    out = []
-    scanned = 0
-    for s_value, members in items:
-        scanned += 1
-        out.extend(_solve_bucket(members, alphas, tails, factor * s_value, strict))
-    return out, scanned
+        alphas, strict = (1,) * spec.k, 0
+    k = len(alphas)
+    weights = [_capped(a) for a in alphas]
+    tails = [_capped(sum(alphas[i:])) for i in range(k)]
+    factor = _capped(k - 1 if spec.kind == "yanney" else 1)
+    n, sig = _by_sigma(sieve, limit)
+    key = sig * (limit + 1) + n
+    target = np.minimum(sig, _CAP // factor) * factor
+    found = []
+
+    def grow(pos, partial, chosen):
+        # pos: the sorted position of each prefix's newest member
+        room = target[pos] - partial
+        if len(chosen) == k - 1:
+            v = room // weights[-1]
+            probe = sig[pos] * (limit + 1) + np.minimum(v, limit)
+            at = np.minimum(np.searchsorted(key, probe), limit - 1)
+            hit = (room % weights[-1] == 0) & (v <= limit) & (v >= chosen[-1] + strict)
+            hit &= key[at] == probe
+            found.extend(zip(*(c[hit].tolist() for c in chosen), v[hit].tolist()))
+            return
+        i = len(chosen)
+        lo = pos + strict
+        end = sig[pos] * (limit + 1) + np.minimum(room // tails[i], limit)
+        hi = np.searchsorted(key, end, side="right")
+        count = np.maximum(hi - lo, 0)
+        for a, b in _chunks(count):
+            rows = _ranges(lo[a:b], count[a:b])
+            reps = count[a:b]
+            grow(
+                rows,
+                np.repeat(partial[a:b], reps) + weights[i] * n[rows],
+                [np.repeat(c[a:b], reps) for c in chosen] + [n[rows]],
+            )
+
+    first = np.flatnonzero(n <= target // tails[0])
+    grow(first, weights[0] * n[first], [n[first]])
+    return found
 
 
 def _powmod(base: np.ndarray, exp, mod: int) -> np.ndarray:
@@ -417,8 +462,7 @@ def check_search_limit(limit: int, spec: FamilySpec | None = None) -> None:
 def enumerate_family(config: SearchConfig) -> SearchReport:
     """Every tuple of the family with all elements <= config.limit.
 
-    Only the bucket kinds at k >= 3 use config.workers; every other kind
-    runs in this process, and the report still echoes the requested count.
+    Every kind runs in this process; the report echoes config.workers.
     """
     t0 = time.perf_counter()
     spec, limit = config.spec, config.limit
@@ -432,19 +476,13 @@ def enumerate_family(config: SearchConfig) -> SearchReport:
     else:
         sieve = covering_sieve(limit, config.sieve)
 
-    linear = _LINEAR_KERNELS.get(spec.kind)
     if spec.kind in MEAN_EQUATIONS:
         records = _mean_family_kernel(spec, limit, sieve)
         scanned = math.comb(limit + spec.k - 1, spec.k)
-    elif linear is not None and (spec.kind not in _BUCKET_KINDS or spec.k <= 2):
-        records, scanned = _verified(spec, linear(spec, limit, sieve), sieve), limit
     else:
-        items = _sigma_buckets(sieve.table[: limit + 1].tolist(), limit)
-        spans = partition_range(0, len(items), workers)
-        tasks = [(spec, items[a:b]) for a, b in spans]
-        results = run_tasks(_bucket_kernel, tasks, workers)
-        records = _verified(spec, [t for tuples, _ in results for t in tuples], sieve)
-        scanned = sum(count for _, count in results)
+        bucket = spec.kind in _BUCKET_KINDS and spec.k >= 3
+        kernel = _bucket_tuples if bucket else _LINEAR_KERNELS[spec.kind]
+        records, scanned = _verified(spec, kernel(spec, limit, sieve), sieve), limit
     return SearchReport(spec, limit, workers, records, scanned, time.perf_counter() - t0)
 
 
@@ -540,7 +578,6 @@ def conjecture_census(
     alphas,
     limits,
     sieve: SigmaSieve | None = None,
-    workers: int = 1,
 ) -> list[tuple[int, int]]:
     """Counts of multiamicable tuples (every element within the limit) for an
     increasing list of limits. Evidence for the infinitude conjecture only;
@@ -552,7 +589,7 @@ def conjecture_census(
     if any(b <= a for a, b in zip(limits, limits[1:])):
         raise ValueError("limits must be strictly increasing")
     spec = FamilySpec("multiamicable", len(alphas), alphas=alphas)
-    report = enumerate_family(SearchConfig(spec, limits[-1], workers=workers, sieve=sieve))
+    report = enumerate_family(SearchConfig(spec, limits[-1], sieve=sieve))
     counts = []
     for bound in limits:
         counts.append((bound, sum(1 for r in report.records if r.members[-1] <= bound)))

@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 import os
 import re
 import shutil
@@ -292,6 +293,9 @@ def test_usage_errors_exit_two(capsys):
         ["density", "pomerance", "--checkpoints", "1e8", "--workers", "1"],
         ["search", "pm", "--k", "2", "--p", "9223372036854775808", "--q", "1", "--limit", "5", "--workers", "1"],
         ["scan-question", "--limit", "10000001", "--workers", "1"],
+        # the sieve to --a-bound is over budget, so this is refused at once
+        ["construct", "--alphas", "1,2", "--ns", "104,116", "--a-bound", "10000000000000"],
+        ["construct", "--alphas", "1,2", "--seed-limit", "10", "--a-bound", "0"],
     ]
     for argv in cases:
         assert cli.run(argv) == 2, argv
@@ -315,6 +319,19 @@ def test_search_cap_checked_before_sieve(monkeypatch, capsys):
         assert "search limit" in capsys.readouterr().err, argv
     assert cli.run(["search", "perfect", "--limit", "10000001", "--workers", "1"]) == 2
     assert capsys.readouterr().err == "error: search limit 10000001 exceeds the cap of 10000000\n"
+
+
+def test_no_process_pool_for_any_worker_count(monkeypatch, capsys):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+    for argv in (
+        ["search", "yanney", "--k", "3", "--limit", "3000", "--workers", "2"],
+        ["construct", "--alphas", "1,2", "--seed-limit", "200", "--a-bound", "30000", "--workers", "2"],
+    ):
+        assert cli.run(argv) == 0, argv
+        capsys.readouterr()
 
 
 def test_alpha_beta_weight_past_the_budget(capsys):

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from amiforge.arith import CoverageError, sigma
+from amiforge.arith import CoverageError, build_sigma_sieve, sigma
 from amiforge.construct import (
     construct_multiamicable,
     find_multipliers,
@@ -57,11 +57,19 @@ def test_find_multipliers_rejects_deficient_target():
 
 
 def test_find_multipliers_worker_determinism():
+    # a caller's sieve that reaches past the bound gives the same multipliers
     target = Fraction(3, 2)
-    one = find_multipliers(target, 5000, workers=1)
-    many = find_multipliers(target, 5000, workers=4)
-    assert one == many
+    one = find_multipliers(target, 5000)
+    wide = find_multipliers(target, 5000, sieve=build_sigma_sieve(7000))
+    assert one == wide
     assert one and all(Fraction(oracles.divisor_sigma(a), a) == target for a in one)
+
+
+def test_find_multipliers_short_sieve_raises(sieve_1k):
+    with pytest.raises(CoverageError):
+        find_multipliers(Fraction(3, 2), 5000, sieve=sieve_1k)
+    with pytest.raises(CoverageError):
+        construct_multiamicable((1, 2), (104, 116), 2000, sieve=sieve_1k)
 
 
 def test_construct_example():

@@ -1,4 +1,5 @@
 import math
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 
@@ -96,6 +97,40 @@ def test_yanney_allows_repeats(sieve_1k):
     assert members_of(report) == [(6, 6)]
     report3 = enumerate_family(SearchConfig(FamilySpec("yanney", 3), 400, sieve=sieve_1k))
     assert members_of(report3) == oracles.naive_family("yanney", 400, k=3)
+
+
+def grouped_reference(kind, limit, k, alphas=None):
+    """Bucket-kind tuples of k >= 3 members, from itertools within each group
+    of 1..limit that shares one oracles.divisor_sigma value."""
+    groups = {}
+    for n in range(1, limit + 1):
+        groups.setdefault(oracles.divisor_sigma(n), []).append(n)
+    if kind == "multiamicable":
+        pick, weights, factor = combinations, alphas, 1
+    else:
+        pick, weights, factor = combinations_with_replacement, (1,) * k, k - 1 if kind == "yanney" else 1
+    return sorted(
+        t
+        for s, members in groups.items()
+        for t in pick(members, k)
+        if sum(a * n for a, n in zip(weights, t)) == factor * s
+    )
+
+
+def test_bucket_kernel_matches_grouped_reference(sieve_10k):
+    # yanney at L = 10 and dickson at L = 180 solve a last member past L
+    # (16 and 186 among them) that must not be taken for a member of 1..L
+    cases = [(kind, k, L, None) for kind in ("dickson", "yanney") for k, L in ((3, 3000), (4, 1200), (5, 500))]
+    cases += [("yanney", k, 10, None) for k in (3, 4, 5)] + [("dickson", 3, 180, None)]
+    cases += [("multiamicable", len(a), L, a) for a, L in (((1, 1, 1), 3000), ((1, 2, 3), 5000), ((3, 2, 1), 5000), ((1, 1, 1, 1), 2000))]
+    found_any = set()
+    for kind, k, limit, alphas in cases:
+        spec = FamilySpec(kind, k, alphas=alphas)
+        found = members_of(enumerate_family(SearchConfig(spec, limit, sieve=sieve_10k)))
+        assert found == grouped_reference(kind, limit, k, alphas), (kind, k, limit, alphas)
+        if found:
+            found_any.add(kind)
+    assert found_any == {"dickson", "yanney", "multiamicable"}
 
 
 def test_multiamicable_members_strictly_increase(sieve_10k):
@@ -311,6 +346,11 @@ def test_weights_past_int64(sieve_1k):
                 assert members_of(report) == oracles.naive_family(kind, 300, alphas=alphas) == []
         report = enumerate_family(SearchConfig(FamilySpec("multiamicable", 1, alphas=(big,)), 300, sieve=sieve_1k))
         assert report.records == []
+        # three members go through the sigma-group kernel
+        for alphas in ((big, 1, 1), (1, 1, big)):
+            spec = FamilySpec("multiamicable", 3, alphas=alphas)
+            report = enumerate_family(SearchConfig(spec, 60, sieve=sieve_1k))
+            assert members_of(report) == oracles.naive_family("multiamicable", 60, alphas=alphas) == []
 
 
 def test_multiamicable_singletons_are_multiperfect(sieve_1k):
