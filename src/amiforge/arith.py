@@ -97,7 +97,7 @@ class SigmaSieve:
     """Lookup table of sigma(n) for 1 <= n <= limit.
 
     The table is marked read-only after construction, so one sieve can be
-    shared freely between searches and worker processes.
+    shared freely between searches.
     """
 
     limit: int
@@ -110,9 +110,6 @@ class SigmaSieve:
         if not 1 <= n <= self.limit:
             raise ValueError(f"sigma({n}) outside sieve range 1..{self.limit}")
         return int(self.table[n])
-
-    def aliquot(self, n: int) -> int:
-        return self.sigma(n) - n
 
     def as_list(self) -> list[int]:
         """[sigma(1), ..., sigma(limit)]."""

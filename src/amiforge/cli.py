@@ -245,7 +245,7 @@ def _cmd_construct(args):
         raise ValueError("bound must be >= 1")
     # one sieve serves the seed search and every multiplier scan, so the
     # budget refuses an oversized --a-bound before any work starts
-    sieve = build_sigma_sieve(max(args.seed_limit or 1, args.a_bound), args.sieve_budget)
+    sieve = build_sigma_sieve(args.sieve_limit or max(args.seed_limit or 1, args.a_bound), args.sieve_budget)
     if args.ns is not None:
         seeds = [_parse_tuple(args.ns)]
         params = {"alphas": list(alphas), "ns": list(seeds[0]), "a_bound": args.a_bound}

@@ -34,7 +34,7 @@ class ConstructedTuple:
     members: tuple[int, ...]
 
 
-def seed_ratio(alphas, ns) -> SeedTuple:
+def seed_ratio(alphas, ns, sieve: SigmaSieve | None = None) -> SeedTuple:
     """Validate a seed and compute its target ratio (alpha . N) / sigma(N_1)."""
     alphas = tuple(alphas)
     ns = tuple(ns)
@@ -42,15 +42,14 @@ def seed_ratio(alphas, ns) -> SeedTuple:
         raise ValueError("alphas and Ns must be non-empty lists of equal length")
     if min(alphas) < 1 or min(ns) < 1:
         raise ValueError("alphas and Ns must be positive integers")
-    sigmas = [sigma(n) for n in ns]
-    first = sigmas[0]
-    for n, s in zip(ns[1:], sigmas[1:]):
-        if s != first:
+    sigmas = [sigma(n, sieve) for n in ns]
+    for n, s in zip(ns, sigmas):
+        if s != sigmas[0]:
             raise ValueError(
                 f"seed members must share one sigma value: "
-                f"sigma({ns[0]}) = {first} but sigma({n}) = {s}"
+                f"sigma({ns[0]}) = {sigmas[0]} but sigma({n}) = {s}"
             )
-    target = Fraction(sum(a * n for a, n in zip(alphas, ns)), first)
+    target = Fraction(sum(a * n for a, n in zip(alphas, ns)), sigmas[0])
     return SeedTuple(alphas, ns, target)
 
 
@@ -87,11 +86,11 @@ def construct_multiamicable(alphas, ns, a_bound: int, sieve: SigmaSieve | None =
 
     Raises CoverageError when the given sieve stops short of a_bound.
     """
-    seed = seed_ratio(alphas, ns)
+    seed = seed_ratio(alphas, ns, sieve)
     out = []
     for a in find_multipliers(seed.target, a_bound, seed.ns, sieve=sieve):
         members = tuple(a * n for n in seed.ns)
-        if not is_multiamicable(members, seed.alphas):
+        if not is_multiamicable(members, seed.alphas, sieve):
             raise RuntimeError(
                 f"construction produced a non-member {members} from seed {seed.ns} with a={a}"
             )

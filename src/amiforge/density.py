@@ -1,8 +1,8 @@
 """Counting functions A(x), M(x) and checked bound inequalities.
 
-The bound checks compare an exact rational partial sum against a zeta-product
-bound evaluated with certified error, so a reported "holds" cannot be a
-floating-point artifact.
+The bound checks enclose the partial sum between two integer fixed-point
+values and compare the enclosure against a zeta-product bound evaluated with
+certified error, so a reported "holds" cannot be a floating-point artifact.
 """
 
 from __future__ import annotations
@@ -16,8 +16,8 @@ from .arith import SigmaSieve, covering_sieve, zeta_approx
 from .families import FamilySpec
 from .search import SearchConfig, enumerate_family, partner_pairs
 
-EXACT_SUM_LIMIT = 10**5  # largest x summed with exact rationals
 ZETA_EPS = 1e-9
+_START_BITS = 128  # fixed-point bits of the first lemma-sum enclosure
 
 
 @dataclass(frozen=True)
@@ -31,11 +31,11 @@ class CountSeries:
 class BoundReport:
     x: int
     k: int
-    lhs: Fraction  # exact partial sum (or a certified upper bound when not exact)
+    lhs: Fraction  # certified upper bound on the partial sum, within x/2^128 of it
     rhs: float  # zeta-product bound, inflated by the certified zeta error
     margin: float
     holds: bool
-    exact: bool
+    exact: bool  # the verdict is certified in exact integer arithmetic (every x)
 
 
 def _validate_checkpoints(checkpoints) -> list[int]:
@@ -115,19 +115,32 @@ def _lcm_range(x: int) -> int:
     return out
 
 
+def _fixed_point_sum(sig: list[int], x: int, k: int, bits: int) -> tuple[int, int]:
+    """(lo, hi) with lo <= 2^bits * sum_{n<=x} (sig[n]/n)^k <= hi <= lo + x."""
+    lo = inexact = 0
+    for n in range(1, x + 1):
+        q, r = divmod(sig[n] ** k << bits, n**k)
+        lo += q
+        inexact += r != 0
+    return lo, lo + inexact
+
+
 def lemma_sum_check(
     x: int,
     k: int,
     sieve: SigmaSieve | None = None,
     eps: float = ZETA_EPS,
 ) -> BoundReport:
-    """Check sum_{n<=x} (sigma(n)/n)^k < zeta(2)^max(k,1) * zeta(2k-1 if k>=2) * x.
+    """Check sum_{n<=x} (sigma(n)/n)^k < zeta(2)^k * zeta(2k-1 if k>=2) * x.
 
-    Up to x = 10^5 the left side is the exact rational with denominator
-    lcm(1..x)^k; above that it switches to upward-rounded double accumulation
-    and the report carries exact=False. The verdict compares against the
-    bound deflated by the certified zeta error, while the reported rhs is the
-    inflated (safe upper) value, so holds=True is conservative on both sides.
+    _fixed_point_sum encloses the sum S as lo <= 2^B * S <= hi <= lo + x.
+    B starts at 128 and doubles while lo*den < num*2^B <= hi*den, where
+    num/den = rhs_lo is the bound deflated by the certified zeta error; then
+    hi*den < num*2^B decides the verdict. The loop ends: rhs_lo is a float,
+    so dyadic, and S is not for x >= 3: the largest prime p <= x has 2p > x
+    (Bertrand), so n = p is the only term with p in its denominator and p^k
+    divides that of S. For x <= 2 every term is exact once B >= k, so lo = hi.
+    lhs is hi/2^B; the reported rhs is the inflated (safe upper) value.
 
     The verdict is computed, never assumed. The stated constant is sharp
     enough only for k <= 2: at k = 3 the partial sums average out near 6.1*x
@@ -141,36 +154,27 @@ def lemma_sum_check(
     sieve = covering_sieve(x, sieve)
     sig = sieve.table[: x + 1].tolist()
 
-    exact = x <= EXACT_SUM_LIMIT
-    if exact:
-        den = _lcm_range(x) ** k
-        num = 0
-        for n in range(1, x + 1):
-            num += sig[n] ** k * (den // n**k)
-        lhs = Fraction(num, den)
-    else:
-        acc = math.fsum((sig[n] / n) ** k for n in range(1, x + 1))
-        # inflate by a few ulps so the stored value upper-bounds the true sum
-        lhs = Fraction(acc * (1.0 + 2.0**-45))
-
-    factors = [zeta_approx(2, eps)] * max(k, 1)
+    factors = [zeta_approx(2, eps)] * k
     if k >= 2:
         factors.append(zeta_approx(2 * k - 1, eps))
-    rhs_hi = x
-    rhs_lo = x
-    for z in factors:
-        rhs_hi *= z + eps
-        rhs_lo *= z - eps
-    holds = lhs < Fraction(rhs_lo)
-    return BoundReport(x, k, lhs, rhs_hi, rhs_hi - float(lhs), holds, exact)
+    rhs_hi = math.prod((z + eps for z in factors), start=x)
+    rhs_lo = math.prod((z - eps for z in factors), start=x)
+    num, den = rhs_lo.as_integer_ratio()
+    bits = _START_BITS
+    lo, hi = _fixed_point_sum(sig, x, k, bits)
+    while lo * den < num << bits <= hi * den:
+        bits *= 2
+        lo, hi = _fixed_point_sum(sig, x, k, bits)
+    lhs = Fraction(hi, 1 << bits)
+    return BoundReport(x, k, lhs, rhs_hi, rhs_hi - float(lhs), hi * den < num << bits, True)
 
 
 def harmonic_floor_sum(x: int) -> Fraction:
     """sum_{u<=x} (1/u) * floor(x/u), exactly.
 
     Rearranging sum_{n<=x} sigma(n)/n over the divisor identity
-    sigma(n)/n = sum_{u|n} 1/u gives this form, so it must equal the k=1
-    lemma sum.
+    sigma(n)/n = sum_{u|n} 1/u gives this form, so it must equal the exact
+    k=1 lemma sum, which lemma_sum_check encloses.
     """
     if x < 1:
         raise ValueError("x must be >= 1")

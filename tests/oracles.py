@@ -5,6 +5,7 @@ plain divisor loop and every family equation is restated from scratch, so an
 agreement between the two sides actually means something.
 """
 
+from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
 
@@ -27,6 +28,15 @@ def divisor_sigma(n: int) -> int:
                 total += other
         d += 1
     return total
+
+
+def sigma_ratio_power_sum(x: int, k: int) -> Fraction:
+    """sum_{n<=x} (sigma(n)/n)^k exactly, as Fractions added pairwise so that
+    the operands stay small until the last few rounds."""
+    terms = [Fraction(divisor_sigma(n) ** k, n**k) for n in range(1, x + 1)]
+    while len(terms) > 1:
+        terms = [sum(terms[i : i + 2]) for i in range(0, len(terms), 2)]
+    return terms[0]
 
 
 def divisors(n: int) -> list[int]:

@@ -110,7 +110,7 @@ def test_sieve_small_table():
     assert sieve.covers(10)
     assert not sieve.covers(11)
     assert sieve.sigma(6) == 12
-    assert sieve.aliquot(6) == 6
+    assert aliquot(6, sieve) == 6
 
 
 def test_sieve_limit_one():

@@ -296,6 +296,8 @@ def test_usage_errors_exit_two(capsys):
         # the sieve to --a-bound is over budget, so this is refused at once
         ["construct", "--alphas", "1,2", "--ns", "104,116", "--a-bound", "10000000000000"],
         ["construct", "--alphas", "1,2", "--seed-limit", "10", "--a-bound", "0"],
+        # a --sieve-limit short of --a-bound raises CoverageError
+        ["construct", "--alphas", "1,2", "--ns", "104,116", "--a-bound", "300000", "--sieve-limit", "5"],
     ]
     for argv in cases:
         assert cli.run(argv) == 2, argv

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from amiforge import arith
 from amiforge.arith import CoverageError, build_sigma_sieve, sigma
 from amiforge.construct import (
     construct_multiamicable,
@@ -94,6 +95,20 @@ def test_construct_output_is_multiamicable():
         # the multiplier is coprime to each seed, so sigma splits
         for n in b.seed.ns:
             assert sigma(b.a * n) == sigma(b.a) * sigma(n)
+
+
+def test_construct_reads_sigma_from_covering_sieve(monkeypatch):
+    # a sieve covering every member serves the seed ratio and the re-proof,
+    # so no member is factorized
+    sieve = build_sigma_sieve(116 * 2000)
+
+    def no_factorize(n):
+        raise AssertionError(f"factorize({n}) called although the sieve covers it")
+
+    monkeypatch.setattr(arith, "factorize", no_factorize)
+    built = construct_multiamicable((1, 2), (104, 116), 2000, sieve=sieve)
+    assert [b.a for b in built] == find_multipliers(Fraction(8, 5), 2000, (104, 116), sieve)
+    assert built
 
 
 def test_find_seed_tuples(sieve_1k):

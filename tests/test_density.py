@@ -99,7 +99,9 @@ def test_lemma_example_x10_k1(sieve_1k):
     assert float(report.lhs) == pytest.approx(15.045634920634921, rel=1e-12)
     assert report.rhs == pytest.approx(10 * zeta_approx(2, 1e-9), rel=1e-8)
     assert report.margin > 0
-    assert report.lhs == harmonic_floor_sum(10)
+    exact = oracles.sigma_ratio_power_sum(10, 1)
+    assert harmonic_floor_sum(10) == exact
+    assert 0 <= report.lhs - exact < Fraction(10, 2**128)
 
 
 def test_lemma_trivial_x1(sieve_1k):
@@ -143,7 +145,7 @@ def test_lemma_k3_bound_is_violated_from_24_on(sieve_1k):
 
 
 def test_lemma_lhs_matches_brute_float(sieve_1k):
-    # the exact rational numerator, cross-checked against naive float sums
+    # the enclosure's upper end, cross-checked against naive float sums
     for x, k in ((50, 1), (50, 2), (50, 3), (200, 2)):
         report = lemma_sum_check(x, k, sieve_1k)
         brute = math.fsum((oracles.divisor_sigma(n) / n) ** k for n in range(1, x + 1))
@@ -152,14 +154,37 @@ def test_lemma_lhs_matches_brute_float(sieve_1k):
 
 def test_harmonic_identity(sieve_1k):
     for x in (1, 2, 5, 10, 100, 500):
-        assert lemma_sum_check(x, 1, sieve_1k).lhs == harmonic_floor_sum(x)
+        exact = oracles.sigma_ratio_power_sum(x, 1)
+        assert harmonic_floor_sum(x) == exact
+        assert 0 <= lemma_sum_check(x, 1, sieve_1k).lhs - exact < Fraction(x, 2**128)
     with pytest.raises(ValueError):
         harmonic_floor_sum(0)
 
 
-def test_lemma_float_path_above_exact_cutoff():
+def test_lemma_sigma_sum_identity(sieve_100k):
+    # sum_{n<=x} sigma(n) = sum_{u<=x} u*floor(x/u): u divides floor(x/u) of 1..x
+    for x in (1, 10, 1000, 10**5):
+        assert int(sieve_100k.table[1 : x + 1].sum()) == sum(u * (x // u) for u in range(1, x + 1))
+
+
+def test_lemma_enclosure_doubles_from_one_bit(monkeypatch, sieve_1k):
+    # a 1-bit enclosure is too wide to decide most cells; the doubled ones
+    # must reach the verdicts of the default 128-bit start
+    grid = [(x, k) for x in (1, 2, 10, 23, 24, 100, 1000) for k in (1, 2, 3)]
+    want = [lemma_sum_check(x, k, sieve_1k).holds for x, k in grid]
+    bits = []
+    fixed_point_sum = density._fixed_point_sum
+    monkeypatch.setattr(density, "_START_BITS", 1)
+    monkeypatch.setattr(
+        density, "_fixed_point_sum", lambda *args: bits.append(args[-1]) or fixed_point_sum(*args)
+    )
+    assert [lemma_sum_check(x, k, sieve_1k).holds for x, k in grid] == want
+    assert min(bits) == 1 and max(bits) > 1
+
+
+def test_lemma_large_x_is_certified():
     report = lemma_sum_check(150000, 1)
-    assert not report.exact
+    assert report.exact
     assert report.holds
     assert report.margin > 0
     assert 1.5 < float(report.lhs) / 150000 < zeta_approx(2, 1e-9)
