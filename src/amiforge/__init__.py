@@ -42,7 +42,6 @@ from .families import (
     is_yanney_tuple,
 )
 from .search import (
-    SearchConfig,
     SearchReport,
     conjecture_census,
     enumerate_family,

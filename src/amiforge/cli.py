@@ -9,16 +9,14 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 
 from . import __version__, density
 from .arith import DEFAULT_SIEVE_BUDGET, build_sigma_sieve, parse_factored
-from .construct import construct_multiamicable, find_seed_tuples
+from .construct import construct_multiamicable, find_seed_tuples, seed_ratio
 from .families import FIXED_K, KINDS, FamilySpec, Mismatch, _joined, check
 from .search import (
-    SearchConfig,
     _needed_coverage,
     check_search_limit,
     enumerate_family,
@@ -26,9 +24,6 @@ from .search import (
     verify_tables,
 )
 
-ENV_SIEVE_LIMIT = "AMIFORGE_SIEVE_LIMIT"
-ENV_WORKERS = "AMIFORGE_WORKERS"
-DEFAULT_SIEVE_LIMIT = 10**6
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -39,16 +34,10 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=("json", "csv"), default="json")
     common.add_argument("--out", metavar="PATH", help="write output to a file instead of stdout")
     common.add_argument(
-        "--sieve-limit",
-        type=int,
-        default=None,
-        help=f"sigma table size (default: sized to the command, env {ENV_SIEVE_LIMIT})",
-    )
-    common.add_argument(
         "--workers",
         type=int,
-        default=None,
-        help=f"worker count, accepted and echoed; every command runs in one process (env {ENV_WORKERS})",
+        default=1,
+        help="worker count, accepted and echoed; every command runs in one process",
     )
     common.add_argument(
         "--sieve-budget",
@@ -60,7 +49,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("sieve", parents=[common], help="tabulate sigma(n)")
-    p.add_argument("--limit", type=int, default=None)
+    p.add_argument("--limit", type=int, default=10**6)
 
     p = sub.add_parser("check", parents=[common], help="test one tuple against a family")
     p.add_argument("family", choices=KINDS)
@@ -108,32 +97,6 @@ def _parse_tuple(text: str) -> tuple[int, ...]:
     return tuple(parse_factored(tok) for tok in text.split(","))
 
 
-def _env_int(name: str):
-    raw = os.environ.get(name)
-    if raw is None or raw == "":
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"environment variable {name} must be an integer, got {raw!r}") from None
-
-
-def _resolve_workers(args) -> int:
-    workers = args.workers if args.workers is not None else _env_int(ENV_WORKERS)
-    if workers is None:
-        workers = os.cpu_count() or 1
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    return workers
-
-
-def _resolve_sieve_limit(args):
-    limit = args.sieve_limit if args.sieve_limit is not None else _env_int(ENV_SIEVE_LIMIT)
-    if limit is not None and limit < 1:
-        raise ValueError("sieve limit must be >= 1")
-    return limit
-
-
 def _spec_params(spec: FamilySpec) -> dict:
     params = {"kind": spec.kind}
     for name, value in spec.params():
@@ -174,12 +137,12 @@ def _record_row(record) -> dict:
     }
 
 
-def _search_payload(report) -> dict:
+def _search_payload(report, workers: int) -> dict:
     return {
         "family": report.spec.kind,
         "params": _spec_params(report.spec),
         "limit": report.limit,
-        "workers": report.workers,
+        "workers": workers,
         "count": len(report.records),
         "records": [_record_row(r) for r in report.records],
         "scanned": report.scanned,
@@ -193,11 +156,10 @@ def _search_csv(report) -> str:
 
 
 def _cmd_sieve(args):
-    size = args.limit if args.limit is not None else args.sieve_limit or DEFAULT_SIEVE_LIMIT
-    sieve = build_sigma_sieve(size, args.sieve_budget)
+    sieve = build_sigma_sieve(args.limit, args.sieve_budget)
     values = sieve.as_list()
-    params = {"limit": size}
-    results = {"limit": size, "sigma": values}
+    params = {"limit": args.limit}
+    results = {"limit": args.limit, "sigma": values}
     return params, results, _csv("n,sigma", enumerate(values, start=1), sep=","), 0
 
 
@@ -224,9 +186,9 @@ def _cmd_check(args):
 def _cmd_search(args):
     spec = _family_spec(args.family, args.k, args.p, args.q, args.alphas)
     check_search_limit(args.limit, spec)
-    size = args.sieve_limit or _needed_coverage(spec, args.limit, args.sieve_budget)
+    size = _needed_coverage(spec, args.limit, args.sieve_budget)
     sieve = build_sigma_sieve(size, args.sieve_budget)
-    report = enumerate_family(SearchConfig(spec, args.limit, workers=args.workers, sieve=sieve))
+    report = enumerate_family(spec, args.limit, sieve)
     params = {
         "family": spec.kind,
         "params": _spec_params(spec),
@@ -234,7 +196,7 @@ def _cmd_search(args):
         "workers": args.workers,
         "sieve_limit": size,
     }
-    return params, _search_payload(report), _search_csv(report), 0
+    return params, _search_payload(report, args.workers), _search_csv(report), 0
 
 
 def _cmd_construct(args):
@@ -245,16 +207,16 @@ def _cmd_construct(args):
         raise ValueError("bound must be >= 1")
     # one sieve serves the seed search and every multiplier scan, so the
     # budget refuses an oversized --a-bound before any work starts
-    sieve = build_sigma_sieve(args.sieve_limit or max(args.seed_limit or 1, args.a_bound), args.sieve_budget)
+    sieve = build_sigma_sieve(max(args.seed_limit or 1, args.a_bound), args.sieve_budget)
     if args.ns is not None:
-        seeds = [_parse_tuple(args.ns)]
-        params = {"alphas": list(alphas), "ns": list(seeds[0]), "a_bound": args.a_bound}
+        seeds = [seed_ratio(alphas, _parse_tuple(args.ns), sieve)]
+        params = {"alphas": list(alphas), "ns": list(seeds[0].ns), "a_bound": args.a_bound}
     else:
-        seeds = [s.ns for s in find_seed_tuples(alphas, args.seed_limit, sieve)]
+        seeds = find_seed_tuples(alphas, args.seed_limit, sieve)
         params = {"alphas": list(alphas), "seed_limit": args.seed_limit, "a_bound": args.a_bound}
     rows = []
-    for ns in seeds:
-        rows.extend(construct_multiamicable(alphas, ns, args.a_bound, sieve=sieve))
+    for seed in seeds:
+        rows.extend(construct_multiamicable(seed, args.a_bound, sieve=sieve))
     results = [
         {
             "seed": {"alphas": list(b.seed.alphas), "ns": list(b.seed.ns)},
@@ -296,7 +258,7 @@ def _cmd_density(args):
     if mode == "lemma":
         params["k"] = args.k
         top = int(max(pts))
-        sieve = build_sigma_sieve(args.sieve_limit or top, args.sieve_budget)
+        sieve = build_sigma_sieve(top, args.sieve_budget)
         reports = [density.lemma_sum_check(x, args.k, sieve) for x in pts]
         results = [
             {
@@ -316,7 +278,7 @@ def _cmd_density(args):
     if mode == "pomerance":
         top = max(int(max(pts)), 1)
         check_search_limit(top)
-        sieve = build_sigma_sieve(args.sieve_limit or top, args.sieve_budget)
+        sieve = build_sigma_sieve(top, args.sieve_budget)
         rows = density.pomerance_curve(pts, sieve)
         results = [
             {"x": x, "count": c, "bound": bound, "ratio": ratio} for x, c, bound, ratio in rows
@@ -327,7 +289,7 @@ def _cmd_density(args):
     top = max(pts)
     if mode == "amicable":
         check_search_limit(top)
-    sieve = build_sigma_sieve(args.sieve_limit or top, args.sieve_budget)
+    sieve = build_sigma_sieve(top, args.sieve_budget)
     if mode == "multi":
         params["alpha"], params["beta"] = args.alpha, args.beta
         series = density.count_multiamicable_pairs(args.alpha, args.beta, pts, sieve)
@@ -338,17 +300,16 @@ def _cmd_density(args):
 
 def _cmd_scan_question(args):
     check_search_limit(args.limit)
-    sieve = build_sigma_sieve(args.sieve_limit or args.limit, args.sieve_budget)
+    sieve = build_sigma_sieve(args.limit, args.sieve_budget)
     report = scan_open_question(args.limit, sieve)
     params = {"limit": args.limit}
-    payload = _search_payload(report)
+    payload = _search_payload(report, 1)
     payload["label"] = report.label
     return params, payload, _search_csv(report), 0
 
 
 def _cmd_verify_tables(args):
-    sieve = build_sigma_sieve(args.sieve_limit, args.sieve_budget) if args.sieve_limit else None
-    report = verify_tables(sieve)
+    report = verify_tables()
     rows = [
         {
             "group": r.group,
@@ -404,8 +365,8 @@ def run(argv=None) -> int:
 
     t0 = time.perf_counter()
     try:
-        args.workers = _resolve_workers(args)
-        args.sieve_limit = _resolve_sieve_limit(args)
+        if args.workers < 1:
+            raise ValueError("workers must be >= 1")
         params, results, csv_text, code = _HANDLERS[args.command](args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -81,12 +81,12 @@ def find_multipliers(target: Fraction, bound: int, coprime_to=(), sieve: SigmaSi
     return [a for a in hit.tolist() if all(math.gcd(a, n) == 1 for n in coprime_to)]
 
 
-def construct_multiamicable(alphas, ns, a_bound: int, sieve: SigmaSieve | None = None) -> list[ConstructedTuple]:
-    """Multiamicable tuples (a*N_1, ..., a*N_k) for every admissible a <= a_bound.
+def construct_multiamicable(seed: SeedTuple, a_bound: int, sieve: SigmaSieve | None = None) -> list[ConstructedTuple]:
+    """Multiamicable tuples (a*N_1, ..., a*N_k) for every admissible a <= a_bound,
+    from a seed made by seed_ratio or find_seed_tuples. Each tuple is re-proven.
 
     Raises CoverageError when the given sieve stops short of a_bound.
     """
-    seed = seed_ratio(alphas, ns, sieve)
     out = []
     for a in find_multipliers(seed.target, a_bound, seed.ns, sieve=sieve):
         members = tuple(a * n for n in seed.ns)

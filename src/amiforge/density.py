@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .arith import SigmaSieve, covering_sieve, zeta_approx
 from .families import FamilySpec
-from .search import SearchConfig, enumerate_family, partner_pairs
+from .search import enumerate_family, partner_pairs
 
 ZETA_EPS = 1e-9
 _START_BITS = 128  # fixed-point bits of the first lemma-sum enclosure
@@ -59,7 +59,7 @@ def amicable_members(limit: int, sieve: SigmaSieve | None = None, exclude_perfec
     kinds = ("amicable-number",) if exclude_perfect else ("amicable-number", "perfect")
     members = []
     for kind in kinds:
-        report = enumerate_family(SearchConfig(FamilySpec(kind, 1), limit, sieve=sieve))
+        report = enumerate_family(FamilySpec(kind, 1), limit, sieve)
         members.extend(r.members[0] for r in report.records)
     return sorted(members)
 
@@ -91,28 +91,6 @@ def count_multiamicable_pairs(alpha: int, beta: int, checkpoints, sieve: SigmaSi
     sieve = covering_sieve(limit, sieve)
     members, _ = partner_pairs(sieve, limit, (alpha, beta), strict=True, partner_limit=None)
     return _series(pts, members.tolist())
-
-
-def _primes_up_to(x: int) -> list[int]:
-    if x < 2:
-        return []
-    flags = bytearray([1]) * (x + 1)
-    flags[0] = flags[1] = 0
-    for p in range(2, math.isqrt(x) + 1):
-        if flags[p]:
-            flags[p * p :: p] = bytearray(len(flags[p * p :: p]))
-    return [p for p in range(2, x + 1) if flags[p]]
-
-
-def _lcm_range(x: int) -> int:
-    """lcm(1..x) as the product of maximal prime powers not exceeding x."""
-    out = 1
-    for p in _primes_up_to(x):
-        pe = p
-        while pe * p <= x:
-            pe *= p
-        out *= pe
-    return out
 
 
 def _fixed_point_sum(sig: list[int], x: int, k: int, bits: int) -> tuple[int, int]:
@@ -174,13 +152,15 @@ def harmonic_floor_sum(x: int) -> Fraction:
 
     Rearranging sum_{n<=x} sigma(n)/n over the divisor identity
     sigma(n)/n = sum_{u|n} 1/u gives this form, so it must equal the exact
-    k=1 lemma sum, which lemma_sum_check encloses.
+    k=1 lemma sum, which lemma_sum_check encloses. The Fractions are added
+    pairwise, so the operands stay small until the last few rounds.
     """
     if x < 1:
         raise ValueError("x must be >= 1")
-    den = _lcm_range(x)
-    num = sum((x // u) * (den // u) for u in range(1, x + 1))
-    return Fraction(num, den)
+    terms = [Fraction(x // u, u) for u in range(1, x + 1)]
+    while len(terms) > 1:
+        terms = [sum(terms[i : i + 2]) for i in range(0, len(terms), 2)]
+    return terms[0]
 
 
 def pomerance_curve(checkpoints, sieve: SigmaSieve | None = None) -> list[tuple[float, int, float, float]]:

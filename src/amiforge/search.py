@@ -10,8 +10,7 @@ the family's families.MEAN_EQUATIONS entry modulo a prime, and the exact
 check confirms the few that pass. Multiamicable, Dickson and Yanney tuples
 of three or more members group 1..L by sigma with one stable argsort and
 grow their prefixes within each group in numpy chunks. Every search runs in
-this one process; the worker count is only echoed, so reports are identical
-for any worker count."""
+this one process."""
 
 from __future__ import annotations
 
@@ -54,19 +53,10 @@ _BLOCK = 1 << 13
 _CHUNK = 1 << 20
 
 
-@dataclass(frozen=True, eq=False)
-class SearchConfig:
-    spec: FamilySpec
-    limit: int
-    workers: int = 1  # echoed in the report; every search runs in this process
-    sieve: SigmaSieve | None = None
-
-
 @dataclass
 class SearchReport:
     spec: FamilySpec
     limit: int
-    workers: int
     records: list[TupleRecord]
     scanned: int
     elapsed: float
@@ -459,22 +449,18 @@ def check_search_limit(limit: int, spec: FamilySpec | None = None) -> None:
         raise ValueError(f"search p {spec.p} must be below 2^63")
 
 
-def enumerate_family(config: SearchConfig) -> SearchReport:
-    """Every tuple of the family with all elements <= config.limit.
-
-    Every kind runs in this process; the report echoes config.workers.
-    """
+def enumerate_family(spec: FamilySpec, limit: int, sieve: SigmaSieve | None = None) -> SearchReport:
+    """Every tuple of the family with all elements <= limit, found in this
+    process."""
     t0 = time.perf_counter()
-    spec, limit = config.spec, config.limit
     check_search_limit(limit, spec)
-    workers = max(1, config.workers)
     # A built sieve also covers the alpha*n that alpha-beta reads, within the
     # budget; a caller's sieve need only cover limit, since sigma factorizes
     # past its end.
-    if config.sieve is None:
+    if sieve is None:
         sieve = build_sigma_sieve(_needed_coverage(spec, limit))
     else:
-        sieve = covering_sieve(limit, config.sieve)
+        sieve = covering_sieve(limit, sieve)
 
     if spec.kind in MEAN_EQUATIONS:
         records = _mean_family_kernel(spec, limit, sieve)
@@ -483,7 +469,7 @@ def enumerate_family(config: SearchConfig) -> SearchReport:
         bucket = spec.kind in _BUCKET_KINDS and spec.k >= 3
         kernel = _bucket_tuples if bucket else _LINEAR_KERNELS[spec.kind]
         records, scanned = _verified(spec, kernel(spec, limit, sieve), sieve), limit
-    return SearchReport(spec, limit, workers, records, scanned, time.perf_counter() - t0)
+    return SearchReport(spec, limit, records, scanned, time.perf_counter() - t0)
 
 
 def _verified(spec: FamilySpec, found, sieve: SigmaSieve) -> list[TupleRecord]:
@@ -566,7 +552,6 @@ def scan_open_question(limit: int, sieve: SigmaSieve | None = None) -> SearchRep
     return SearchReport(
         spec,
         limit,
-        1,
         _verified(spec, found, sieve),
         limit,
         time.perf_counter() - t0,
@@ -589,7 +574,7 @@ def conjecture_census(
     if any(b <= a for a, b in zip(limits, limits[1:])):
         raise ValueError("limits must be strictly increasing")
     spec = FamilySpec("multiamicable", len(alphas), alphas=alphas)
-    report = enumerate_family(SearchConfig(spec, limits[-1], sieve=sieve))
+    report = enumerate_family(spec, limits[-1], sieve)
     counts = []
     for bound in limits:
         counts.append((bound, sum(1 for r in report.records if r.members[-1] <= bound)))

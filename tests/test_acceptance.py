@@ -6,7 +6,6 @@ analysis in README.md, section "Criterion 5 is an expected failure, on
 purpose"), so that test is marked xfail rather than being glossed over.
 """
 
-import json
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -33,7 +32,6 @@ from amiforge.families import (
     is_wpm,
 )
 from amiforge.search import (
-    SearchConfig,
     enumerate_family,
     scan_open_question,
     verify_tables,
@@ -101,9 +99,8 @@ def make_spec(kind, kw):
     return FamilySpec(kind, k, p=kw.get("p"), q=kw.get("q"), alphas=kw.get("alphas"))
 
 
-def run_search(kind, kw, limit, sieve, workers=1):
-    spec = make_spec(kind, kw)
-    return enumerate_family(SearchConfig(spec, limit, workers=workers, sieve=sieve))
+def run_search(kind, kw, limit, sieve):
+    return enumerate_family(make_spec(kind, kw), limit, sieve)
 
 
 def _lemma_cell(args):
@@ -138,7 +135,7 @@ def test_criterion_2_table1_reconstruction():
         seed = seed_ratio(alphas, (n1, n2))
         assert seed.target == Fraction(entries[0][0].target)
         mults = find_multipliers(seed.target, 10**4, (n1, n2))
-        built = {(b.a, b.members) for b in construct_multiamicable(alphas, (n1, n2), 10**4)}
+        built = {(b.a, b.members) for b in construct_multiamicable(seed, 10**4)}
         for row, a in entries:
             assert a in mults, (row.pair, a)
             assert (a, row.pair) in built, row.pair
@@ -227,9 +224,7 @@ def test_criterion_5_lemma_bounds():
 
 
 def test_criterion_6_amicable_implication_suite(sieve_10k):
-    report = enumerate_family(
-        SearchConfig(FamilySpec("amicable-pair", 2), 10**4, sieve=sieve_10k)
-    )
+    report = enumerate_family(FamilySpec("amicable-pair", 2), 10**4, sieve_10k)
     pairs = [r.members for r in report.records]
     assert len(pairs) == 9
     checked = 0
@@ -275,33 +270,18 @@ def test_criterion_8_open_question_scan(sieve_10k):
     assert record(8, "open-question scan", ok, detail), detail
 
 
-def canonical_bytes(report) -> bytes:
-    """Search output with run-dependent fields (workers, elapsed) stripped."""
-    payload = {
-        "family": report.spec.kind,
-        "k": report.spec.k,
-        "p": report.spec.p,
-        "q": report.spec.q,
-        "alphas": list(report.spec.alphas) if report.spec.alphas else None,
-        "limit": report.limit,
-        "scanned": report.scanned,
-        "records": [[list(r.members), list(r.sigmas), r.provenance] for r in report.records],
-    }
-    return json.dumps(payload, sort_keys=True).encode()
-
-
-def test_criterion_9_determinism(sieve_1k):
+def test_criterion_9_determinism(search_output):
     t0 = time.perf_counter()
     configs = [(kind, kw, 1000) for kind, kw in REDISCOVERY]
     configs += [(kind, kw, 200) for kind, kw in ORACLE_CONFIGS]
     compared = 0
     for kind, kw, limit in configs:
-        dumps = {
-            workers: canonical_bytes(run_search(kind, kw, limit, sieve_1k, workers=workers))
-            for workers in (1, 2, 8)
-        }
-        assert dumps[1] == dumps[2] == dumps[8], (kind, kw, limit)
+        docs = [search_output(make_spec(kind, kw), limit, workers) for workers in (1, 2, 8)]
+        assert docs[0] == docs[1] == docs[2], (kind, kw, limit)
         compared += 1
     elapsed = time.perf_counter() - t0
-    detail = f"{compared} search outputs byte-identical across worker counts 1/2/8, {elapsed:.1f}s"
+    detail = (
+        f"{compared} CLI search outputs identical across --workers 1/2/8 "
+        f"(JSON without timing and the echoed workers), {elapsed:.1f}s"
+    )
     assert record(9, "determinism", True, detail), detail

@@ -18,12 +18,6 @@ import oracles
 REPO = Path(__file__).resolve().parents[1]
 
 
-@pytest.fixture(autouse=True)
-def clean_env(monkeypatch):
-    monkeypatch.delenv(cli.ENV_SIEVE_LIMIT, raising=False)
-    monkeypatch.delenv(cli.ENV_WORKERS, raising=False)
-
-
 def run_json(capsys, argv):
     code = cli.run(argv)
     out = capsys.readouterr().out
@@ -130,21 +124,60 @@ def test_sieve_table(capsys):
     assert out == "n,sigma\n1,1\n2,3\n3,4\n"
 
 
-def test_sieve_env_limit(capsys, monkeypatch):
-    monkeypatch.setenv(cli.ENV_SIEVE_LIMIT, "12")
-    code, doc = run_json(capsys, ["sieve"])
+def test_workers_flag_echo(capsys):
+    code, doc = run_json(capsys, ["search", "gm", "--limit", "20", "--workers", "2"])
     assert code == 0
-    assert doc["results"]["limit"] == 12
-    assert len(doc["results"]["sigma"]) == 12
+    assert doc["params"]["workers"] == doc["results"]["workers"] == 2
+    code, doc = run_json(capsys, ["scan-question", "--limit", "10", "--workers", "3"])
+    assert code == 0
+    assert doc["results"]["workers"] == 1
+    assert cli.run(["check", "perfect", "--tuple", "6", "--workers", "0"]) == 2
+    assert capsys.readouterr().err == "error: workers must be >= 1\n"
 
 
-def test_workers_env_and_flag_precedence(capsys, monkeypatch):
-    monkeypatch.setenv(cli.ENV_WORKERS, "3")
+def test_each_command_sizes_its_own_sieve(capsys, monkeypatch):
+    # no environment variable changes what a command does
+    monkeypatch.setenv("AMIFORGE_WORKERS", "7")
+    monkeypatch.setenv("AMIFORGE_SIEVE_LIMIT", "12")
     code, doc = run_json(capsys, ["search", "gm", "--limit", "20"])
     assert code == 0
-    assert doc["params"]["workers"] == 3
-    code, doc = run_json(capsys, ["search", "gm", "--limit", "20", "--workers", "2"])
-    assert doc["params"]["workers"] == 2
+    assert doc["params"]["workers"] == doc["results"]["workers"] == 1
+    assert doc["params"]["sieve_limit"] == 20
+
+    # record each size asked for, then stop the command before any work
+    sizes = []
+
+    def recorded(limit, budget):
+        sizes.append(limit)
+        raise ValueError("sieve size recorded")
+
+    monkeypatch.setattr(cli, "build_sigma_sieve", recorded)
+    budget = str(8 * 300001 - 1)  # just short of a sieve to 1000 * 300
+    for argv, size in (
+        (["sieve"], 10**6),
+        (["sieve", "--limit", "30"], 30),
+        (["search", "gm", "--limit", "20"], 20),
+        (["search", "alpha-beta", "--alphas", "1,1000", "--limit", "300"], 300000),
+        (["search", "alpha-beta", "--alphas", "1,1000", "--limit", "300", "--sieve-budget", budget], 300),
+        (["construct", "--alphas", "1,2", "--ns", "104,116", "--a-bound", "20"], 20),
+        (["construct", "--alphas", "1,2", "--seed-limit", "120", "--a-bound", "20"], 120),
+        (["construct", "--alphas", "1,2", "--seed-limit", "10", "--a-bound", "50"], 50),
+        (["density", "lemma", "--k", "2", "--checkpoints", "10,100"], 100),
+        (["density", "multi", "--alpha", "1", "--beta", "2", "--checkpoints", "1000,2000"], 2000),
+        (["density", "amicable", "--checkpoints", "100,300"], 300),
+        (["density", "pomerance", "--checkpoints", "2.5,300.7"], 300),
+        (["density", "pomerance", "--checkpoints", "0.5"], 1),
+        (["scan-question", "--limit", "100"], 100),
+    ):
+        sizes.clear()
+        assert cli.run(argv) == 2, argv
+        assert capsys.readouterr().err == "error: sieve size recorded\n", argv
+        assert sizes == [size], argv
+    sizes.clear()
+    for argv in (["verify-tables"], ["check", "perfect", "--tuple", "28"]):
+        assert cli.run(argv) == 0, argv
+        capsys.readouterr()
+    assert sizes == []
 
 
 def test_verify_tables(capsys):
@@ -285,7 +318,6 @@ def test_usage_errors_exit_two(capsys):
         ["verify-tables", "--workers", "0"],
         ["density", "lemma", "--k", "1", "--checkpoints", "10", "--workers", "0"],
         ["scan-question", "--limit", "10", "--workers", "0"],
-        ["construct", "--alphas", "1,2", "--ns", "104,116", "--a-bound", "20", "--sieve-limit", "-5"],
         ["search", "amicable-pair", "--limit", "10000001", "--workers", "1"],
         ["search", "amicable-pair", "--limit", "-3", "--workers", "1"],
         ["density", "amicable", "--checkpoints", "10000001", "--workers", "1"],
@@ -296,12 +328,12 @@ def test_usage_errors_exit_two(capsys):
         # the sieve to --a-bound is over budget, so this is refused at once
         ["construct", "--alphas", "1,2", "--ns", "104,116", "--a-bound", "10000000000000"],
         ["construct", "--alphas", "1,2", "--seed-limit", "10", "--a-bound", "0"],
-        # a --sieve-limit short of --a-bound raises CoverageError
-        ["construct", "--alphas", "1,2", "--ns", "104,116", "--a-bound", "300000", "--sieve-limit", "5"],
     ]
     for argv in cases:
         assert cli.run(argv) == 2, argv
         capsys.readouterr()  # drain
+    assert cli.run(["construct", "--alphas", "1,2", "--ns", "104,116", "--a-bound", "20", "--sieve-limit", "5"]) == 2
+    assert "unrecognized arguments: --sieve-limit 5" in capsys.readouterr().err
 
 
 def test_search_cap_checked_before_sieve(monkeypatch, capsys):

@@ -70,11 +70,11 @@ def test_find_multipliers_short_sieve_raises(sieve_1k):
     with pytest.raises(CoverageError):
         find_multipliers(Fraction(3, 2), 5000, sieve=sieve_1k)
     with pytest.raises(CoverageError):
-        construct_multiamicable((1, 2), (104, 116), 2000, sieve=sieve_1k)
+        construct_multiamicable(seed_ratio((1, 2), (104, 116)), 2000, sieve=sieve_1k)
 
 
 def test_construct_example():
-    built = construct_multiamicable((1, 2), (104, 116), 20)
+    built = construct_multiamicable(seed_ratio((1, 2), (104, 116)), 20)
     assert len(built) == 1
     b = built[0]
     assert b.a == 15
@@ -83,12 +83,12 @@ def test_construct_example():
 
 
 def test_construct_identity_multiplier():
-    built = construct_multiamicable((1, 2), (7380, 7776), 1)
+    built = construct_multiamicable(seed_ratio((1, 2), (7380, 7776)), 1)
     assert [(b.a, b.members) for b in built] == [(1, (7380, 7776))]
 
 
 def test_construct_output_is_multiamicable():
-    for b in construct_multiamicable((1, 2), (104, 116), 2000):
+    for b in construct_multiamicable(seed_ratio((1, 2), (104, 116)), 2000):
         total = b.members[0] + 2 * b.members[1]
         for n in b.members:
             assert oracles.divisor_sigma(n) == total
@@ -106,7 +106,7 @@ def test_construct_reads_sigma_from_covering_sieve(monkeypatch):
         raise AssertionError(f"factorize({n}) called although the sieve covers it")
 
     monkeypatch.setattr(arith, "factorize", no_factorize)
-    built = construct_multiamicable((1, 2), (104, 116), 2000, sieve=sieve)
+    built = construct_multiamicable(seed_ratio((1, 2), (104, 116), sieve), 2000, sieve=sieve)
     assert [b.a for b in built] == find_multipliers(Fraction(8, 5), 2000, (104, 116), sieve)
     assert built
 

@@ -9,7 +9,6 @@ from amiforge.families import MEAN_EQUATIONS, FamilySpec, holds
 from amiforge.search import (
     MAX_SEARCH_LIMIT,
     CoverageError,
-    SearchConfig,
     conjecture_census,
     enumerate_family,
     scan_open_question,
@@ -36,7 +35,7 @@ def members_of(report):
 
 def test_pm_example(sieve_1k):
     spec = FamilySpec("pm", 2, p=1, q=2)
-    report = enumerate_family(SearchConfig(spec, 30, sieve=sieve_1k))
+    report = enumerate_family(spec, 30, sieve=sieve_1k)
     found = members_of(report)
     assert found == [
         (3, 20),
@@ -51,28 +50,27 @@ def test_pm_example(sieve_1k):
     ]
     assert found == oracles.naive_family("pm", 30, k=2, p=1, q=2)
     assert report.limit == 30
-    assert report.workers == 1
 
 
 def test_multiamicable_example(sieve_10k):
     spec = FamilySpec("multiamicable", 2, alphas=(1, 2))
-    report = enumerate_family(SearchConfig(spec, 2000, sieve=sieve_10k))
+    report = enumerate_family(spec, 2000, sieve=sieve_10k)
     assert members_of(report) == [(1560, 1740)]
 
 
 def test_gm_tiny_limit_is_empty(sieve_1k):
-    report = enumerate_family(SearchConfig(FamilySpec("gm", 2), 2, sieve=sieve_1k))
+    report = enumerate_family(FamilySpec("gm", 2), 2, sieve=sieve_1k)
     assert report.records == []
 
 
 def test_amicable_pairs_to_ten_thousand(sieve_10k):
     spec = FamilySpec("amicable-pair", 2)
-    report = enumerate_family(SearchConfig(spec, 10**4, sieve=sieve_10k))
+    report = enumerate_family(spec, 10**4, sieve=sieve_10k)
     assert members_of(report) == AMICABLE_PAIRS_10K
 
 
 def test_amicable_numbers_match_pair_members(sieve_10k):
-    report = enumerate_family(SearchConfig(FamilySpec("amicable-number", 1), 1300, sieve=sieve_10k))
+    report = enumerate_family(FamilySpec("amicable-number", 1), 1300, sieve=sieve_10k)
     assert members_of(report) == [(220,), (284,), (1184,), (1210,)]
 
 
@@ -82,7 +80,7 @@ def test_records_are_sorted_and_verified(sieve_10k):
         FamilySpec("feebly", 2),
         FamilySpec("yanney", 2),
     ):
-        report = enumerate_family(SearchConfig(spec, 400, sieve=sieve_10k))
+        report = enumerate_family(spec, 400, sieve=sieve_10k)
         found = members_of(report)
         assert found == sorted(found)
         for rec in report.records:
@@ -93,9 +91,9 @@ def test_records_are_sorted_and_verified(sieve_10k):
 
 
 def test_yanney_allows_repeats(sieve_1k):
-    report = enumerate_family(SearchConfig(FamilySpec("yanney", 2), 10, sieve=sieve_1k))
+    report = enumerate_family(FamilySpec("yanney", 2), 10, sieve=sieve_1k)
     assert members_of(report) == [(6, 6)]
-    report3 = enumerate_family(SearchConfig(FamilySpec("yanney", 3), 400, sieve=sieve_1k))
+    report3 = enumerate_family(FamilySpec("yanney", 3), 400, sieve=sieve_1k)
     assert members_of(report3) == oracles.naive_family("yanney", 400, k=3)
 
 
@@ -126,7 +124,7 @@ def test_bucket_kernel_matches_grouped_reference(sieve_10k):
     found_any = set()
     for kind, k, limit, alphas in cases:
         spec = FamilySpec(kind, k, alphas=alphas)
-        found = members_of(enumerate_family(SearchConfig(spec, limit, sieve=sieve_10k)))
+        found = members_of(enumerate_family(spec, limit, sieve=sieve_10k))
         assert found == grouped_reference(kind, limit, k, alphas), (kind, k, limit, alphas)
         if found:
             found_any.add(kind)
@@ -135,7 +133,7 @@ def test_bucket_kernel_matches_grouped_reference(sieve_10k):
 
 def test_multiamicable_members_strictly_increase(sieve_10k):
     spec = FamilySpec("multiamicable", 2, alphas=(1, 1))
-    report = enumerate_family(SearchConfig(spec, 1300, sieve=sieve_10k))
+    report = enumerate_family(spec, 1300, sieve=sieve_10k)
     assert members_of(report) == [(220, 284), (1184, 1210)]
     for rec in report.records:
         assert all(a < b for a, b in zip(rec.members, rec.members[1:]))
@@ -145,7 +143,7 @@ def test_abundance_inequality_on_multiamicable(sieve_10k):
     # for n_1 < n_k the shared sigma is pinched between the weighted extremes
     for alphas, limit in (((1, 1), 1300), ((1, 2), 2000)):
         spec = FamilySpec("multiamicable", 2, alphas=alphas)
-        report = enumerate_family(SearchConfig(spec, limit, sieve=sieve_10k))
+        report = enumerate_family(spec, limit, sieve=sieve_10k)
         assert report.records, (alphas, limit)
         total = sum(alphas)
         for rec in report.records:
@@ -157,15 +155,15 @@ def test_abundance_inequality_on_multiamicable(sieve_10k):
 
 def test_alpha_beta_one_one_equals_amicable_pairs(sieve_1k):
     ab = enumerate_family(
-        SearchConfig(FamilySpec("alpha-beta", 2, alphas=(1, 1)), 1000, sieve=sieve_1k)
+        FamilySpec("alpha-beta", 2, alphas=(1, 1)), 1000, sieve=sieve_1k
     )
-    am = enumerate_family(SearchConfig(FamilySpec("amicable-pair", 2), 1000, sieve=sieve_1k))
+    am = enumerate_family(FamilySpec("amicable-pair", 2), 1000, sieve=sieve_1k)
     assert members_of(ab) == members_of(am)
 
 
 def test_alpha_beta_asymmetric(sieve_1k):
     spec = FamilySpec("alpha-beta", 2, alphas=(1, 2))
-    report = enumerate_family(SearchConfig(spec, 200, sieve=sieve_1k))
+    report = enumerate_family(spec, 200, sieve=sieve_1k)
     assert members_of(report) == oracles.naive_family("alpha-beta", 200, alphas=(1, 2))
     assert (26, 46) in members_of(report)
 
@@ -173,7 +171,7 @@ def test_alpha_beta_asymmetric(sieve_1k):
 def test_cohen_oracle_small(sieve_1k):
     for alphas in ((1, 1), (2, 3)):
         spec = FamilySpec("cohen-pair", 2, alphas=alphas)
-        report = enumerate_family(SearchConfig(spec, 200, sieve=sieve_1k))
+        report = enumerate_family(spec, 200, sieve=sieve_1k)
         assert members_of(report) == oracles.naive_family("cohen-pair", 200, alphas=alphas)
 
 
@@ -188,12 +186,12 @@ def test_mean_families_oracle_smoke(sieve_1k):
         (FamilySpec("mp", 2, p=2, q=2), dict(kind="mp", k=2, p=2, q=2)),
     ]
     for spec, kw in cases:
-        report = enumerate_family(SearchConfig(spec, 120, sieve=sieve_1k))
+        report = enumerate_family(spec, 120, sieve=sieve_1k)
         kind = kw.pop("kind")
         assert members_of(report) == oracles.naive_family(kind, 120, **kw), kind
 
 
-def test_worker_counts_agree(sieve_10k):
+def test_worker_counts_agree(search_output):
     for spec, limit in (
         (FamilySpec("pm", 2, p=1, q=2), 500),
         (FamilySpec("multiamicable", 2, alphas=(1, 2)), 2000),
@@ -216,12 +214,8 @@ def test_worker_counts_agree(sieve_10k):
         (FamilySpec("mp", 2, p=2, q=2), 500),
         (FamilySpec("gm", 3), 120),
     ):
-        outcomes = []
-        for workers in (1, 2, 8):
-            report = enumerate_family(SearchConfig(spec, limit, workers=workers, sieve=sieve_10k))
-            outcomes.append((members_of(report), report.scanned))
-            assert report.workers == workers
-        assert outcomes[0] == outcomes[1] == outcomes[2]
+        outcomes = [search_output(spec, limit, workers) for workers in (1, 2, 8)]
+        assert outcomes[0] == outcomes[1] == outcomes[2], (spec, limit)
 
 
 # one spec per mean family, with the oracle's keyword arguments
@@ -245,7 +239,7 @@ def mean_spec(k, kind, **kw):
 def test_mean_families_single_members_match_oracle(sieve_1k):
     assert {kw["kind"] for kw in MEAN_CASES} == set(MEAN_EQUATIONS)
     for kw in MEAN_CASES:
-        report = enumerate_family(SearchConfig(mean_spec(1, **kw), 1000, sieve=sieve_1k))
+        report = enumerate_family(mean_spec(1, **kw), 1000, sieve=sieve_1k)
         assert members_of(report) == oracles.naive_family(limit=1000, k=1, **kw), kw
 
 
@@ -259,7 +253,7 @@ def test_mean_filter_false_positives_are_dropped(sieve_1k, monkeypatch):
     for kw in MEAN_CASES:
         for k, limit in ((2, 60), (3, 20)):
             calls.clear()
-            report = enumerate_family(SearchConfig(mean_spec(k, **kw), limit, sieve=sieve_1k))
+            report = enumerate_family(mean_spec(k, **kw), limit, sieve=sieve_1k)
             assert members_of(report) == oracles.naive_family(limit=limit, k=k, **kw), (kw, k)
             assert len(calls) > len(report.records), (kw, k)
 
@@ -282,7 +276,7 @@ def test_additive_mean_families_solve_the_last_member(monkeypatch):
     monkeypatch.setattr(search, "mean_sides", once)
     for kind, p, q in (("pm", 1, 3), ("mp", 2, 2), ("mp", 3, 1)):
         calls.clear()
-        report = enumerate_family(SearchConfig(FamilySpec(kind, 2, p=p, q=q), limit, sieve=sieve))
+        report = enumerate_family(FamilySpec(kind, 2, p=p, q=q), limit, sieve=sieve)
         by_key = {}
         for n in range(1, limit + 1):
             by_key.setdefault(sig[n] ** p - q * n**p, []).append(n)
@@ -291,7 +285,7 @@ def test_additive_mean_families_solve_the_last_member(monkeypatch):
         )
         assert members_of(report) == expected, (kind, p, q)
     calls.clear()
-    report = enumerate_family(SearchConfig(FamilySpec("pm", 3, p=1, q=3), 200, sieve=sieve))
+    report = enumerate_family(FamilySpec("pm", 3, p=1, q=3), 200, sieve=sieve)
     assert members_of(report) == oracles.naive_family("pm", 200, k=3, p=1, q=3)
 
 
@@ -302,16 +296,16 @@ def test_mean_kernel_reads_only_the_limit(sieve_10k):
     table.setflags(write=False)
     garbled = SigmaSieve(sieve_10k.limit, table)
     for spec in (FamilySpec("hm", 2, p=1, q=2), FamilySpec("wgm", 2)):
-        clean = enumerate_family(SearchConfig(spec, 300, sieve=sieve_10k))
-        assert members_of(enumerate_family(SearchConfig(spec, 300, sieve=garbled))) == members_of(clean)
+        clean = enumerate_family(spec, 300, sieve=sieve_10k)
+        assert members_of(enumerate_family(spec, 300, sieve=garbled)) == members_of(clean)
         assert clean.records
 
 
 def test_mean_scanned_counts_candidate_tuples(sieve_1k):
     # C(L + k - 1, k) non-decreasing k-tuples, whatever the family and parameters
     for spec in (FamilySpec("hm", 2, p=1, q=2), FamilySpec("pm", 2, p=1, q=2), FamilySpec("mp", 2, p=2, q=2)):
-        assert enumerate_family(SearchConfig(spec, 10, sieve=sieve_1k)).scanned == 55
-    report = enumerate_family(SearchConfig(FamilySpec("gm", 3), 10, sieve=sieve_1k))
+        assert enumerate_family(spec, 10, sieve=sieve_1k).scanned == 55
+    report = enumerate_family(FamilySpec("gm", 3), 10, sieve=sieve_1k)
     assert report.scanned == math.comb(12, 3) == 220
 
 
@@ -319,7 +313,7 @@ def test_amicable_number_reads_past_the_sieve():
     # with the sieve ending at the limit, s(n) > limit (s(284) = 220 but
     # s(1184) = 1210 > 1200) is decided by the exact sigma fallback
     sieve = build_sigma_sieve(1200)
-    report = enumerate_family(SearchConfig(FamilySpec("amicable-number", 1), 1200, sieve=sieve))
+    report = enumerate_family(FamilySpec("amicable-number", 1), 1200, sieve=sieve)
     assert members_of(report) == oracles.naive_family("amicable-number", 1200)
     assert members_of(report) == [(220,), (284,), (1184,)]
 
@@ -329,7 +323,7 @@ def test_alpha_beta_with_sieve_covering_only_limit():
     sieve = build_sigma_sieve(150)
     for alphas in ((1, 2), (2, 1), (1, 3), (3, 5), (2, 2)):
         spec = FamilySpec("alpha-beta", 2, alphas=alphas)
-        found = members_of(enumerate_family(SearchConfig(spec, 150, sieve=sieve)))
+        found = members_of(enumerate_family(spec, 150, sieve=sieve))
         assert found == oracles.naive_family("alpha-beta", 150, alphas=alphas), alphas
         if alphas == (1, 2):
             assert (26, 46) in found
@@ -342,36 +336,36 @@ def test_weights_past_int64(sieve_1k):
         for alphas in ((1, big), (big, 1), (big, big)):
             for kind in ("cohen-pair", "multiamicable"):
                 spec = FamilySpec(kind, 2, alphas=alphas)
-                report = enumerate_family(SearchConfig(spec, 300, sieve=sieve_1k))
+                report = enumerate_family(spec, 300, sieve=sieve_1k)
                 assert members_of(report) == oracles.naive_family(kind, 300, alphas=alphas) == []
-        report = enumerate_family(SearchConfig(FamilySpec("multiamicable", 1, alphas=(big,)), 300, sieve=sieve_1k))
+        report = enumerate_family(FamilySpec("multiamicable", 1, alphas=(big,)), 300, sieve=sieve_1k)
         assert report.records == []
         # three members go through the sigma-group kernel
         for alphas in ((big, 1, 1), (1, 1, big)):
             spec = FamilySpec("multiamicable", 3, alphas=alphas)
-            report = enumerate_family(SearchConfig(spec, 60, sieve=sieve_1k))
+            report = enumerate_family(spec, 60, sieve=sieve_1k)
             assert members_of(report) == oracles.naive_family("multiamicable", 60, alphas=alphas) == []
 
 
 def test_multiamicable_singletons_are_multiperfect(sieve_1k):
     for a in (1, 2, 3):
         spec = FamilySpec("multiamicable", 1, alphas=(a,))
-        report = enumerate_family(SearchConfig(spec, 1000, sieve=sieve_1k))
+        report = enumerate_family(spec, 1000, sieve=sieve_1k)
         assert members_of(report) == oracles.naive_family("multiamicable", 1000, alphas=(a,)), a
-    report = enumerate_family(SearchConfig(FamilySpec("multiamicable", 1, alphas=(3,)), 1000, sieve=sieve_1k))
+    report = enumerate_family(FamilySpec("multiamicable", 1, alphas=(3,)), 1000, sieve=sieve_1k)
     assert members_of(report) == [(120,), (672,)]
 
 
 def test_limit_validation(sieve_1k):
     with pytest.raises(ValueError):
-        enumerate_family(SearchConfig(FamilySpec("gm", 2), 0, sieve=sieve_1k))
+        enumerate_family(FamilySpec("gm", 2), 0, sieve=sieve_1k)
     with pytest.raises(ValueError):
-        enumerate_family(SearchConfig(FamilySpec("gm", 2), MAX_SEARCH_LIMIT + 1))
+        enumerate_family(FamilySpec("gm", 2), MAX_SEARCH_LIMIT + 1)
 
 
 def test_small_sieve_raises_coverage_error(sieve_1k):
     with pytest.raises(CoverageError):
-        enumerate_family(SearchConfig(FamilySpec("gm", 2), 2000, sieve=sieve_1k))
+        enumerate_family(FamilySpec("gm", 2), 2000, sieve=sieve_1k)
 
 
 def test_scan_open_question_empty(sieve_1k):
@@ -422,18 +416,18 @@ def test_census_validation(sieve_1k):
 
 
 def test_auto_sieve_when_none_given():
-    report = enumerate_family(SearchConfig(FamilySpec("perfect", 1), 500))
+    report = enumerate_family(FamilySpec("perfect", 1), 500)
     assert members_of(report) == [(6,), (28,), (496,)]
 
 
 def test_alpha_beta_auto_sieve_covers_weighted_range():
     # needs sigma up to 3 * limit internally; must not raise
     spec = FamilySpec("alpha-beta", 2, alphas=(1, 3))
-    report = enumerate_family(SearchConfig(spec, 150))
+    report = enumerate_family(spec, 150)
     assert members_of(report) == oracles.naive_family("alpha-beta", 150, alphas=(1, 3))
     assert (3, 4) in members_of(report)
 
 
 def test_scanned_counts_whole_range(sieve_1k):
-    report = enumerate_family(SearchConfig(FamilySpec("perfect", 1), 1000, sieve=sieve_1k))
+    report = enumerate_family(FamilySpec("perfect", 1), 1000, sieve=sieve_1k)
     assert report.scanned == 1000
