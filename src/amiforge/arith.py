@@ -17,6 +17,9 @@ _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 # Gaps between consecutive trial divisors coprime to 30, starting from 7.
 _WHEEL = (4, 2, 4, 2, 4, 6, 2, 6)
 
+# sigma_beyond factors at most this many values at a time.
+_BEYOND_BLOCK = 1 << 20
+
 
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin primality test."""
@@ -174,6 +177,74 @@ def sigma(n: int, sieve: SigmaSieve | None = None) -> int:
     if sieve is not None and n <= sieve.limit:
         return int(sieve.table[n])
     return factorize(n).sigma()
+
+
+def beyond_reach(sieve: SigmaSieve) -> int:
+    """R^2 with R = min(sieve.limit, 2^28): the largest value sigma_beyond
+    accepts, since the sieve holds every prime up to R."""
+    return min(sieve.limit, 1 << 28) ** 2
+
+
+def sigma_beyond(sieve: SigmaSieve, x: np.ndarray) -> np.ndarray:
+    """sigma of each value of the int64 array x, sieve.limit < x <= beyond_reach(sieve).
+
+    Trial division by every prime p <= isqrt(max x), all of them within the
+    sieve, which marks n >= 2 as prime exactly when sigma(n) = n + 1, so no
+    second sieve is built. Each prime strips its full power p^e from the
+    cofactors it divides and multiplies their sum by 1 + p + ... + p^e.
+    Before p is tried, a cofactor c < p^2 has no prime factor below p and so
+    is 1 or a prime; that value leaves the live set, and a prime c
+    contributes c + 1.
+
+    int64: x <= R^2 <= 2^56. For x >= 16, sigma(x)/x < e^gamma*ln ln x +
+    0.6483/ln ln x (Robin's unconditional bound, n >= 3), a convex function
+    of ln ln x in [1.01, 3.66] whose ends are below 2.5 and 6.7, so below 7;
+    for x < 16, sigma(x)/x <= sigma(12)/12 < 3. Hence sigma(x) < 7*2^56 <
+    2^59. Every prime power p^e formed divides x, and every prime-power
+    partial sum and running product is sigma of a divisor of x, so all of
+    them stay <= sigma(x); p^2 <= 2^56 in the live-set test.
+    Memory: x is taken in blocks of _BEYOND_BLOCK values, so the working
+    arrays stay near 8 int64 arrays of one block whatever len(x) is.
+    Raises ValueError when a value lies outside that range.
+    """
+    x = np.asarray(x, dtype=np.int64)
+    if len(x) > _BEYOND_BLOCK:
+        blocks = range(0, len(x), _BEYOND_BLOCK)
+        return np.concatenate([sigma_beyond(sieve, x[i : i + _BEYOND_BLOCK]) for i in blocks])
+    out = np.empty(len(x), dtype=np.int64)
+    if not len(x):
+        return out
+    if x.min() <= sieve.limit or x.max() > beyond_reach(sieve):
+        raise ValueError(
+            f"sigma_beyond needs values in ({sieve.limit}, {beyond_reach(sieve)}]"
+        )
+    top = math.isqrt(int(x.max()))
+    candidates = np.arange(2, top + 1)
+    primes = candidates[sieve.table[2 : top + 1] == candidates + 1]
+    at, c, acc = np.arange(len(x)), x.copy(), np.ones(len(x), dtype=np.int64)
+
+    def finish(rows):
+        out[at[rows]] = acc[rows] * np.where(c[rows] > 1, c[rows] + 1, 1)
+
+    for p in primes.tolist():
+        done = c < p * p
+        if done.any():
+            finish(done)
+            live = ~done
+            at, c, acc = at[live], c[live], acc[live]
+        hit = np.flatnonzero(c % p == 0)
+        if not len(hit):
+            continue
+        rest, power, total = c[hit] // p, np.full(len(hit), p), np.full(len(hit), 1 + p)
+        more = np.flatnonzero(rest % p == 0)
+        while len(more):
+            rest[more] //= p
+            power[more] *= p
+            total[more] += power[more]
+            more = more[rest[more] % p == 0]
+        c[hit], acc[hit] = rest, acc[hit] * total
+    finish(slice(None))
+    return out
 
 
 def aliquot(n: int, sieve: SigmaSieve | None = None) -> int:

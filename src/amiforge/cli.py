@@ -367,6 +367,8 @@ def run(argv=None) -> int:
     try:
         if args.workers < 1:
             raise ValueError("workers must be >= 1")
+        if args.sieve_budget < 1:
+            raise ValueError("sieve budget must be >= 1")
         params, results, csv_text, code = _HANDLERS[args.command](args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -85,8 +85,15 @@ def construct_multiamicable(seed: SeedTuple, a_bound: int, sieve: SigmaSieve | N
     """Multiamicable tuples (a*N_1, ..., a*N_k) for every admissible a <= a_bound,
     from a seed made by seed_ratio or find_seed_tuples. Each tuple is re-proven.
 
-    Raises CoverageError when the given sieve stops short of a_bound.
+    A seed whose target denominator exceeds a_bound admits no multiplier,
+    since every a with sigma(a)/a = target is a multiple of it, so such a
+    seed (with target >= 1 and a_bound >= 1) returns [] before the sieve is
+    read. Otherwise raises CoverageError when the given sieve stops short of
+    a_bound.
     """
+    num, den = seed.target.numerator, seed.target.denominator
+    if den > a_bound >= 1 and num >= den:
+        return []
     out = []
     for a in find_multipliers(seed.target, a_bound, seed.ns, sieve=sieve):
         members = tuple(a * n for n in seed.ns)
@@ -115,8 +122,8 @@ def find_seed_tuples(alphas, n_limit: int, sieve: SigmaSieve | None = None) -> l
     out = []
     for s_value, members in sigma_groups(covering_sieve(n_limit, sieve), n_limit, k):
         for combo in combinations(members, k):
-            target = Fraction(sum(a * n for a, n in zip(alphas, combo)), s_value)
-            if target >= 1:
-                out.append(SeedTuple(alphas, combo, target))
+            total = sum(a * n for a, n in zip(alphas, combo))
+            if total >= s_value:
+                out.append(SeedTuple(alphas, combo, Fraction(total, s_value)))
     out.sort(key=lambda seed: seed.ns)
     return out

@@ -82,7 +82,9 @@ def count_multiamicable_pairs(alpha: int, beta: int, checkpoints, sieve: SigmaSi
 
     n is recovered from the equation as (sigma(m) - alpha*m) / beta and then
     verified, so n itself needs no scan bound: a partner past the sieve is
-    checked with the exact sigma().
+    checked through the search's _aliquots, exactly and in int64. Since
+    n < sigma(m) < 7*limit <= R^2 for limit >= 7, one vectorised
+    arith.sigma_beyond pass serves every partner.
     """
     if alpha < 1 or beta < 1:
         raise ValueError("alpha and beta must be positive integers")

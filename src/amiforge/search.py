@@ -29,9 +29,11 @@ from .arith import (
     DEFAULT_SIEVE_BUDGET,
     CoverageError,
     SigmaSieve,
+    beyond_reach,
     build_sigma_sieve,
     covering_sieve,
     sigma,
+    sigma_beyond,
 )
 from .families import MEAN_EQUATIONS, FamilySpec, Mismatch, TupleRecord, check, mean_sides
 
@@ -75,15 +77,22 @@ def _aliquots(sieve: SigmaSieve, w: int, v: np.ndarray) -> np.ndarray:
     """s(w*v) = sigma(w*v) - w*v for each v >= 1, capped at 2^62.
 
     int64: the table serves every v <= sieve.limit // w, so w*v is an index
-    within the table (a capped weight has no such v). The exact sigma()
-    serves the rest, one index at a time, and the cap touches only values
-    that no kernel compares with anything as large.
+    within the table (a capped weight has no such v). One sigma_beyond pass
+    serves every w*v in (sieve.limit, R^2], R = min(sieve.limit, 2^28), so
+    w*v <= 2^56 there and sigma(w*v) < 2^59 by its docstring. Only a w*v
+    past R^2, which a large weight can give, is read through the exact
+    sigma(), one index at a time; the cap touches only values that no
+    kernel compares with anything as large.
     """
     s = np.empty(len(v), dtype=np.int64)
+    w_cap = _capped(w)
     inside = v <= sieve.limit // w
-    wv = _capped(w) * v[inside]
+    wv = w_cap * v[inside]
     s[inside] = sieve.table[wv] - wv
-    for i in np.flatnonzero(~inside).tolist():
+    near = ~inside & (v <= beyond_reach(sieve) // w)
+    wv = w_cap * v[near]
+    s[near] = sigma_beyond(sieve, wv) - wv
+    for i in np.flatnonzero(~inside & ~near).tolist():
         x = w * int(v[i])
         s[i] = _capped(sigma(x) - x)
     return s
@@ -100,7 +109,9 @@ def _amicable_numbers(spec: FamilySpec, limit: int, sieve: SigmaSieve):
     s(s(n)) = sigma(n) - s(n) = n.
 
     int64: s(n) is a difference of table entries and no product is formed.
-    An s(n) past the sieve is read through the exact sigma().
+    An s(n) past the sieve is read through _aliquots: s(n) < sigma(n) <
+    7*limit <= limit^2 for limit >= 7, so every such read falls within
+    R^2 and takes the one vectorised sigma_beyond pass.
     """
     n = np.arange(2, limit + 1)
     s = sieve.table[2 : limit + 1] - n
@@ -119,7 +130,8 @@ def partner_pairs(sieve: SigmaSieve, limit: int, alphas, strict: bool, partner_l
     sigma(m) > (a + b)*m). int64: that test is made in division form,
     sigma(m) // m >= a + b, or (sigma(m) - 1) // m when strict; past it
     a*m <= sigma(m) < 2^40, and b only divides. A partner past the sieve is
-    read through the exact sigma().
+    read through _aliquots: n < sigma(m) < 7*limit <= R^2 once limit >= 7,
+    so one sigma_beyond pass serves every partner.
     """
     a, b = _capped(alphas[0]), _capped(alphas[1])
     m = np.arange(1, limit + 1)
@@ -181,7 +193,8 @@ def _alpha_beta_pairs(spec: FamilySpec, limit: int, sieve: SigmaSieve):
     """(m, n), both <= limit, with s(a*n) = m and s(b*m) = n; m <= n when a = b.
 
     int64: both reads go through _aliquots, which forms a*n and b*m only
-    as indices within the table and reads past it through the exact sigma().
+    as indices within the table or values within R^2 <= 2^56, and reads a
+    value past R^2 through the exact sigma().
     """
     a, b = spec.alphas
     n = np.arange(1, limit + 1)
@@ -455,8 +468,8 @@ def enumerate_family(spec: FamilySpec, limit: int, sieve: SigmaSieve | None = No
     t0 = time.perf_counter()
     check_search_limit(limit, spec)
     # A built sieve also covers the alpha*n that alpha-beta reads, within the
-    # budget; a caller's sieve need only cover limit, since sigma factorizes
-    # past its end.
+    # budget; a caller's sieve need only cover limit, since _aliquots reads
+    # past its end exactly.
     if sieve is None:
         sieve = build_sigma_sieve(_needed_coverage(spec, limit))
     else:

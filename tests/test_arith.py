@@ -2,8 +2,10 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from amiforge import arith
 from amiforge.arith import (
     Factorization,
     abundancy,
@@ -15,6 +17,7 @@ from amiforge.arith import (
     lcm_list,
     parse_factored,
     sigma,
+    sigma_beyond,
     zeta_approx,
 )
 
@@ -149,6 +152,39 @@ def test_sieve_out_of_range():
 def test_sigma_falls_back_beyond_sieve():
     sieve = build_sigma_sieve(10)
     assert sigma(220, sieve) == 504
+
+
+def test_sigma_beyond_matches_divisor_loop(monkeypatch):
+    # every value the vectorised pass accepts over a sieve to L: (L, L^2],
+    # in one block and in blocks of 100 values
+    limit = 40
+    x = np.arange(limit + 1, limit * limit + 1)
+    expected = [oracles.divisor_sigma(v) for v in x.tolist()]
+    assert sigma_beyond(build_sigma_sieve(limit), x).tolist() == expected
+    monkeypatch.setattr(arith, "_BEYOND_BLOCK", 100)
+    assert sigma_beyond(build_sigma_sieve(limit), x).tolist() == expected
+
+
+def test_sigma_beyond_random_values(sieve_10k):
+    rng = random.Random(10)
+    x = [rng.randint(10**4 + 1, 10**8) for _ in range(300)]
+    assert sigma_beyond(sieve_10k, np.array(x)).tolist() == [oracles.divisor_sigma(v) for v in x]
+
+
+def test_sigma_beyond_prime_powers_and_primes():
+    # 37 is the largest prime <= 40, so 37^2 = 1369 needs every sieve prime
+    sieve = build_sigma_sieve(40)
+    x = [41, 43, 47, 1597, 64, 81, 125, 243, 343, 625, 729, 1024, 1331, 1369, 2 * 37 * 19]
+    assert sigma_beyond(sieve, np.array(x)).tolist() == [oracles.divisor_sigma(v) for v in x]
+
+
+def test_sigma_beyond_range():
+    sieve = build_sigma_sieve(40)
+    empty = sigma_beyond(sieve, np.array([], dtype=np.int64))
+    assert empty.dtype == np.int64 and len(empty) == 0
+    for bad in ([40], [41, 1601]):
+        with pytest.raises(ValueError, match="sigma_beyond"):
+            sigma_beyond(sieve, np.array(bad))
 
 
 def test_sieve_validation():

@@ -332,6 +332,13 @@ def test_usage_errors_exit_two(capsys):
     for argv in cases:
         assert cli.run(argv) == 2, argv
         capsys.readouterr()  # drain
+    # check and verify-tables build no sieve, yet a budget below 1 is refused
+    for argv in (
+        ["check", "perfect", "--tuple", "6", "--sieve-budget", "-1"],
+        ["verify-tables", "--sieve-budget", "0"],
+    ):
+        assert cli.run(argv) == 2, argv
+        assert "sieve budget must be >= 1" in capsys.readouterr().err
     assert cli.run(["construct", "--alphas", "1,2", "--ns", "104,116", "--a-bound", "20", "--sieve-limit", "5"]) == 2
     assert "unrecognized arguments: --sieve-limit 5" in capsys.readouterr().err
 

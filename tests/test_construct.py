@@ -55,6 +55,9 @@ def test_find_multipliers_properties():
 def test_find_multipliers_rejects_deficient_target():
     with pytest.raises(ValueError):
         find_multipliers(Fraction(1, 2), 100)
+    # target 12/28 = 3/7: its denominator exceeds the bound, and it is still refused
+    with pytest.raises(ValueError, match="target must be >= 1"):
+        construct_multiamicable(seed_ratio((1,), (12,)), 1)
 
 
 def test_find_multipliers_worker_determinism():

@@ -1,9 +1,11 @@
+import json
 import math
 from itertools import combinations, combinations_with_replacement
 
+import numpy as np
 import pytest
 
-from amiforge import search
+from amiforge import arith, cli, search
 from amiforge.arith import SigmaSieve, build_sigma_sieve, sigma
 from amiforge.families import MEAN_EQUATIONS, FamilySpec, holds
 from amiforge.search import (
@@ -311,15 +313,53 @@ def test_mean_scanned_counts_candidate_tuples(sieve_1k):
 
 def test_amicable_number_reads_past_the_sieve():
     # with the sieve ending at the limit, s(n) > limit (s(284) = 220 but
-    # s(1184) = 1210 > 1200) is decided by the exact sigma fallback
+    # s(1184) = 1210 > 1200) is read past the sieve by sigma_beyond
     sieve = build_sigma_sieve(1200)
     report = enumerate_family(FamilySpec("amicable-number", 1), 1200, sieve=sieve)
     assert members_of(report) == oracles.naive_family("amicable-number", 1200)
     assert members_of(report) == [(220,), (284,), (1184,)]
 
 
+def test_amicable_numbers_past_the_sieve_skip_factorize(sieve_10k, monkeypatch):
+    # every s(n) > 10^4 lies within R^2 = 10^8, so the vectorised sigma_beyond
+    # serves it and the scalar factorize is never reached
+    def no_factorize(n):
+        raise AssertionError(f"factorize({n}) reached for a value within R^2")
+
+    monkeypatch.setattr(arith, "factorize", no_factorize)
+    report = enumerate_family(FamilySpec("amicable-number", 1), 10**4, sieve=sieve_10k)
+    pairs = [pair for pair in AMICABLE_PAIRS_10K if pair[0] != pair[1]]
+    assert members_of(report) == sorted((n,) for pair in pairs for n in pair)
+
+
+def test_alpha_beta_scalar_fallback_past_reach(capsys, monkeypatch):
+    # a budget of 4 KiB sieves 1..300 only, so R^2 = 90000 and 1000*n passes
+    # it for n > 90: those reads take the scalar sigma(), the rest the
+    # vectorised pass
+    scalar = []
+
+    def recording_sigma(n, sieve=None):
+        scalar.append(n)
+        return sigma(n, sieve)
+
+    monkeypatch.setattr(search, "sigma", recording_sigma)
+    argv = ["search", "alpha-beta", "--alphas", "1,1000", "--limit", "300", "--sieve-budget", "4096"]
+    assert cli.run(argv) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["params"]["sieve_limit"] == 300
+    found = [tuple(r["tuple"]) for r in doc["results"]["records"]]
+    assert found == oracles.naive_family("alpha-beta", 300, alphas=(1, 1000))
+    assert scalar and min(scalar) > 300**2
+    # the aliquot sums both paths give, against the divisor loop
+    scalar.clear()
+    v = np.arange(1, 301)
+    got = search._aliquots(build_sigma_sieve(300), 1000, v)
+    assert got.tolist() == [oracles.divisor_sigma(1000 * n) - 1000 * n for n in v.tolist()]
+    assert sorted(scalar) == [1000 * n for n in range(91, 301)]
+
+
 def test_alpha_beta_with_sieve_covering_only_limit():
-    # a*n and b*m past the caller's sieve go through the exact sigma fallback
+    # a*n and b*m past the caller's sieve are read exactly by sigma_beyond
     sieve = build_sigma_sieve(150)
     for alphas in ((1, 2), (2, 1), (1, 3), (3, 5), (2, 2)):
         spec = FamilySpec("alpha-beta", 2, alphas=alphas)
