@@ -212,7 +212,7 @@ def _cmd_construct(args):
         seeds = [seed_ratio(alphas, _parse_tuple(args.ns), sieve)]
         params = {"alphas": list(alphas), "ns": list(seeds[0].ns), "a_bound": args.a_bound}
     else:
-        seeds = find_seed_tuples(alphas, args.seed_limit, sieve)
+        seeds = find_seed_tuples(alphas, args.seed_limit, sieve, args.a_bound)
         params = {"alphas": list(alphas), "seed_limit": args.seed_limit, "a_bound": args.a_bound}
     rows = []
     for seed in seeds:

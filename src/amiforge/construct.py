@@ -105,9 +105,16 @@ def construct_multiamicable(seed: SeedTuple, a_bound: int, sieve: SigmaSieve | N
     return out
 
 
-def find_seed_tuples(alphas, n_limit: int, sieve: SigmaSieve | None = None) -> list[SeedTuple]:
+def find_seed_tuples(
+    alphas, n_limit: int, sieve: SigmaSieve | None = None, a_bound: int | None = None
+) -> list[SeedTuple]:
     """All strictly increasing equal-sigma seeds N_1 < ... < N_k <= n_limit
     whose target ratio is at least 1, from the search's sigma groups.
+
+    With a_bound, only the seeds whose target denominator is at most a_bound
+    are kept: every multiplier is a multiple of that denominator, so the
+    others admit none up to a_bound. A combination is skipped on its
+    denominator, sigma // gcd(total, sigma), before any Fraction is built.
 
     Raises CoverageError when the given sieve stops short of n_limit.
     """
@@ -123,7 +130,7 @@ def find_seed_tuples(alphas, n_limit: int, sieve: SigmaSieve | None = None) -> l
     for s_value, members in sigma_groups(covering_sieve(n_limit, sieve), n_limit, k):
         for combo in combinations(members, k):
             total = sum(a * n for a, n in zip(alphas, combo))
-            if total >= s_value:
+            if total >= s_value and (a_bound is None or s_value // math.gcd(total, s_value) <= a_bound):
                 out.append(SeedTuple(alphas, combo, Fraction(total, s_value)))
     out.sort(key=lambda seed: seed.ns)
     return out

@@ -295,9 +295,10 @@ MEAN_EQUATIONS = {
 }
 
 
-def mean_sides(spec: FamilySpec, column, power, mod: int | None = None):
+def mean_sides(spec: FamilySpec, column, power, mod: int | None = None, entry=None):
     """(num, den, rhs) of spec's MEAN_EQUATIONS entry, so that a tuple is a
-    member exactly when num == rhs * den.
+    member exactly when num == rhs * den; entry, when given, stands for the
+    entry's three factor lists.
 
     column(a, b) gives the members' values of n^a * sigma(n)^b as a list
     and power(e) gives (sum n)^e, with each exponent resolved to an int or
@@ -329,7 +330,7 @@ def mean_sides(spec: FamilySpec, column, power, mod: int | None = None):
     def side(factors):
         return reduce(mul, map(factor, factors)) if factors else 1
 
-    _, num, den, rhs = MEAN_EQUATIONS[spec.kind]
+    num, den, rhs = entry or MEAN_EQUATIONS[spec.kind][1:]
     return side(num), side(den), side(rhs)
 
 

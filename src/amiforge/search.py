@@ -7,10 +7,14 @@ alpha-beta pairs, and multiamicable, Dickson and Yanney tuples of one or two
 members, which solve sigma(m) = a*m + b*n for the partner n. The mean
 families run in this process too: each block of candidate tuples evaluates
 the family's families.MEAN_EQUATIONS entry modulo a prime, and the exact
-check confirms the few that pass. Multiamicable, Dickson and Yanney tuples
-of three or more members group 1..L by sigma with one stable argsort and
-grow their prefixes within each group in numpy chunks. Every search runs in
-this one process."""
+check confirms the few that pass. Where the entry reads
+sum_i key(n_i) = target (pm with p = 1, mp, feebly, and whm with p = 1,
+whose key is n * sigma(n)^-1 modulo the prime) the last member is solved
+for over the sorted keys instead; hm, and gm at k = 2, first narrow each
+prefix's last slot with a necessary inequality. Multiamicable, Dickson and
+Yanney tuples of three or more members group 1..L by sigma with one stable
+argsort and grow their prefixes within each group in numpy chunks. Every
+search runs in this one process."""
 
 from __future__ import annotations
 
@@ -18,7 +22,6 @@ import math
 import time
 from dataclasses import dataclass
 from functools import cache
-from itertools import combinations_with_replacement
 
 import numpy as np
 
@@ -330,33 +333,50 @@ def _powmod(base: np.ndarray, exp, mod: int) -> np.ndarray:
     return out
 
 
-def _tuple_blocks(k: int, limit: int):
-    """The non-decreasing k-tuples over 1..limit in lexicographic order, in
-    blocks of at most _BLOCK tuples, each block a list of k member arrays.
+def _tuple_blocks(k: int, limit: int, values: np.ndarray | None = None, last=None):
+    """The non-decreasing k-tuples over 1..limit in lexicographic order whose
+    last member is drawn from its prefix's slice of values, in blocks of at
+    most _BLOCK tuples, each block a list of k member arrays.
 
-    Each (k-1)-prefix is fixed in turn and its last slot runs over
-    [prefix[-1], limit], split where a block fills up.
+    The tuples grow one slot at a time. Slot j of a prefix runs over
+    [prefix[-1], limit] (over 1..limit for the first slot), except the last
+    slot when last is given: it runs over values[lo:hi] with
+    (lo, hi) = last(prefixes) for an array of (k-1)-prefixes, one per row,
+    each slice ascending and >= its prefix's last member.
     """
-    pending, size = [], 0
-    for prefix in combinations_with_replacement(range(1, limit + 1), k - 1):
-        lo = prefix[-1] if prefix else 1
-        while lo <= limit:
-            hi = min(limit + 1, lo + _BLOCK - size)
-            pending.append((prefix, lo, hi))
-            size, lo = size + hi - lo, hi
-            if size == _BLOCK:
-                yield _block(pending, k)
-                pending, size = [], 0
-    if pending:
-        yield _block(pending, k)
+    everything = np.arange(1, limit + 1)
+
+    def grow(j):
+        if j == 0:
+            yield np.zeros((1, 0), dtype=np.int64)
+            return
+        for block in grow(j - 1):
+            heads = np.column_stack(block) if j > 1 else block
+            if j == k and last is not None:
+                yield from _expand(heads, *last(heads), values)
+            else:
+                lo = heads[:, -1] - 1 if j > 1 else np.zeros(1, dtype=np.int64)
+                yield from _expand(heads, lo, limit, everything)
+
+    return grow(k)
 
 
-def _block(pending, k: int) -> list[np.ndarray]:
-    """Member arrays of the rows (prefix, lo, hi): prefix + (v,) for lo <= v < hi."""
-    lo = np.array([lo for _, lo, _ in pending])
-    length = np.array([hi - lo for _, lo, hi in pending])
-    prefixes = np.array([prefix for prefix, _, _ in pending], dtype=np.int64).reshape(len(pending), k - 1)
-    return [np.repeat(col, length) for col in prefixes.T] + [_ranges(lo, length)]
+def _expand(heads: np.ndarray, lo: np.ndarray, hi, values: np.ndarray):
+    """Each row of heads followed by each of values[lo:hi], lo and hi taken
+    per row, as lists of member arrays of at most _BLOCK rows; a head's
+    slice is split where a block fills up."""
+    count = np.maximum(hi - lo, 0)
+    ends = np.cumsum(count)
+    size = int(ends[-1]) if len(ends) else 0
+    for start in range(0, size, _BLOCK):
+        stop = min(start + _BLOCK, size)
+        a, b = np.searchsorted(ends, [start, stop - 1], side="right")
+        first, length = lo[a : b + 1].copy(), count[a : b + 1].copy()
+        skip = start - (ends[a] - count[a])
+        first[0] += skip
+        length[0] -= skip
+        length[-1] -= ends[b] - stop
+        yield [np.repeat(col, length) for col in heads[a : b + 1].T] + [values[_ranges(first, length)]]
 
 
 def _ranges(lo: np.ndarray, length: np.ndarray) -> np.ndarray:
@@ -364,22 +384,114 @@ def _ranges(lo: np.ndarray, length: np.ndarray) -> np.ndarray:
     return np.arange(length.sum()) + np.repeat(lo - (np.cumsum(length) - length), length)
 
 
-def _additive(spec: FamilySpec) -> bool:
-    """Whether spec's MEAN_EQUATIONS entry reads sum_i key(n_i) = 0: no
-    denominator, and each side q times one sum or the first power of the
-    total (pm with p = 1, and mp)."""
-    _, num, den, rhs = MEAN_EQUATIONS[spec.kind]
+def _iroot(x: int, p: int) -> int:
+    """The largest c >= 0 with c**p <= x, for x >= 0 and p >= 1, bit by bit
+    from the top; c < 2^ceil(b/p) for x < 2^b, so no power tried exceeds
+    2^(b + p)."""
+    c = 0
+    for bit in reversed(range(-(-x.bit_length() // p))):
+        if (c | 1 << bit) ** p <= x:
+            c |= 1 << bit
+    return c
 
-    def linear(side):
-        rest = [f for f in side if f[0] != "q"]
-        if len(rest) != 1:
-            return False
-        factor = rest[0]
-        if factor[0] == "total":
-            return (spec.p if factor[1] == "p" else factor[1]) == 1
-        return factor[0] == "sum"
 
-    return not den and linear(num) and linear(rhs)
+def _additive(spec: FamilySpec):
+    """spec's MEAN_EQUATIONS entry as factor lists (num, den, rhs) that read
+    sum_i key(n_i) = target, or None when it does not.
+
+    The total sum n is positive, so a first power of it on both sides
+    cancels: whm with p = 1, (sum n/sigma) * (sum n) = sum n, becomes the
+    feebly equation sum n/sigma = 1. What is left must be q times one term
+    on the left and q times at most one term on the right. A term is the
+    sum of a column, or the first power of the total, which is the sum of
+    n; the left term may instead be the cross sum of n^a over the
+    denominator prod sigma^b, which is that denominator times
+    sum n^a / sigma^b. At k = 1 each term is then its member's own value,
+    which is what the search reads as the member's key.
+    """
+    _, *sides = MEAN_EQUATIONS[spec.kind]
+    exponent = {"p": spec.p, "k": spec.k}
+    total = ("sum", 1, 0)
+
+    def resolved(f):
+        f = (f[0], *(exponent.get(e, e) for e in f[1:]))
+        return total if f == ("total", 1) else f
+
+    num, den, rhs = ([resolved(f) for f in side] for side in sides)
+    if total in num and total in rhs:
+        num.remove(total)
+        rhs.remove(total)
+    left = [f for f in num if f[0] != "q"]
+    right = [f for f in rhs if f[0] != "q"]
+    if len(left) != 1 or len(right) > 1 or any(f[0] != "sum" for f in right):
+        return None
+    kind, _, b = left[0]
+    if (kind, den) not in (("sum", []), ("cross", [("prod", 0, b)])):
+        return None
+    return num, den, rhs
+
+
+def _last_slot(spec: FamilySpec, limit: int, sieve: SigmaSieve):
+    """(values, last, keep) for the row scan of spec at k >= 2, or Nones
+    when the whole slot is scanned. For an array of (k-1)-prefixes, one per
+    row, last gives the arrays lo and hi, and each prefix's last slot runs
+    over values[lo:hi]; keep(v, total), when not None, masks the rows whose
+    last member v cannot complete a member. Both are necessary conditions,
+    so no member is skipped; the exact check follows.
+
+    hm: (sum_i 1/sigma_i^p) * T^p = q with T = sum n reads
+    sum_i (T/sigma_i)^p = q. Every term is positive and there are k >= 2
+    of them, so each is below q: T^p < q*sigma_i^p for every member. With
+    c = iroot(q * 2^(s*p), p), so that c/2^s <= q^(1/p) < (c+1)/2^s, and
+    c' = c when c^p = q * 2^(s*p) and c + 1 otherwise, that reads
+    T * 2^s < sigma_i * c', which is T <= cap(n_i) = (sigma_i*c' - 1) >> s.
+    Each prefix member caps T, so the last member v <= min_i cap(n_i) - S
+    with S the prefix sum, and the row of v is kept when T <= cap(v). That
+    mask is left out when q >= k^p, where it drops at most the tuple of
+    ones: every member is at most v <= sigma(v), so T <= k*sigma(v).
+    s = min(16, 4096 // p) keeps the radicand within 4096 bits past q's,
+    and the caps exceed the exact bound by at most sigma/2^s + 1; at p = 1,
+    c' = q*2^s and cap(n) = q*sigma(n) - 1 exactly. int64: the caps are
+    Python ints clamped at k*limit, which no total exceeds, so every value
+    the mask and the slot ends compare is at most k*limit.
+
+    gm: by AM-GM, T^k >= k^k * prod n_i, and prod sigma_i = T^k, so
+    prod sigma_i/n_i >= k^k and some member is rich, sigma(n) >= k*n, a
+    test in division form, sigma(n) // n >= k. A prefix with no rich member
+    takes its last member from the rich numbers >= prefix[-1] only, which
+    values holds after 1..limit. The argument holds at every k >= 2; the
+    search applies it at k = 2 only, and ROADMAP item 2 says why.
+
+    Other families scan the whole slot. wpm's condition, max sigma_i >= T
+    from T^(p+1) = sum n_i*sigma_i^p <= T * max sigma_i^p, keeps 58% of the
+    pairs at L = 3000 and gives no range, so it is not applied.
+    """
+    k = spec.k
+    everything = np.arange(1, limit + 1)
+    if spec.kind == "hm":
+        p, q = spec.p, spec.q
+        s = min(16, 4096 // p)
+        c = _iroot(q << s * p, p)
+        c += c**p != q << s * p
+        cap = np.array([min((v * c - 1) >> s, k * limit) for v in sieve.table[: limit + 1].tolist()])
+
+        def last(heads):
+            return heads[:, -1] - 1, np.minimum(cap[heads].min(axis=1) - heads.sum(axis=1), limit)
+
+        keep = None if _iroot(q, p) >= k else (lambda v, total: total <= cap[v])
+        return everything, last, keep
+    if spec.kind == "gm" and k == 2:
+        is_rich = np.append(False, sieve.table[1 : limit + 1] // everything >= k)
+        rich = np.flatnonzero(is_rich)
+        first = limit + np.searchsorted(rich, np.arange(limit + 1))
+
+        def last(heads):
+            any_rich = is_rich[heads].any(axis=1)
+            top = heads[:, -1]
+            return np.where(any_rich, top - 1, first[top]), np.where(any_rich, limit, limit + len(rich))
+
+        return np.concatenate([everything, rich]), last, None
+    return None, None, None
 
 
 def _mean_family_kernel(spec: FamilySpec, limit: int, sieve: SigmaSieve) -> list[TupleRecord]:
@@ -389,17 +501,25 @@ def _mean_family_kernel(spec: FamilySpec, limit: int, sieve: SigmaSieve) -> list
     Each block of candidate tuples evaluates the entry in residues modulo the
     prime _MODULUS < 2^31, from the columns n^a * sigma(n)^b over 1..limit
     and the powers of the total over 1..k*limit, each tabulated once per run
-    by square-and-multiply. When the entry is additive, sum_i key(n_i) = 0,
-    the last member is solved for instead: each (k-1)-prefix looks up the
-    members whose key residue is minus the prefix's sum in the key column
+    by square-and-multiply; _last_slot narrows each prefix's last slot for
+    hm and gm first. When the entry reads sum_i key(n_i) = target
+    (_additive: pm with p = 1, mp, feebly, and whm with p = 1), the last
+    member is solved for instead: each (k-1)-prefix looks up the members
+    whose key residue is target minus the prefix's sum in the key column
     sorted once, so k = 2 costs O(L log L) rather than L^2 / 2 evaluations.
+    A key over the denominator sigma(n)^b is n^a times the inverse of
+    sigma(n)^b, which is sigma(n)^(b*(P-2)) by Fermat for the prime P; it
+    exists since sigma(n) < 2^26 < P for every n <= MAX_SEARCH_LIMIT. When
+    some sigma(n) in 1..limit is 0 modulo the prime, which only a smaller
+    modulus can give, the key is undefined there and the row filter runs.
     int64: every value is a residue below 2^31, reduced after each add and
     multiply, so a sum stays below 2^32 and a product below 2^62; a sorted
     entry key * (limit + 1) + n stays below 2^31 * 2^24 = 2^55. A member's
-    equation holds in the integers and hence modulo the prime, so the filter
-    cannot drop a member. A candidate that passes is kept only when
-    families.check proves it, so a false positive is dropped and each record
-    is proven once. Only sieve.table[: limit + 1] is read.
+    equation holds in the integers and hence modulo the prime, where each
+    denominator is a unit, so the filter cannot drop a member. A candidate
+    that passes is kept only when families.check proves it, so a false
+    positive is dropped and each record is proven once. Only
+    sieve.table[: limit + 1] is read.
     """
     mod, k = _MODULUS, spec.k
     n = np.arange(limit + 1, dtype=np.int64)
@@ -415,26 +535,40 @@ def _mean_family_kernel(spec: FamilySpec, limit: int, sieve: SigmaSieve) -> list
         return _powmod(t % mod, t if e == "n" else e, mod)
 
     def filtered():
-        for members in _tuple_blocks(k, limit):
+        values, last, keep = _last_slot(spec, limit, sieve) if k > 1 else (None, None, None)
+        for members in _tuple_blocks(k, limit, values, last):
             total = sum(members)
+            if keep is not None:
+                rows = np.flatnonzero(keep(members[-1], total))
+                members, total = [m[rows] for m in members], total[rows]
             column = cache(lambda a, b: [columns(a, b)[m] for m in members])
             num, den, rhs = mean_sides(spec, column, lambda e: powers(e)[total], mod)
             hit = np.flatnonzero(num == rhs * den % mod)
             yield [m[hit] for m in members]
 
-    def solved():
-        # the key of one member: its entry at k = 1, where the total is n
-        num, _, rhs = mean_sides(spec, lambda a, b: [columns(a, b)], lambda e: columns(e, 0), mod)
-        key = (num - rhs) % mod
+    def keys(entry):
+        # (key, target) of each member, read from the entry at k = 1; None
+        # when a denominator is 0 modulo the prime
+        num, den, rhs = mean_sides(spec, lambda a, b: [columns(a, b)], lambda e: columns(e, 0), mod, entry)
+        if entry[1]:
+            if not den[1:].all():
+                return None
+            num = num * _powmod(den, mod - 2, mod) % mod
+        # a right side without a term is the constant target
+        return ((num - rhs) % mod, 0) if np.ndim(rhs) else (num, rhs)
+
+    def solved(key, target):
         keyed = np.sort(key[1:] * (limit + 1) + n[1:])
         for prefixes in _tuple_blocks(k - 1, limit):
-            base = (-sum(key[m] for m in prefixes) % mod) * (limit + 1)
+            base = ((target - sum(key[m] for m in prefixes)) % mod) * (limit + 1)
             lo = np.searchsorted(keyed, base + prefixes[-1])
             count = np.searchsorted(keyed, base + limit + 1) - lo
             yield [np.repeat(m, count) for m in prefixes] + [keyed[_ranges(lo, count)] % (limit + 1)]
 
+    entry = _additive(spec) if k > 1 else None
+    keyed = keys(entry) if entry else None
     records = []
-    for members in solved() if k > 1 and _additive(spec) else filtered():
+    for members in solved(*keyed) if keyed else filtered():
         for t in zip(*(m.tolist() for m in members)):
             outcome = check(spec, t, sieve)
             if isinstance(outcome, TupleRecord):

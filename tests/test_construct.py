@@ -144,3 +144,17 @@ def test_find_seed_tuples_sieve_too_small(sieve_1k):
 def test_find_seed_tuples_requires_k_at_least_two(sieve_1k):
     with pytest.raises(ValueError):
         find_seed_tuples((2,), 100, sieve_1k)
+
+
+def test_find_seed_tuples_a_bound_drops_only_seeds_without_multipliers():
+    # a seed whose target denominator exceeds the a-bound admits no
+    # multiplier up to it, so dropping it up front changes no construction
+    sieve = build_sigma_sieve(3000)
+    for alphas in ((1, 2), (1, 1, 1)):
+        every = find_seed_tuples(alphas, 3000, sieve)
+        for a_bound in (1, 2, 5, 60, 3000):
+            kept = find_seed_tuples(alphas, 3000, sieve, a_bound)
+            assert kept == [s for s in every if s.target.denominator <= a_bound], (alphas, a_bound)
+            built = [b for s in every for b in construct_multiamicable(s, a_bound, sieve)]
+            assert [b for s in kept for b in construct_multiamicable(s, a_bound, sieve)] == built
+    assert find_seed_tuples((1, 2), 3000, sieve, 1)

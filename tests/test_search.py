@@ -1,5 +1,6 @@
 import json
 import math
+from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 
 import numpy as np
@@ -286,9 +287,91 @@ def test_additive_mean_families_solve_the_last_member(monkeypatch):
             (m, n) for m in range(1, limit + 1) for n in by_key.get(q * m**p - sig[m] ** p, ()) if m <= n
         )
         assert members_of(report) == expected, (kind, p, q)
+    # feebly, sum n/sigma(n) = 1, and whm with p = 1, the same equation times
+    # sum n, solve over the key n * sigma(n)^-1 modulo the prime
+    ratios = {}
+    for n in range(1, limit + 1):
+        ratios.setdefault(Fraction(n, sig[n]), []).append(n)
+    expected = sorted(
+        (m, n) for m in range(1, limit + 1) for n in ratios.get(1 - Fraction(m, sig[m]), ()) if m <= n
+    )
+    assert expected
+    for spec in (FamilySpec("feebly", 2), FamilySpec("whm", 2, p=1)):
+        calls.clear()
+        assert members_of(enumerate_family(spec, limit, sieve=sieve)) == expected, spec
     calls.clear()
     report = enumerate_family(FamilySpec("pm", 3, p=1, q=3), 200, sieve=sieve)
     assert members_of(report) == oracles.naive_family("pm", 200, k=3, p=1, q=3)
+
+
+def test_feebly_and_whm_p1_agree(sieve_10k):
+    # whm with p = 1 is the feebly equation times sum n > 0
+    for k, limit in ((2, 3000), (3, 300)):
+        feebly = members_of(enumerate_family(FamilySpec("feebly", k), limit, sieve=sieve_10k))
+        assert feebly == members_of(enumerate_family(FamilySpec("whm", k, p=1), limit, sieve=sieve_10k)), k
+        assert feebly, k
+    small = members_of(enumerate_family(FamilySpec("feebly", 3), 60, sieve=sieve_10k))
+    assert small == oracles.naive_family("feebly", 60, k=3)
+
+
+def test_key_solve_falls_back_where_sigma_has_no_inverse(sieve_1k, monkeypatch):
+    # modulo 7, sigma(4) = 7 and sigma(12) = 28 have no inverse, and (4, 12)
+    # is feebly: 4/7 + 12/28 = 1. The key solve cannot see such members, so
+    # the row filter over pairs runs instead of the solve over single prefixes
+    monkeypatch.setattr(search, "_MODULUS", 7)
+    sizes = []
+    blocks = search._tuple_blocks
+    monkeypatch.setattr(search, "_tuple_blocks", lambda k, *args: sizes.append(k) or blocks(k, *args))
+    for spec, kw in ((FamilySpec("feebly", 2), {}), (FamilySpec("whm", 2, p=1), dict(p=1))):
+        sizes.clear()
+        found = members_of(enumerate_family(spec, 60, sieve=sieve_1k))
+        assert (4, 12) in found
+        assert found == oracles.naive_family(spec.kind, 60, k=2, **kw), spec
+        assert sizes == [2], spec
+    # sigma(1..3) = 1, 3, 4 are units modulo 7, so the solve runs
+    sizes.clear()
+    assert members_of(enumerate_family(FamilySpec("feebly", 2), 3, sieve=sieve_1k)) == []
+    assert sizes == [1]
+
+
+def test_mean_last_slot_cuts_drop_no_member(sieve_1k):
+    # hm caps the total by every member, q*sigma_i^p > T^p, and masks the last
+    # member's row when q < k^p; gm at k = 2 needs a member with sigma >= 2n
+    for k, limit, pqs in (
+        (2, 200, ((1, 2), (1, 3), (2, 1), (2, 2), (2, 5), (3, 2), (3, 13), (3, 16))),
+        (3, 40, ((1, 2), (1, 6), (2, 16), (3, 24))),
+    ):
+        for p, q in pqs:
+            report = enumerate_family(FamilySpec("hm", k, p=p, q=q), limit, sieve=sieve_1k)
+            assert members_of(report) == oracles.naive_family("hm", limit, k=k, p=p, q=q), (k, p, q)
+            assert report.records or (k, p, q) == (3, 1, 2)
+    report = enumerate_family(FamilySpec("gm", 2), 600, sieve=sieve_1k)
+    assert members_of(report) == oracles.naive_family("gm", 600, k=2)
+    assert len(report.records) > 5
+
+
+def test_hm_row_mask_keeps_every_admissible_total(sieve_1k):
+    # the mask on the last member v keeps each total T with T^p < q*sigma(v)^p;
+    # at p = 1 it is exact, and otherwise within sigma(v)/2^16 + 1 of it
+    v, total = np.divmod(np.arange(100 * 400), 400)
+    v, total = v + 1, total + 1
+    for p, q in ((1, 1), (1, 2), (2, 1), (2, 3), (3, 5)):
+        _, _, keep = search._last_slot(FamilySpec("hm", 5, p=p, q=q), 100, sieve_1k)
+        kept = keep(v, total).tolist()
+        for n, t, ok in zip(v.tolist(), total.tolist(), kept):
+            s = sigma(n)
+            if t**p < q * s**p:
+                assert ok, (p, q, n, t)
+            elif p == 1 or (t - 1) ** p >= q * s**p:
+                assert not ok, (p, q, n, t)
+
+
+def test_iroot_is_the_floor_of_the_root():
+    for p in (1, 2, 3, 5, 64):
+        for x in (*range(300), 2**64 - 1, 2**64, 3**100):
+            c = search._iroot(x, p)
+            assert c**p <= x < (c + 1) ** p, (x, p)
+    assert search._iroot(5, 2**62) == 1
 
 
 def test_mean_kernel_reads_only_the_limit(sieve_10k):
