@@ -3,26 +3,23 @@
 Envelope keys are stable (command, params, results, timing, version) and all
 payload arrays are canonically ordered, so identical invocations produce
 byte-identical JSON apart from the timing block.
+
+Only arith and families load with this module; each handler imports the
+modules its command uses when it runs, so check and verify-tables, which
+build no sigma table, start without numpy.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 
-from . import __version__, density
-from .arith import DEFAULT_SIEVE_BUDGET, build_sigma_sieve, parse_factored
-from .construct import construct_multiamicable, find_seed_tuples, seed_ratio
+from . import __version__
+from .arith import DEFAULT_SIEVE_BUDGET, parse_factored
 from .families import FIXED_K, KINDS, FamilySpec, Mismatch, _joined, check
-from .search import (
-    _needed_coverage,
-    check_search_limit,
-    enumerate_family,
-    scan_open_question,
-    verify_tables,
-)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -156,6 +153,8 @@ def _search_csv(report) -> str:
 
 
 def _cmd_sieve(args):
+    from .sieve import build_sigma_sieve
+
     sieve = build_sigma_sieve(args.limit, args.sieve_budget)
     values = sieve.as_list()
     params = {"limit": args.limit}
@@ -184,6 +183,9 @@ def _cmd_check(args):
 
 
 def _cmd_search(args):
+    from .search import _needed_coverage, check_search_limit, enumerate_family
+    from .sieve import build_sigma_sieve
+
     spec = _family_spec(args.family, args.k, args.p, args.q, args.alphas)
     check_search_limit(args.limit, spec)
     size = _needed_coverage(spec, args.limit, args.sieve_budget)
@@ -200,6 +202,9 @@ def _cmd_search(args):
 
 
 def _cmd_construct(args):
+    from .construct import construct_multiamicable, find_seed_tuples, seed_ratio
+    from .sieve import build_sigma_sieve
+
     alphas = tuple(_parse_int_list(args.alphas, "alphas"))
     if (args.ns is None) == (args.seed_limit is None):
         raise ValueError("construct requires exactly one of --ns or --seed-limit")
@@ -245,12 +250,18 @@ def _series_csv(series) -> str:
 
 
 def _cmd_density(args):
+    from . import density
+    from .search import check_search_limit
+    from .sieve import build_sigma_sieve
+
     mode = args.mode
     if mode == "pomerance":
         try:
             pts = [float(tok) for tok in args.checkpoints.split(",")]
         except ValueError:
             raise ValueError(f"malformed checkpoints: {args.checkpoints!r}") from None
+        if not all(map(math.isfinite, pts)):
+            raise ValueError("checkpoints must be finite")
     else:
         pts = _parse_int_list(args.checkpoints, "checkpoints")
     params = {"mode": mode, "checkpoints": pts}
@@ -299,6 +310,9 @@ def _cmd_density(args):
 
 
 def _cmd_scan_question(args):
+    from .search import check_search_limit, scan_open_question
+    from .sieve import build_sigma_sieve
+
     check_search_limit(args.limit)
     sieve = build_sigma_sieve(args.limit, args.sieve_budget)
     report = scan_open_question(args.limit, sieve)
@@ -309,6 +323,8 @@ def _cmd_scan_question(args):
 
 
 def _cmd_verify_tables(args):
+    from .tables import verify_tables
+
     report = verify_tables()
     rows = [
         {

@@ -15,9 +15,10 @@ from itertools import combinations
 
 import numpy as np
 
-from .arith import SigmaSieve, covering_sieve, sigma
+from .arith import sigma
 from .families import is_multiamicable
 from .search import _capped, sigma_groups
+from .sieve import SigmaSieve, covering_sieve
 
 
 @dataclass(frozen=True)

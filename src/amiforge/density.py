@@ -12,9 +12,10 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import SigmaSieve, covering_sieve, zeta_approx
+from .arith import zeta_approx
 from .families import FamilySpec
 from .search import enumerate_family, partner_pairs
+from .sieve import SigmaSieve, covering_sieve
 
 ZETA_EPS = 1e-9
 _START_BITS = 128  # fixed-point bits of the first lemma-sum enclosure
@@ -84,7 +85,7 @@ def count_multiamicable_pairs(alpha: int, beta: int, checkpoints, sieve: SigmaSi
     verified, so n itself needs no scan bound: a partner past the sieve is
     checked through the search's _aliquots, exactly and in int64. Since
     n < sigma(m) < 7*limit <= R^2 for limit >= 7, one vectorised
-    arith.sigma_beyond pass serves every partner.
+    sieve.sigma_beyond pass serves every partner.
     """
     if alpha < 1 or beta < 1:
         raise ValueError("alpha and beta must be positive integers")
@@ -126,6 +127,8 @@ def lemma_sum_check(
     enough only for k <= 2: at k = 3 the partial sums average out near 6.1*x
     while zeta(2)^3*zeta(5) is about 4.62, so holds comes back False for
     every x >= 24. The report simply says what the numbers say.
+
+    Raises ValueError when the bound or the sum is too large for a float.
     """
     if x < 1:
         raise ValueError("x must be >= 1")
@@ -139,6 +142,8 @@ def lemma_sum_check(
         factors.append(zeta_approx(2 * k - 1, eps))
     rhs_hi = math.prod((z + eps for z in factors), start=x)
     rhs_lo = math.prod((z - eps for z in factors), start=x)
+    if not math.isfinite(rhs_hi):
+        raise ValueError(f"the lemma bound at x={x}, k={k} is too large for a float")
     num, den = rhs_lo.as_integer_ratio()
     bits = _START_BITS
     lo, hi = _fixed_point_sum(sig, x, k, bits)
@@ -146,7 +151,11 @@ def lemma_sum_check(
         bits *= 2
         lo, hi = _fixed_point_sum(sig, x, k, bits)
     lhs = Fraction(hi, 1 << bits)
-    return BoundReport(x, k, lhs, rhs_hi, rhs_hi - float(lhs), hi * den < num << bits, True)
+    try:
+        margin = rhs_hi - float(lhs)
+    except OverflowError:
+        raise ValueError(f"the lemma sum at x={x}, k={k} is too large for a float") from None
+    return BoundReport(x, k, lhs, rhs_hi, margin, hi * den < num << bits, True)
 
 
 def harmonic_floor_sum(x: int) -> Fraction:

@@ -13,8 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
+from typing import TYPE_CHECKING
 
-from .arith import SigmaSieve, factorize, sigma
+from .arith import factorize, sigma
+
+if TYPE_CHECKING:
+    from .sieve import SigmaSieve
 
 KINDS = (
     "amicable-pair",

@@ -1,5 +1,5 @@
-"""Bounded exhaustive enumeration of every family, plus table verification
-and scan harnesses for the open conjecture and question.
+"""Bounded exhaustive enumeration of every family, and scan harnesses for
+the open conjecture and question.
 
 The linear kinds run in this process as whole-array numpy passes over the
 sigma table: perfect numbers, amicable numbers and pairs, Cohen and
@@ -25,20 +25,9 @@ from functools import cache
 
 import numpy as np
 
-from . import tables
-# CoverageError is imported here so that callers of the scans can catch it
-# from this module, which raises it through covering_sieve.
-from .arith import (
-    DEFAULT_SIEVE_BUDGET,
-    CoverageError,
-    SigmaSieve,
-    beyond_reach,
-    build_sigma_sieve,
-    covering_sieve,
-    sigma,
-    sigma_beyond,
-)
+from .arith import DEFAULT_SIEVE_BUDGET, sigma
 from .families import MEAN_EQUATIONS, FamilySpec, Mismatch, TupleRecord, check, mean_sides
+from .sieve import SigmaSieve, beyond_reach, build_sigma_sieve, covering_sieve, sigma_beyond
 
 MAX_SEARCH_LIMIT = 10**7  # keeps sigma buckets and tables within memory bounds
 
@@ -631,42 +620,6 @@ def _verified(spec: FamilySpec, found, sieve: SigmaSieve) -> list[TupleRecord]:
             raise RuntimeError(f"search produced a non-member: {outcome.describe()}")
         records.append(outcome)
     return records
-
-
-@dataclass
-class TableRowResult:
-    group: str
-    spec: FamilySpec
-    members: tuple[int, ...]
-    passed: bool
-    sigmas: tuple[int, ...]
-    detail: str
-
-
-@dataclass
-class TableReport:
-    rows: list[TableRowResult]
-
-    @property
-    def all_pass(self) -> bool:
-        return all(r.passed for r in self.rows)
-
-    @property
-    def failures(self) -> list[TableRowResult]:
-        return [r for r in self.rows if not r.passed]
-
-
-def verify_tables(sieve: SigmaSieve | None = None) -> TableReport:
-    """Check every stored reference tuple against its family predicate."""
-    rows = []
-    for group, spec, members in tables.all_rows():
-        outcome = check(spec, members, sieve, provenance="table")
-        if isinstance(outcome, TupleRecord):
-            rows.append(TableRowResult(group, spec, members, True, outcome.sigmas, ""))
-        else:
-            sigmas = tuple(sigma(n, sieve) for n in members)
-            rows.append(TableRowResult(group, spec, members, False, sigmas, outcome.describe()))
-    return TableReport(rows)
 
 
 def scan_open_question(limit: int, sieve: SigmaSieve | None = None) -> SearchReport:

@@ -3,15 +3,20 @@
 Numbers that appear in factored form are kept as factored strings and
 expanded at import time; the expansion is cross-checked against factorize so
 a transcription slip cannot survive silently. The one duplicated hm row in
-the source material is stored once.
+the source material is stored once. verify_tables checks every row against
+its family predicate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from .arith import factorize, parse_factored
-from .families import FamilySpec
+from .arith import factorize, parse_factored, sigma
+from .families import FamilySpec, TupleRecord, check
+
+if TYPE_CHECKING:
+    from .sieve import SigmaSieve
 
 
 @dataclass(frozen=True)
@@ -229,3 +234,39 @@ def all_rows() -> list[tuple[str, FamilySpec, tuple[int, ...]]]:
     for k, p, q, t in MP_TUPLES:
         rows.append(("mp", FamilySpec("mp", k, p=p, q=q), t))
     return rows
+
+
+@dataclass
+class TableRowResult:
+    group: str
+    spec: FamilySpec
+    members: tuple[int, ...]
+    passed: bool
+    sigmas: tuple[int, ...]
+    detail: str
+
+
+@dataclass
+class TableReport:
+    rows: list[TableRowResult]
+
+    @property
+    def all_pass(self) -> bool:
+        return all(r.passed for r in self.rows)
+
+    @property
+    def failures(self) -> list[TableRowResult]:
+        return [r for r in self.rows if not r.passed]
+
+
+def verify_tables(sieve: SigmaSieve | None = None) -> TableReport:
+    """Check every stored reference tuple against its family predicate."""
+    rows = []
+    for group, spec, members in all_rows():
+        outcome = check(spec, members, sieve, provenance="table")
+        if isinstance(outcome, TupleRecord):
+            rows.append(TableRowResult(group, spec, members, True, outcome.sigmas, ""))
+        else:
+            sigmas = tuple(sigma(n, sieve) for n in members)
+            rows.append(TableRowResult(group, spec, members, False, sigmas, outcome.describe()))
+    return TableReport(rows)

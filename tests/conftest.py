@@ -3,7 +3,7 @@ import json
 import pytest
 
 from amiforge import cli
-from amiforge.arith import build_sigma_sieve
+from amiforge.sieve import build_sigma_sieve
 
 import acceptance_log
 

@@ -31,12 +31,8 @@ from amiforge.families import (
     is_whm,
     is_wpm,
 )
-from amiforge.search import (
-    enumerate_family,
-    scan_open_question,
-    verify_tables,
-)
-from amiforge.tables import SEEDED_MULTIAMICABLE, all_rows, seed_values
+from amiforge.search import enumerate_family, scan_open_question
+from amiforge.tables import SEEDED_MULTIAMICABLE, all_rows, seed_values, verify_tables
 
 import oracles
 from acceptance_log import record

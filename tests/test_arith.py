@@ -10,16 +10,15 @@ from amiforge.arith import (
     Factorization,
     abundancy,
     aliquot,
-    build_sigma_sieve,
     factorize,
     gcd_list,
     is_prime,
     lcm_list,
     parse_factored,
     sigma,
-    sigma_beyond,
     zeta_approx,
 )
+from amiforge.sieve import build_sigma_sieve, sigma_beyond
 
 import oracles
 
@@ -161,7 +160,7 @@ def test_sigma_beyond_matches_divisor_loop(monkeypatch):
     x = np.arange(limit + 1, limit * limit + 1)
     expected = [oracles.divisor_sigma(v) for v in x.tolist()]
     assert sigma_beyond(build_sigma_sieve(limit), x).tolist() == expected
-    monkeypatch.setattr(arith, "_BEYOND_BLOCK", 100)
+    monkeypatch.setattr("amiforge.sieve._BEYOND_BLOCK", 100)
     assert sigma_beyond(build_sigma_sieve(limit), x).tolist() == expected
 
 
@@ -257,6 +256,16 @@ def test_zeta_validation():
         zeta_approx(1, 1e-9)
     with pytest.raises(ValueError):
         zeta_approx(2, 0.0)
+
+
+def test_zeta_past_the_float_range():
+    # 1.0 / m**s overflows once m**s passes the float range; the term is then
+    # the int true division, correctly rounded to a subnormal or to 0.0
+    assert arith._inverse_power(2, 10) == 1 / 1024
+    assert arith._inverse_power(2, 1050) == 2.0**-1050 > 0
+    assert arith._inverse_power(3, 1050) == 0.0
+    assert zeta_approx(1050, 1e-9) == 1.0
+    assert zeta_approx(1199, 1e-9) == 1.0
 
 
 def test_parse_factored():

@@ -11,7 +11,7 @@ import pytest
 
 from amiforge import cli
 from amiforge.families import FamilySpec
-from amiforge.search import TableReport, TableRowResult
+from amiforge.tables import TableReport, TableRowResult
 
 import oracles
 
@@ -151,7 +151,7 @@ def test_each_command_sizes_its_own_sieve(capsys, monkeypatch):
         sizes.append(limit)
         raise ValueError("sieve size recorded")
 
-    monkeypatch.setattr(cli, "build_sigma_sieve", recorded)
+    monkeypatch.setattr("amiforge.sieve.build_sigma_sieve", recorded)
     budget = str(8 * 300001 - 1)  # just short of a sieve to 1000 * 300
     for argv, size in (
         (["sieve"], 10**6),
@@ -193,7 +193,7 @@ def test_verify_tables(capsys):
 def test_verify_tables_failure_exit_code(capsys, monkeypatch):
     spec = FamilySpec("gm", 2)
     bad = TableRowResult("gm", spec, (28, 85), False, (56, 108), "prod sigma: LHS 6048 != RHS 12769")
-    monkeypatch.setattr(cli, "verify_tables", lambda sieve=None: TableReport([bad]))
+    monkeypatch.setattr("amiforge.tables.verify_tables", lambda sieve=None: TableReport([bad]))
     code = cli.run(["verify-tables"])
     out = capsys.readouterr().out
     assert code == 1
@@ -328,6 +328,9 @@ def test_usage_errors_exit_two(capsys):
         # the sieve to --a-bound is over budget, so this is refused at once
         ["construct", "--alphas", "1,2", "--ns", "104,116", "--a-bound", "10000000000000"],
         ["construct", "--alphas", "1,2", "--seed-limit", "10", "--a-bound", "0"],
+        # a lemma bound or sum past the float range is refused, not a traceback
+        ["density", "lemma", "--k", "1500", "--checkpoints", "3"],
+        ["density", "lemma", "--k", "900", "--checkpoints", "12"],
     ]
     for argv in cases:
         assert cli.run(argv) == 2, argv
@@ -339,6 +342,10 @@ def test_usage_errors_exit_two(capsys):
     ):
         assert cli.run(argv) == 2, argv
         assert "sieve budget must be >= 1" in capsys.readouterr().err
+    # non-finite checkpoints are refused, not a traceback
+    for value in ("inf", "1e400", "nan", "2.5,nan"):
+        assert cli.run(["density", "pomerance", "--checkpoints", value]) == 2, value
+        assert capsys.readouterr().err == "error: checkpoints must be finite\n", value
     assert cli.run(["construct", "--alphas", "1,2", "--ns", "104,116", "--a-bound", "20", "--sieve-limit", "5"]) == 2
     assert "unrecognized arguments: --sieve-limit 5" in capsys.readouterr().err
 
@@ -348,7 +355,7 @@ def test_search_cap_checked_before_sieve(monkeypatch, capsys):
     def no_sieve(*args, **kwargs):
         raise AssertionError("a sieve was built for a limit over the cap")
 
-    monkeypatch.setattr(cli, "build_sigma_sieve", no_sieve)
+    monkeypatch.setattr("amiforge.sieve.build_sigma_sieve", no_sieve)
     for argv in (
         ["search", "amicable-pair", "--limit", "10000001", "--workers", "1"],
         ["search", "multiamicable", "--alphas", "1,2", "--limit", "10000001", "--workers", "2"],

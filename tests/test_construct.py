@@ -4,13 +4,14 @@ from fractions import Fraction
 import pytest
 
 from amiforge import arith
-from amiforge.arith import CoverageError, build_sigma_sieve, sigma
+from amiforge.arith import sigma
 from amiforge.construct import (
     construct_multiamicable,
     find_multipliers,
     find_seed_tuples,
     seed_ratio,
 )
+from amiforge.sieve import CoverageError, build_sigma_sieve
 
 import oracles
 

@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 from amiforge import arith, density, search
-from amiforge.arith import CoverageError, zeta_approx
+from amiforge import sieve as sieve_module
+from amiforge.arith import zeta_approx
 from amiforge.density import (
     BoundReport,
     amicable_members,
@@ -15,6 +16,7 @@ from amiforge.density import (
     pomerance_curve,
 )
 from amiforge.families import is_amicable_pair
+from amiforge.sieve import CoverageError, build_sigma_sieve
 
 import oracles
 
@@ -67,12 +69,12 @@ def test_count_multiamicable_partner_past_x():
         return count
 
     for alpha, beta, pts in ((1, 1, (250, 1200, 2700)), (1, 2, (1600,)), (2, 1, (3000,)), (3, 5, (2000,))):
-        sieve = arith.build_sigma_sieve(pts[-1])
+        sieve = build_sigma_sieve(pts[-1])
         series = count_multiamicable_pairs(alpha, beta, pts, sieve)
         assert series.counts == tuple(brute(alpha, beta, x) for x in pts), (alpha, beta)
-    assert count_multiamicable_pairs(1, 1, (250, 1200), arith.build_sigma_sieve(1200)).counts == (1, 2)
+    assert count_multiamicable_pairs(1, 1, (250, 1200), build_sigma_sieve(1200)).counts == (1, 2)
     # (1560, 1740) is the first (1, 2) pair; its partner is past x = 1600
-    assert count_multiamicable_pairs(1, 2, (1600,), arith.build_sigma_sieve(1600)).counts == (1,)
+    assert count_multiamicable_pairs(1, 2, (1600,), build_sigma_sieve(1600)).counts == (1,)
 
 
 def test_sieve_too_small_raises(sieve_1k):
@@ -85,7 +87,7 @@ def test_amicable_members_search_cap(monkeypatch):
     def no_sieve(*args, **kwargs):
         raise AssertionError("a sieve was built for a limit over the cap")
 
-    for module in (arith, search, density):
+    for module in (arith, search, density, sieve_module):
         monkeypatch.setattr(module, "build_sigma_sieve", no_sieve, raising=False)
     with pytest.raises(ValueError, match="exceeds the cap"):
         amicable_members(search.MAX_SEARCH_LIMIT + 1)
@@ -197,6 +199,17 @@ def test_lemma_validation(sieve_1k):
         lemma_sum_check(10, 0, sieve_1k)
     with pytest.raises(ValueError):
         lemma_sum_check(2000, 1, sieve_1k)
+
+
+def test_lemma_past_the_float_range(sieve_1k):
+    # zeta(1199) needs terms 1/m^1199 below the float range; the check runs
+    report = lemma_sum_check(3, 600, sieve_1k)
+    assert report.holds and report.rhs > float(report.lhs)
+    # the bound at k = 1500, and the sum at x = 12, k = 900, pass 2^1024
+    with pytest.raises(ValueError, match="bound at x=3, k=1500 is too large"):
+        lemma_sum_check(3, 1500, sieve_1k)
+    with pytest.raises(ValueError, match="sum at x=12, k=900 is too large"):
+        lemma_sum_check(12, 900, sieve_1k)
 
 
 def test_pomerance_examples(sieve_1k):

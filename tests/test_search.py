@@ -7,15 +7,15 @@ import numpy as np
 import pytest
 
 from amiforge import arith, cli, search
-from amiforge.arith import SigmaSieve, build_sigma_sieve, sigma
+from amiforge.arith import sigma
 from amiforge.families import MEAN_EQUATIONS, FamilySpec, holds
 from amiforge.search import (
     MAX_SEARCH_LIMIT,
-    CoverageError,
     conjecture_census,
     enumerate_family,
     scan_open_question,
 )
+from amiforge.sieve import CoverageError, SigmaSieve, build_sigma_sieve
 
 import oracles
 

@@ -4,12 +4,12 @@ from fractions import Fraction
 import pytest
 
 from amiforge.families import FamilySpec, holds
-from amiforge.search import verify_tables
 from amiforge.tables import (
     SEEDED_MULTIAMICABLE,
     all_rows,
     expand_factored,
     seed_values,
+    verify_tables,
 )
 
 import oracles
