@@ -17,15 +17,31 @@ if TYPE_CHECKING:
 
 DEFAULT_SIEVE_BUDGET = 2 * 1024**3  # bytes
 
-# Deterministic Miller-Rabin witness set, sound for every n below 3.3e24.
-_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Miller-Rabin with the first 13 primes as bases is deterministic below
+# psi_13 = 3317044064679887385961981 (Sorenson and Webster, 2015). The first
+# 12 are not enough past psi_12 = 318665857834031151167461, a strong
+# pseudoprime to every base up to 37.
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_TEST_BOUND = 3317044064679887385961981
+
+# factorize tries the trial divisors d <= _TRIAL_BOUND at most, so every
+# n < 10^14 factors completely, and a cofactor it cannot prove prime is
+# refused after about 2.7 * 10^6 divisions.
+_TRIAL_BOUND = 10**7
+
+# parse_factored refuses a value of more bits than this, which keeps each of
+# those divisions short.
+MAX_MEMBER_BITS = 1024
 
 # Gaps between consecutive trial divisors coprime to 30, starting from 7.
 _WHEEL = (4, 2, 4, 2, 4, 6, 2, 6)
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin primality test."""
+    """Deterministic Miller-Rabin primality test for n < PRIME_TEST_BOUND;
+    raises ValueError at or above it, where the bases prove nothing."""
+    if n >= PRIME_TEST_BOUND:
+        raise ValueError(f"{n} is past the proven range of the primality test")
     if n < 2:
         return False
     for p in _WITNESSES:
@@ -64,10 +80,14 @@ class Factorization:
 
 @lru_cache(maxsize=1 << 16)
 def factorize(n: int) -> Factorization:
-    """Factor n by trial division on a mod-30 wheel.
+    """Factor n by trial division on a mod-30 wheel, up to _TRIAL_BOUND.
 
-    Once the remaining cofactor passes a primality test the loop stops early,
-    so semiprimes with one large factor do not pay the full sqrt walk.
+    Every factor returned is proven prime: a cofactor with no divisor
+    d <= isqrt(cofactor) is prime, and so is one below PRIME_TEST_BOUND
+    that is_prime accepts. Once the remaining cofactor passes that test the
+    loop stops early, so semiprimes with one large factor do not pay the
+    full sqrt walk. A cofactor left past the trial bound that is not proven
+    prime raises ValueError instead of a long walk or an unproven factor.
     """
     if n < 1:
         raise ValueError("factorize requires n >= 1")
@@ -86,14 +106,16 @@ def factorize(n: int) -> Factorization:
     for p in (2, 3, 5):
         n = strip(n, p)
     d, i = 7, 0
-    while d * d <= n:
+    while d * d <= n and d <= _TRIAL_BOUND:
         if n % d == 0:
             n = strip(n, d)
-            if n > 1 and is_prime(n):
+            if 1 < n < PRIME_TEST_BOUND and is_prime(n):
                 break
         d += _WHEEL[i]
         i = (i + 1) & 7
     if n > 1:
+        if d * d <= n and not (n < PRIME_TEST_BOUND and is_prime(n)):
+            raise ValueError(f"cannot factor {value}: {n} has no factor up to {_TRIAL_BOUND} and is not proven prime")
         factors.append((n, 1))
     return Factorization(value, tuple(factors))
 
@@ -164,7 +186,12 @@ def zeta_approx(s: int, eps: float) -> float:
 
 
 def parse_factored(text: str) -> int:
-    """Parse a factored form like '2^3*13' (or a plain integer) into its value."""
+    """Parse a factored form like '2^3*13' (or a plain integer) into its value.
+
+    Raises ValueError when the value has more than MAX_MEMBER_BITS bits. A
+    factor that would take the product past them by its lower bound
+    total * 2^(e*(bit_length(b) - 1)) is refused before b**e is computed,
+    so no power of more than twice MAX_MEMBER_BITS bits is ever formed."""
     t = text.strip()
     if not t:
         raise ValueError("empty integer expression")
@@ -178,5 +205,9 @@ def parse_factored(text: str) -> int:
             raise ValueError(f"malformed factor {token!r} in {text!r}") from None
         if b < 1 or e < 1:
             raise ValueError(f"invalid factor {token!r} in {text!r}")
+        if total.bit_length() + e * (b.bit_length() - 1) > MAX_MEMBER_BITS:
+            raise ValueError(f"{text!r} is longer than {MAX_MEMBER_BITS} bits")
         total *= b**e
+    if total.bit_length() > MAX_MEMBER_BITS:
+        raise ValueError(f"{text!r} is longer than {MAX_MEMBER_BITS} bits")
     return total

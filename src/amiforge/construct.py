@@ -11,13 +11,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 
 import numpy as np
 
 from .arith import sigma
 from .families import is_multiamicable
-from .search import _capped, sigma_groups
+from .search import _CAP, MAX_SEARCH_LIMIT, _capped, equal_sigma_blocks
 from .sieve import SigmaSieve, covering_sieve
 
 
@@ -110,12 +109,17 @@ def find_seed_tuples(
     alphas, n_limit: int, sieve: SigmaSieve | None = None, a_bound: int | None = None
 ) -> list[SeedTuple]:
     """All strictly increasing equal-sigma seeds N_1 < ... < N_k <= n_limit
-    whose target ratio is at least 1, from the search's sigma groups.
+    whose target ratio is at least 1, from search.equal_sigma_blocks.
 
     With a_bound, only the seeds whose target denominator is at most a_bound
     are kept: every multiplier is a multiple of that denominator, so the
-    others admit none up to a_bound. A combination is skipped on its
-    denominator, sigma // gcd(total, sigma), before any Fraction is built.
+    others admit none up to a_bound. Each block is filtered in numpy, and a
+    Fraction is built only for the seeds kept: total = sum alpha_i*N_i
+    reaches sigma when the running min(. + min(alpha_i, sigma)*N_i, sigma)
+    does, and the denominator is sigma // gcd(total mod sigma, sigma), with
+    total mod sigma summed from (alpha_i mod sigma)*N_i, taken per row in
+    Python for a weight of 2^62 or more. int64: sigma < 2^26 and N < 2^24
+    for N <= MAX_SEARCH_LIMIT, so both products stay below 2^50.
 
     Raises CoverageError when the given sieve stops short of n_limit.
     """
@@ -127,11 +131,19 @@ def find_seed_tuples(
         raise ValueError("alphas must be positive integers")
     if n_limit < 1:
         raise ValueError("N_limit must be >= 1")
+    if n_limit > MAX_SEARCH_LIMIT:
+        raise ValueError(f"N_limit {n_limit} exceeds the cap of {MAX_SEARCH_LIMIT}")
+    bound = _CAP if a_bound is None else _capped(a_bound)
     out = []
-    for s_value, members in sigma_groups(covering_sieve(n_limit, sieve), n_limit, k):
-        for combo in combinations(members, k):
-            total = sum(a * n for a, n in zip(alphas, combo))
-            if total >= s_value and (a_bound is None or s_value // math.gcd(total, s_value) <= a_bound):
-                out.append(SeedTuple(alphas, combo, Fraction(total, s_value)))
+    for s, members in equal_sigma_blocks(covering_sieve(n_limit, sieve), n_limit, k):
+        reached, rest = np.zeros_like(s), np.zeros_like(s)
+        for a, m in zip(alphas, members):
+            reached = np.minimum(reached + np.minimum(_capped(a), s) * m, s)
+            residue = a % s if a < _CAP else np.array([a % v for v in s.tolist()])
+            rest = (rest + residue * m) % s
+        keep = (reached == s) & (s // np.gcd(rest, s) <= bound)
+        for row in np.flatnonzero(keep).tolist():
+            ns = tuple(int(m[row]) for m in members)
+            out.append(SeedTuple(alphas, ns, Fraction(sum(a * n for a, n in zip(alphas, ns)), int(s[row]))))
     out.sort(key=lambda seed: seed.ns)
     return out

@@ -13,8 +13,9 @@ whose key is n * sigma(n)^-1 modulo the prime) the last member is solved
 for over the sorted keys instead; hm, and gm at k = 2, first narrow each
 prefix's last slot with a necessary inequality. Multiamicable, Dickson and
 Yanney tuples of three or more members group 1..L by sigma with one stable
-argsort and grow their prefixes within each group in numpy chunks. Every
-search runs in this one process."""
+argsort and solve for the last member. These, the mean families and the
+equal-sigma seeds all grow their prefixes with _tuple_blocks, in numpy
+blocks of bounded size. Every search runs in this one process."""
 
 from __future__ import annotations
 
@@ -38,12 +39,11 @@ MAX_SEARCH_LIMIT = 10**7  # keeps sigma buckets and tables within memory bounds
 # keeps that while fitting int64.
 _CAP = 1 << 62
 
-# The mean families' row filter works modulo this prime, 2^31 - 1, and
-# evaluates at most _BLOCK candidate tuples at a time.
+# The mean families' row filter works modulo this prime, 2^31 - 1. Scans take
+# blocks of at most _BLOCK tuples, or of _CHUNK prefixes for the bucket kinds
+# at k >= 3, each read when the scan starts.
 _MODULUS = 2**31 - 1
 _BLOCK = 1 << 13
-
-# The bucket kinds at k >= 3 expand about _CHUNK prefixes at a time.
 _CHUNK = 1 << 20
 
 
@@ -219,26 +219,62 @@ def _by_sigma(sieve: SigmaSieve, limit: int) -> tuple[np.ndarray, np.ndarray]:
     return order + 1, sieve.table[1:][order]
 
 
-def sigma_groups(sieve: SigmaSieve, limit: int, size: int) -> list[tuple[int, tuple[int, ...]]]:
-    """(sigma, members) of each sigma value shared by at least size members
-    of 1..limit; members ascending, sigma values ascending."""
+def _tuple_blocks(k: int, slot, size: int):
+    """The k-tuples grown one slot at a time, in blocks of at most size
+    tuples, each block a list of k member arrays, in the order of their
+    prefixes and then of each prefix's slice.
+
+    Slot j of every j-prefix runs over values[lo:hi], where
+    (values, lo, hi) = slot(j, heads) for the list heads of a block's j
+    member arrays, one prefix per row; lo and hi are ints or per-row
+    arrays, and at j = 0 heads is [], the one empty prefix. k >= 1.
+    """
+    for heads in _tuple_blocks(k - 1, slot, size) if k > 1 else [[]]:
+        yield from _expand(heads, *slot(k - 1, heads), size)
+
+
+def _expand(heads: list[np.ndarray], values: np.ndarray, lo, hi, size: int):
+    """Each row of heads followed by each of values[lo:hi], lo and hi taken
+    per row, as lists of member arrays of at most size rows; a head's
+    slice is split where a block fills up."""
+    lo, hi = np.broadcast_arrays(np.atleast_1d(lo), hi)
+    count = np.maximum(hi - lo, 0)
+    ends = np.cumsum(count)
+    total = int(ends[-1])
+    for start in range(0, total, size):
+        stop = min(start + size, total)
+        a, b = np.searchsorted(ends, [start, stop - 1], side="right")
+        first, length = lo[a : b + 1].copy(), count[a : b + 1].copy()
+        skip = start - (ends[a] - count[a])
+        first[0] += skip
+        length[0] -= skip
+        length[-1] -= ends[b] - stop
+        yield [np.repeat(h[a : b + 1], length) for h in heads] + [values[_ranges(first, length)]]
+
+
+def _ranges(lo: np.ndarray, length: np.ndarray) -> np.ndarray:
+    """The concatenated ranges lo[i] .. lo[i] + length[i] - 1."""
+    return np.arange(length.sum()) + np.repeat(lo - (np.cumsum(length) - length), length)
+
+
+def equal_sigma_blocks(sieve: SigmaSieve, limit: int, k: int):
+    """The strictly increasing k-tuples over 1..limit of one sigma value, in
+    blocks (sigma, members) of at most _BLOCK tuples, members a list of k
+    arrays; the sieve must cover limit. _tuple_blocks grows them over
+    positions in the _by_sigma order: slot j > 0 runs from the position
+    after the prefix's last member to the end of its sigma run, less the
+    k - 1 - j positions the later members need."""
     n, sig = _by_sigma(sieve, limit)
-    starts = np.flatnonzero(np.diff(sig, prepend=-1))
-    ends = np.append(starts[1:], limit)
-    keep = ends - starts >= size
-    return [
-        (int(sig[a]), tuple(n[a:b].tolist()))
-        for a, b in zip(starts[keep].tolist(), ends[keep].tolist())
-    ]
+    run_end = np.searchsorted(sig, sig, side="right")
+    everywhere = np.arange(limit)
 
+    def slot(j, heads):
+        if j == 0:
+            return everywhere, 0, limit
+        return everywhere, heads[-1] + 1, run_end[heads[-1]] - (k - 1 - j)
 
-def _chunks(count: np.ndarray) -> list[tuple[int, int]]:
-    """Slices [a, b) of the rows whose counts sum to about _CHUNK each; a
-    slice exceeds it only by the count of its last row."""
-    total = np.cumsum(count)
-    cuts = np.searchsorted(total, np.arange(_CHUNK, total[-1] if len(total) else 0, _CHUNK), side="right")
-    bounds = [0, *cuts.tolist(), len(count)]
-    return [(a, b) for a, b in zip(bounds, bounds[1:]) if a < b]
+    for block in _tuple_blocks(k, slot, _BLOCK):
+        yield sig[block[0]], [n[h] for h in block]
 
 
 def _bucket_tuples(spec: FamilySpec, limit: int, sieve: SigmaSieve):
@@ -248,15 +284,16 @@ def _bucket_tuples(spec: FamilySpec, limit: int, sieve: SigmaSieve):
     otherwise, members non-decreasing; T is sigma times k - 1 for yanney and
     times 1 otherwise.
 
-    1..limit is sorted once by the key sigma*(limit + 1) + n, so each sigma
-    value's members form one ascending run. Prefixes grow one slot at a time
-    within a run, in chunks of about _CHUNK rows: slot i admits v from the
-    previous member on (after it when strict) up to the last v with
-    partial + tails[i]*v <= T, where tails[i] = a_i + ... + a_k, since every
-    later member is >= v; that end is one searchsorted on the key. The last
-    member v = (T - partial) / a_k is kept when the division is exact,
-    v <= limit (a larger v would alias into the next run), v >= the previous
-    member (> when strict), and its key is present.
+    _tuple_blocks grows the (k-1)-prefixes as positions in the order of the
+    key sigma*(limit + 1) + n, in which each sigma value's members form one
+    ascending run, _CHUNK prefixes at a time. Slot 0 admits n <= T // tails[0]
+    and slot i > 0 admits v from the previous member on (after it when
+    strict) up to the last v with partial + tails[i]*v <= T, where
+    tails[i] = a_i + ... + a_k, since every later member is >= v; that end
+    is one searchsorted on the key. The last member v = (T - partial) / a_k
+    is kept when the division is exact, v <= limit (a larger v would alias
+    into the next run), v >= the previous member (> when strict), and its
+    key is present.
 
     int64: sigma < 2^26 for n <= MAX_SEARCH_LIMIT, so a key is below 2^50,
     and so is T = sigma outside yanney. Weights and tails are capped at
@@ -278,35 +315,28 @@ def _bucket_tuples(spec: FamilySpec, limit: int, sieve: SigmaSieve):
     n, sig = _by_sigma(sieve, limit)
     key = sig * (limit + 1) + n
     target = np.minimum(sig, _CAP // factor) * factor
+    everywhere = np.arange(limit)
+
+    def room(heads):
+        # T - partial for each prefix, whose members all share the T of its last
+        return target[heads[-1]] - sum(w * n[h] for w, h in zip(weights, heads))
+
+    def slot(j, heads):
+        if j == 0:
+            first = np.flatnonzero(n <= target // tails[0])
+            return first, 0, len(first)
+        end = sig[heads[-1]] * (limit + 1) + np.minimum(room(heads) // tails[j], limit)
+        return everywhere, heads[-1] + strict, np.searchsorted(key, end, side="right")
+
     found = []
-
-    def grow(pos, partial, chosen):
-        # pos: the sorted position of each prefix's newest member
-        room = target[pos] - partial
-        if len(chosen) == k - 1:
-            v = room // weights[-1]
-            probe = sig[pos] * (limit + 1) + np.minimum(v, limit)
-            at = np.minimum(np.searchsorted(key, probe), limit - 1)
-            hit = (room % weights[-1] == 0) & (v <= limit) & (v >= chosen[-1] + strict)
-            hit &= key[at] == probe
-            found.extend(zip(*(c[hit].tolist() for c in chosen), v[hit].tolist()))
-            return
-        i = len(chosen)
-        lo = pos + strict
-        end = sig[pos] * (limit + 1) + np.minimum(room // tails[i], limit)
-        hi = np.searchsorted(key, end, side="right")
-        count = np.maximum(hi - lo, 0)
-        for a, b in _chunks(count):
-            rows = _ranges(lo[a:b], count[a:b])
-            reps = count[a:b]
-            grow(
-                rows,
-                np.repeat(partial[a:b], reps) + weights[i] * n[rows],
-                [np.repeat(c[a:b], reps) for c in chosen] + [n[rows]],
-            )
-
-    first = np.flatnonzero(n <= target // tails[0])
-    grow(first, weights[0] * n[first], [n[first]])
+    for heads in _tuple_blocks(k - 1, slot, _CHUNK):
+        top, left = heads[-1], room(heads)
+        v = left // weights[-1]
+        probe = sig[top] * (limit + 1) + np.minimum(v, limit)
+        at = np.minimum(np.searchsorted(key, probe), limit - 1)
+        hit = (left % weights[-1] == 0) & (v <= limit) & (v >= n[top] + strict)
+        hit &= key[at] == probe
+        found.extend(zip(*(n[h[hit]].tolist() for h in heads), v[hit].tolist()))
     return found
 
 
@@ -320,57 +350,6 @@ def _powmod(base: np.ndarray, exp, mod: int) -> np.ndarray:
         base = base * base % mod
         exp >>= 1
     return out
-
-
-def _tuple_blocks(k: int, limit: int, values: np.ndarray | None = None, last=None):
-    """The non-decreasing k-tuples over 1..limit in lexicographic order whose
-    last member is drawn from its prefix's slice of values, in blocks of at
-    most _BLOCK tuples, each block a list of k member arrays.
-
-    The tuples grow one slot at a time. Slot j of a prefix runs over
-    [prefix[-1], limit] (over 1..limit for the first slot), except the last
-    slot when last is given: it runs over values[lo:hi] with
-    (lo, hi) = last(prefixes) for an array of (k-1)-prefixes, one per row,
-    each slice ascending and >= its prefix's last member.
-    """
-    everything = np.arange(1, limit + 1)
-
-    def grow(j):
-        if j == 0:
-            yield np.zeros((1, 0), dtype=np.int64)
-            return
-        for block in grow(j - 1):
-            heads = np.column_stack(block) if j > 1 else block
-            if j == k and last is not None:
-                yield from _expand(heads, *last(heads), values)
-            else:
-                lo = heads[:, -1] - 1 if j > 1 else np.zeros(1, dtype=np.int64)
-                yield from _expand(heads, lo, limit, everything)
-
-    return grow(k)
-
-
-def _expand(heads: np.ndarray, lo: np.ndarray, hi, values: np.ndarray):
-    """Each row of heads followed by each of values[lo:hi], lo and hi taken
-    per row, as lists of member arrays of at most _BLOCK rows; a head's
-    slice is split where a block fills up."""
-    count = np.maximum(hi - lo, 0)
-    ends = np.cumsum(count)
-    size = int(ends[-1]) if len(ends) else 0
-    for start in range(0, size, _BLOCK):
-        stop = min(start + _BLOCK, size)
-        a, b = np.searchsorted(ends, [start, stop - 1], side="right")
-        first, length = lo[a : b + 1].copy(), count[a : b + 1].copy()
-        skip = start - (ends[a] - count[a])
-        first[0] += skip
-        length[0] -= skip
-        length[-1] -= ends[b] - stop
-        yield [np.repeat(col, length) for col in heads[a : b + 1].T] + [values[_ranges(first, length)]]
-
-
-def _ranges(lo: np.ndarray, length: np.ndarray) -> np.ndarray:
-    """The concatenated ranges lo[i] .. lo[i] + length[i] - 1."""
-    return np.arange(length.sum()) + np.repeat(lo - (np.cumsum(length) - length), length)
 
 
 def _iroot(x: int, p: int) -> int:
@@ -421,12 +400,12 @@ def _additive(spec: FamilySpec):
 
 
 def _last_slot(spec: FamilySpec, limit: int, sieve: SigmaSieve):
-    """(values, last, keep) for the row scan of spec at k >= 2, or Nones
-    when the whole slot is scanned. For an array of (k-1)-prefixes, one per
-    row, last gives the arrays lo and hi, and each prefix's last slot runs
-    over values[lo:hi]; keep(v, total), when not None, masks the rows whose
-    last member v cannot complete a member. Both are necessary conditions,
-    so no member is skipped; the exact check follows.
+    """(last, keep) for the row scan of spec at k >= 2, or Nones when the
+    whole slot is scanned. For a block's k - 1 prefix member arrays heads,
+    last(heads) gives (values, lo, hi), and each prefix's last slot runs over
+    values[lo:hi]; keep(v, total), when not None, masks the rows whose last
+    member v cannot complete a member. Both are necessary conditions, so no
+    member is skipped; the exact check follows.
 
     hm: (sum_i 1/sigma_i^p) * T^p = q with T = sum n reads
     sum_i (T/sigma_i)^p = q. Every term is positive and there are k >= 2
@@ -465,22 +444,23 @@ def _last_slot(spec: FamilySpec, limit: int, sieve: SigmaSieve):
         cap = np.array([min((v * c - 1) >> s, k * limit) for v in sieve.table[: limit + 1].tolist()])
 
         def last(heads):
-            return heads[:, -1] - 1, np.minimum(cap[heads].min(axis=1) - heads.sum(axis=1), limit)
+            return everything, heads[-1] - 1, np.minimum(np.min([cap[h] for h in heads], axis=0) - sum(heads), limit)
 
         keep = None if _iroot(q, p) >= k else (lambda v, total: total <= cap[v])
-        return everything, last, keep
+        return last, keep
     if spec.kind == "gm" and k == 2:
         is_rich = np.append(False, sieve.table[1 : limit + 1] // everything >= k)
         rich = np.flatnonzero(is_rich)
         first = limit + np.searchsorted(rich, np.arange(limit + 1))
+        values = np.concatenate([everything, rich])
 
         def last(heads):
-            any_rich = is_rich[heads].any(axis=1)
-            top = heads[:, -1]
-            return np.where(any_rich, top - 1, first[top]), np.where(any_rich, limit, limit + len(rich))
+            any_rich = np.any([is_rich[h] for h in heads], axis=0)
+            top = heads[-1]
+            return values, np.where(any_rich, top - 1, first[top]), np.where(any_rich, limit, limit + len(rich))
 
-        return np.concatenate([everything, rich]), last, None
-    return None, None, None
+        return last, None
+    return None, None
 
 
 def _mean_family_kernel(spec: FamilySpec, limit: int, sieve: SigmaSieve) -> list[TupleRecord]:
@@ -493,9 +473,9 @@ def _mean_family_kernel(spec: FamilySpec, limit: int, sieve: SigmaSieve) -> list
     by square-and-multiply; _last_slot narrows each prefix's last slot for
     hm and gm first. When the entry reads sum_i key(n_i) = target
     (_additive: pm with p = 1, mp, feebly, and whm with p = 1), the last
-    member is solved for instead: each (k-1)-prefix looks up the members
-    whose key residue is target minus the prefix's sum in the key column
-    sorted once, so k = 2 costs O(L log L) rather than L^2 / 2 evaluations.
+    member is solved for instead, with no row filter: each (k-1)-prefix's
+    last slot is the run of the key column, sorted once, whose key residue
+    is target minus the prefix's sum: O(L log L) at k = 2, not L^2 / 2.
     A key over the denominator sigma(n)^b is n^a times the inverse of
     sigma(n)^b, which is sigma(n)^(b*(P-2)) by Fermat for the prime P; it
     exists since sigma(n) < 2^26 < P for every n <= MAX_SEARCH_LIMIT. When
@@ -513,6 +493,7 @@ def _mean_family_kernel(spec: FamilySpec, limit: int, sieve: SigmaSieve) -> list
     mod, k = _MODULUS, spec.k
     n = np.arange(limit + 1, dtype=np.int64)
     sig = sieve.table[: limit + 1] % mod
+    last, keep = _last_slot(spec, limit, sieve) if k > 1 else (None, None)
 
     @cache
     def columns(a, b):
@@ -523,9 +504,8 @@ def _mean_family_kernel(spec: FamilySpec, limit: int, sieve: SigmaSieve) -> list
         t = np.arange(k * limit + 1, dtype=np.int64)
         return _powmod(t % mod, t if e == "n" else e, mod)
 
-    def filtered():
-        values, last, keep = _last_slot(spec, limit, sieve) if k > 1 else (None, None, None)
-        for members in _tuple_blocks(k, limit, values, last):
+    def filtered(blocks):
+        for members in blocks:
             total = sum(members)
             if keep is not None:
                 rows = np.flatnonzero(keep(members[-1], total))
@@ -535,29 +515,35 @@ def _mean_family_kernel(spec: FamilySpec, limit: int, sieve: SigmaSieve) -> list
             hit = np.flatnonzero(num == rhs * den % mod)
             yield [m[hit] for m in members]
 
-    def keys(entry):
-        # (key, target) of each member, read from the entry at k = 1; None
-        # when a denominator is 0 modulo the prime
+    def solved(entry):
+        # the last slot over 1..limit sorted by key, each key read from the
+        # entry at k = 1; None when a denominator is 0 modulo the prime
         num, den, rhs = mean_sides(spec, lambda a, b: [columns(a, b)], lambda e: columns(e, 0), mod, entry)
         if entry[1]:
             if not den[1:].all():
                 return None
             num = num * _powmod(den, mod - 2, mod) % mod
         # a right side without a term is the constant target
-        return ((num - rhs) % mod, 0) if np.ndim(rhs) else (num, rhs)
+        key, target = ((num - rhs) % mod, 0) if np.ndim(rhs) else (num, rhs)
+        order = np.sort(key[1:] * (limit + 1) + n[1:])
+        by_key = order % (limit + 1)
 
-    def solved(key, target):
-        keyed = np.sort(key[1:] * (limit + 1) + n[1:])
-        for prefixes in _tuple_blocks(k - 1, limit):
-            base = ((target - sum(key[m] for m in prefixes)) % mod) * (limit + 1)
-            lo = np.searchsorted(keyed, base + prefixes[-1])
-            count = np.searchsorted(keyed, base + limit + 1) - lo
-            yield [np.repeat(m, count) for m in prefixes] + [keyed[_ranges(lo, count)] % (limit + 1)]
+        def last(heads):
+            base = ((target - sum(key[m] for m in heads)) % mod) * (limit + 1)
+            return by_key, np.searchsorted(order, base + heads[-1]), np.searchsorted(order, base + limit + 1)
+
+        return last
+
+    def whole(heads):
+        return n[1:], heads[-1] - 1 if heads else 0, limit
 
     entry = _additive(spec) if k > 1 else None
-    keyed = keys(entry) if entry else None
+    solve = solved(entry) if entry else None
+    last = solve or last or whole
+
+    blocks = _tuple_blocks(k, lambda j, heads: (last if j == k - 1 else whole)(heads), _BLOCK)
     records = []
-    for members in solved(*keyed) if keyed else filtered():
+    for members in blocks if solve else filtered(blocks):
         for t in zip(*(m.tolist() for m in members)):
             outcome = check(spec, t, sieve)
             if isinstance(outcome, TupleRecord):

@@ -1,0 +1,124 @@
+"""Compare what two amiforge source trees print for a fixed list of commands.
+
+    python tests/diff_cli.py PARENT_SRC CHANGE_SRC
+
+Each command runs once per tree, in a fresh interpreter with PYTHONPATH set
+to that tree's src directory. Every difference in exit code, stderr or
+stdout is printed; JSON stdout is compared with its `timing` blocks and
+`scanned` counts removed, since they vary between runs and implementations.
+A command that runs past TIMEOUT seconds is reported as timed out. The exit
+status is 1 when anything differs and 0 otherwise.
+
+The list covers every search kind (the bucket kinds at k = 3 and 4, each
+mean family at k = 1, 2 and 3), `construct` with --seed-limit and --ns, and
+`check` on members that the exact arithmetic must refuse or prove. pytest
+does not collect this file.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+
+TIMEOUT = 30
+
+MEAN = [
+    ("pm", "--p", "1", "--q", "2"),
+    ("pm", "--p", "2", "--q", "2"),
+    ("mp", "--p", "2", "--q", "2"),
+    ("wpm", "--p", "1"),
+    ("gm",),
+    ("wgm",),
+    ("hm", "--p", "1", "--q", "2"),
+    ("whm", "--p", "1"),
+    ("whm", "--p", "2"),
+    ("feebly",),
+]
+
+COMMANDS = [
+    ("search", "perfect", "--limit", "100000"),
+    ("search", "amicable-number", "--limit", "100000"),
+    ("search", "amicable-pair", "--limit", "100000"),
+    ("search", "cohen-pair", "--alphas", "1,2", "--limit", "100000"),
+    ("search", "alpha-beta", "--alphas", "1,2", "--limit", "100000"),
+    ("search", "multiamicable", "--alphas", "1,2", "--limit", "1000000"),
+    ("search", "multiamicable", "--alphas", "3", "--limit", "100000"),
+    ("search", "multiamicable", "--alphas", "1,2,3", "--limit", "100000"),
+    ("search", "multiamicable", "--alphas", "1,1,1,1", "--limit", "3000"),
+    ("search", "dickson", "--k", "2", "--limit", "100000"),
+    ("search", "dickson", "--k", "3", "--limit", "100000"),
+    ("search", "dickson", "--k", "4", "--limit", "3000"),
+    ("search", "yanney", "--k", "2", "--limit", "100000"),
+    ("search", "yanney", "--k", "3", "--limit", "1000000"),
+    ("search", "yanney", "--k", "4", "--limit", "20000"),
+    *(("search", kind, "--k", "1", *flags, "--limit", "100000") for kind, *flags in MEAN),
+    *(("search", kind, "--k", "2", *flags, "--limit", "1000") for kind, *flags in MEAN),
+    *(("search", kind, "--k", "3", *flags, "--limit", "100") for kind, *flags in MEAN),
+    ("search", "hm", "--k", "3", "--p", "1", "--q", "2", "--limit", "600"),
+    ("search", "gm", "--k", "3", "--limit", "300"),
+    ("search", "feebly", "--k", "3", "--limit", "300"),
+    ("search", "yanney", "--k", "3", "--limit", "3000", "--format", "csv"),
+    ("scan-question", "--limit", "100000"),
+    ("construct", "--alphas", "1,2", "--seed-limit", "3000", "--a-bound", "3000"),
+    ("construct", "--alphas", "2,1", "--seed-limit", "20000", "--a-bound", "200"),
+    ("construct", "--alphas", "1,1,1", "--seed-limit", "3000", "--a-bound", "3000"),
+    ("construct", "--alphas", "1,2", "--seed-limit", "100000", "--a-bound", "1"),
+    ("construct", "--alphas", "1,2", "--ns", "2^3*13,2^2*29", "--a-bound", "3000"),
+    ("check", "perfect", "--tuple", "2^4*31"),
+    ("check", "perfect", "--tuple", "2^60*1000000007"),
+    ("check", "perfect", "--tuple", "1000003*1000033"),
+    ("check", "perfect", "--tuple", "1000000007*1000000009"),
+    ("check", "perfect", "--tuple", "2^99999999"),
+    ("check", "perfect", "--tuple", "7*3317044064679887385961981"),
+    ("check", "perfect", "--tuple", "7*318665857834031151167461"),
+    ("check", "wgm", "--tuple", "7*3317044064679887385961981,1"),
+    ("verify-tables",),
+]
+
+
+def _strip(value):
+    """value without its `timing` and `scanned` entries, at every depth."""
+    if isinstance(value, dict):
+        return {k: _strip(v) for k, v in value.items() if k not in ("timing", "scanned")}
+    if isinstance(value, list):
+        return [_strip(v) for v in value]
+    return value
+
+
+def _run(src: str, argv) -> tuple:
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    cmd = [sys.executable, "-c", "import sys; from amiforge.cli import run; sys.exit(run(sys.argv[1:]))", *argv]
+    try:
+        done = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=TIMEOUT)
+    except subprocess.TimeoutExpired:
+        return ("timed out",)
+    try:
+        out = _strip(json.loads(done.stdout))
+    except json.JSONDecodeError:
+        out = done.stdout
+    return done.returncode, done.stderr, out
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 2:
+        print(__doc__.strip().splitlines()[2].strip(), file=sys.stderr)
+        return 2
+    parent, change = argv
+    differ = 0
+    for command in COMMANDS:
+        a, b = _run(parent, command), _run(change, command)
+        if a == b:
+            print(f"same     {' '.join(command)}")
+            continue
+        differ += 1
+        print(f"DIFFERS  {' '.join(command)}")
+        for side, result in (("parent", a), ("change", b)):
+            print(f"  {side}: {json.dumps(result)[:400]}")
+    print(f"{differ} of {len(COMMANDS)} commands differ")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -76,6 +76,38 @@ def test_is_prime_larger_values():
     assert is_prime(10**12 + 39)
 
 
+PSI_12 = 318665857834031151167461  # 399165290221 * 798330580441
+PSI_13 = 3317044064679887385961981
+
+
+def test_is_prime_refuses_past_its_proven_range():
+    # psi_12 is a strong pseudoprime to every prime base up to 37; base 41
+    # exposes it, and the 13 bases prove nothing from psi_13 on
+    assert PSI_12 == 399165290221 * 798330580441
+    assert not is_prime(PSI_12)
+    assert is_prime(2**61 - 1)
+    for n in (PSI_13, PSI_13 + 2, 2**89 - 1):
+        with pytest.raises(ValueError, match="proven range"):
+            is_prime(n)
+    assert arith.PRIME_TEST_BOUND == PSI_13
+
+
+def test_factorize_returns_only_proven_factors(monkeypatch):
+    # a cofactor left past the trial bound is kept only when is_prime proves
+    # it, below psi_13; anything else raises instead of a long walk
+    assert factorize(1000003 * 1000033).factors == ((1000003, 1), (1000033, 1))
+    monkeypatch.setattr(arith, "_TRIAL_BOUND", 1000)
+    factorize.cache_clear()
+    try:
+        assert factorize(7 * 997 * 1013).factors == ((7, 1), (997, 1), (1013, 1))
+        assert factorize(2**5 * (10**12 + 39)).factors == ((2, 5), (10**12 + 39, 1))
+        for n in (1009 * 1013, 7 * PSI_12, 7 * PSI_13, 3 * (2**89 - 1), (2**89 - 1) ** 2):
+            with pytest.raises(ValueError, match="not proven prime"):
+                factorize(n)
+    finally:
+        factorize.cache_clear()
+
+
 def test_sigma_examples():
     assert sigma(6) == 12
     assert sigma(220) == 504
@@ -273,6 +305,17 @@ def test_parse_factored():
     assert parse_factored("104") == 104
     assert parse_factored("1") == 1
     assert parse_factored(" 2^2*29 ") == 116
+
+
+def test_parse_factored_refuses_long_values():
+    # the cap is checked before the power is formed, so 2^99999999 is cheap
+    top = arith.MAX_MEMBER_BITS
+    assert parse_factored(f"2^{top - 1}") == 2 ** (top - 1)
+    assert parse_factored(f"3*2^{top - 2}") == 3 * 2 ** (top - 2)
+    assert parse_factored("1^99999999") == 1
+    for text in (f"2^{top}", "2^99999999", f"3*2^{top - 1}", f"2^{top - 1}*2", f"3^{top}", "2^900*2^900"):
+        with pytest.raises(ValueError, match="longer than"):
+            parse_factored(text)
 
 
 def test_parse_factored_rejects_garbage():

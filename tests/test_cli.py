@@ -301,6 +301,20 @@ def test_scan_question(capsys):
     assert doc["results"]["label"] == "equal-sigma mp(2,2) pairs"
 
 
+def test_unprovable_members_exit_two(capsys):
+    # a member too long to parse, or one whose cofactor past the trial bound
+    # is not proven prime, exits 2: no hang, and no sigma built on a strong
+    # pseudoprime (7*psi_13 used to print a wrong lhs)
+    for text, message in (
+        ("2^99999999", "longer than 1024 bits"),
+        ("1000000007*1000000009", "not proven prime"),
+        ("7*3317044064679887385961981", "not proven prime"),
+        ("7*318665857834031151167461", "not proven prime"),
+    ):
+        assert cli.run(["check", "perfect", "--tuple", text]) == 2, text
+        assert message in capsys.readouterr().err, text
+
+
 def test_usage_errors_exit_two(capsys):
     cases = [
         [],

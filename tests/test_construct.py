@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -159,3 +160,36 @@ def test_find_seed_tuples_a_bound_drops_only_seeds_without_multipliers():
             built = [b for s in every for b in construct_multiamicable(s, a_bound, sieve)]
             assert [b for s in kept for b in construct_multiamicable(s, a_bound, sieve)] == built
     assert find_seed_tuples((1, 2), 3000, sieve, 1)
+
+
+def test_find_seed_tuples_matches_combinations(sieve_10k):
+    # every strictly increasing k-subset of each sigma group, with target
+    # total/sigma >= 1 and, given a_bound, a denominator of at most a_bound;
+    # weights past int64 go through the residue and min(alpha, sigma) forms
+    groups = {}
+    for n in range(1, 3001):
+        groups.setdefault(int(sieve_10k.table[n]), []).append(n)
+    for alphas, limit in (
+        ((1, 2), 3000),
+        ((2, 1), 3000),
+        ((1, 1, 1), 3000),
+        ((3, 1, 2), 1500),
+        ((1, 2**62), 3000),
+        ((2**64 + 3, 5), 3000),
+        ((1, 2**62 + 7, 2**70 + 1), 1500),
+    ):
+        every = [
+            (combo, Fraction(sum(a * n for a, n in zip(alphas, combo)), s))
+            for s, members in groups.items()
+            for combo in combinations([n for n in members if n <= limit], len(alphas))
+        ]
+        for a_bound in (None, 1, 7, 1000):
+            expected = sorted(
+                (combo, target)
+                for combo, target in every
+                if target >= 1 and (a_bound is None or target.denominator <= a_bound)
+            )
+            seeds = find_seed_tuples(alphas, limit, sieve_10k, a_bound)
+            assert [(s.ns, s.target) for s in seeds] == expected, (alphas, a_bound)
+            assert all(s.alphas == alphas for s in seeds)
+            assert expected or a_bound == 1, (alphas, a_bound)

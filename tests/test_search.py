@@ -8,6 +8,7 @@ import pytest
 
 from amiforge import arith, cli, search
 from amiforge.arith import sigma
+from amiforge.construct import find_seed_tuples
 from amiforge.families import MEAN_EQUATIONS, FamilySpec, holds
 from amiforge.search import (
     MAX_SEARCH_LIMIT,
@@ -317,21 +318,47 @@ def test_feebly_and_whm_p1_agree(sieve_10k):
 def test_key_solve_falls_back_where_sigma_has_no_inverse(sieve_1k, monkeypatch):
     # modulo 7, sigma(4) = 7 and sigma(12) = 28 have no inverse, and (4, 12)
     # is feebly: 4/7 + 12/28 = 1. The key solve cannot see such members, so
-    # the row filter over pairs runs instead of the solve over single prefixes
+    # the row filter over pairs runs instead of the solve over single prefixes.
+    # The key read passes mean_sides the entry's factor lists and the row
+    # filter does not, so each call records whether it is the row filter
     monkeypatch.setattr(search, "_MODULUS", 7)
-    sizes = []
-    blocks = search._tuple_blocks
-    monkeypatch.setattr(search, "_tuple_blocks", lambda k, *args: sizes.append(k) or blocks(k, *args))
+    filters = []
+    sides = search.mean_sides
+    monkeypatch.setattr(search, "mean_sides", lambda *args: filters.append(len(args) == 4) or sides(*args))
     for spec, kw in ((FamilySpec("feebly", 2), {}), (FamilySpec("whm", 2, p=1), dict(p=1))):
-        sizes.clear()
+        filters.clear()
         found = members_of(enumerate_family(spec, 60, sieve=sieve_1k))
         assert (4, 12) in found
         assert found == oracles.naive_family(spec.kind, 60, k=2, **kw), spec
-        assert sizes == [2], spec
+        assert filters[0] is False and all(filters[1:]) and len(filters) > 1, spec
     # sigma(1..3) = 1, 3, 4 are units modulo 7, so the solve runs
-    sizes.clear()
+    filters.clear()
     assert members_of(enumerate_family(FamilySpec("feebly", 2), 3, sieve=sieve_1k)) == []
-    assert sizes == [1]
+    assert filters == [False]
+
+
+def test_block_splits_change_no_record(sieve_10k, monkeypatch):
+    # blocks of 7 tuples and of 5 prefixes split nearly every prefix's slice
+    # across blocks, and every kind that grows prefixes must find the same
+    specs = [
+        (FamilySpec("yanney", 3), 3000),
+        (FamilySpec("yanney", 4), 1000),
+        (FamilySpec("dickson", 3), 3000),
+        (FamilySpec("multiamicable", 3, alphas=(1, 1, 1)), 3000),
+        (FamilySpec("multiamicable", 3, alphas=(1, 2, 3)), 3000),
+    ]
+    specs += [(mean_spec(k, **kw), limit) for k, limit in ((2, 300), (3, 60)) for kw in MEAN_CASES]
+
+    def outputs():
+        found = [members_of(enumerate_family(spec, limit, sieve=sieve_10k)) for spec, limit in specs]
+        seeds = [find_seed_tuples(alphas, 3000, sieve_10k) for alphas in ((1, 2), (1, 1, 1))]
+        return found, seeds
+
+    whole = outputs()
+    assert all(whole[0][:4]) and all(whole[1])  # (1, 2, 3) has no tuple this low
+    monkeypatch.setattr(search, "_BLOCK", 7)
+    monkeypatch.setattr(search, "_CHUNK", 5)
+    assert outputs() == whole
 
 
 def test_mean_last_slot_cuts_drop_no_member(sieve_1k):
@@ -356,7 +383,7 @@ def test_hm_row_mask_keeps_every_admissible_total(sieve_1k):
     v, total = np.divmod(np.arange(100 * 400), 400)
     v, total = v + 1, total + 1
     for p, q in ((1, 1), (1, 2), (2, 1), (2, 3), (3, 5)):
-        _, _, keep = search._last_slot(FamilySpec("hm", 5, p=p, q=q), 100, sieve_1k)
+        _, keep = search._last_slot(FamilySpec("hm", 5, p=p, q=q), 100, sieve_1k)
         kept = keep(v, total).tolist()
         for n, t, ok in zip(v.tolist(), total.tolist(), kept):
             s = sigma(n)
