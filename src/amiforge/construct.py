@@ -62,19 +62,20 @@ def find_multipliers(target: Fraction, bound: int, coprime_to=(), sieve: SigmaSi
     sigma(a) // num == j. int64: that is division form, so no product with
     num is formed, and a num capped at 2^62 divides no table entry, all of
     which are below 2^40. The coprimality filter then runs over the
-    survivors only. Ascending, possibly empty.
+    survivors only. Ascending, possibly empty; [] before the sieve is read
+    when den > bound.
 
-    Raises CoverageError when the given sieve stops short of bound.
+    Otherwise raises CoverageError when the given sieve stops short of bound.
     """
     target = Fraction(target)
     if target < 1:
         raise ValueError("target must be >= 1: sigma(a)/a >= 1 for every a")
     if bound < 1:
         raise ValueError("bound must be >= 1")
-    table = covering_sieve(bound, sieve).table
     num, den = _capped(target.numerator), target.denominator
     if den > bound:
         return []
+    table = covering_sieve(bound, sieve).table
     j = np.arange(1, bound // den + 1)
     s = table[j * den]
     hit = j[(s % num == 0) & (s // num == j)] * den
@@ -86,14 +87,10 @@ def construct_multiamicable(seed: SeedTuple, a_bound: int, sieve: SigmaSieve | N
     from a seed made by seed_ratio or find_seed_tuples. Each tuple is re-proven.
 
     A seed whose target denominator exceeds a_bound admits no multiplier,
-    since every a with sigma(a)/a = target is a multiple of it, so such a
-    seed (with target >= 1 and a_bound >= 1) returns [] before the sieve is
-    read. Otherwise raises CoverageError when the given sieve stops short of
-    a_bound.
+    since every a with sigma(a)/a = target is a multiple of it, so
+    find_multipliers returns [] for it before the sieve is read. Otherwise
+    raises CoverageError when the given sieve stops short of a_bound.
     """
-    num, den = seed.target.numerator, seed.target.denominator
-    if den > a_bound >= 1 and num >= den:
-        return []
     out = []
     for a in find_multipliers(seed.target, a_bound, seed.ns, sieve=sieve):
         members = tuple(a * n for n in seed.ns)

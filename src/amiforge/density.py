@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .arith import zeta_approx
 from .families import FamilySpec
-from .search import enumerate_family, partner_pairs
+from .search import enumerate_family, weighted_tuples
 from .sieve import SigmaSieve, covering_sieve
 
 ZETA_EPS = 1e-9
@@ -81,18 +81,17 @@ def count_multiamicable_pairs(alpha: int, beta: int, checkpoints, sieve: SigmaSi
     """M(x) at each checkpoint: pairs with sigma(m) = sigma(n) = alpha*m + beta*n,
     m < n, counted by the smaller member m <= x.
 
-    n is recovered from the equation as (sigma(m) - alpha*m) / beta and then
-    verified, so n itself needs no scan bound: a partner past the sieve is
-    checked through the search's _aliquots, exactly and in int64. Since
-    n < sigma(m) < 7*limit <= R^2 for limit >= 7, one vectorised
-    sieve.sigma_beyond pass serves every partner.
+    The search's weighted_tuples solves n = (sigma(m) - alpha*m) / beta and
+    verifies it, so n itself needs no scan bound: with no partner_limit, a
+    partner past the sieve is checked exactly and in int64, within one
+    vectorised sieve.sigma_beyond pass (see weighted_tuples).
     """
     if alpha < 1 or beta < 1:
         raise ValueError("alpha and beta must be positive integers")
     pts = _validate_checkpoints(checkpoints)
     limit = pts[-1]
     sieve = covering_sieve(limit, sieve)
-    members, _ = partner_pairs(sieve, limit, (alpha, beta), strict=True, partner_limit=None)
+    members = weighted_tuples(sieve, limit, (alpha, beta), 1, True, None)[0]
     return _series(pts, members.tolist())
 
 

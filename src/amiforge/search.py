@@ -1,21 +1,24 @@
 """Bounded exhaustive enumeration of every family, and scan harnesses for
 the open conjecture and question.
 
-The linear kinds run in this process as whole-array numpy passes over the
-sigma table: perfect numbers, amicable numbers and pairs, Cohen and
-alpha-beta pairs, and multiamicable, Dickson and Yanney tuples of one or two
-members, which solve sigma(m) = a*m + b*n for the partner n. The mean
-families run in this process too: each block of candidate tuples evaluates
+Every search runs in this process as numpy passes over the sigma table.
+Perfect numbers, amicable pairs, and multiamicable, Dickson and Yanney
+tuples of any size read one equation: the members share one sigma and
+a_1*n_1 + ... + a_k*n_k = factor*sigma. weighted_tuples, the one solver of
+that equation, grows the (k-1)-prefixes and solves for the last member; at
+k = 2 that is the partner n = (sigma(m) - a*m) / b of each m in natural
+order, and at k >= 3 the prefixes grow within the runs of one stable
+argsort by sigma. A single member solves sigma(n) = a*n, with a = 2 for
+perfect. Amicable numbers, Cohen and alpha-beta pairs are their own linear
+passes. The mean families evaluate each block of candidate tuples against
 the family's families.MEAN_EQUATIONS entry modulo a prime, and the exact
 check confirms the few that pass. Where the entry reads
 sum_i key(n_i) = target (pm with p = 1, mp, feebly, and whm with p = 1,
 whose key is n * sigma(n)^-1 modulo the prime) the last member is solved
-for over the sorted keys instead; hm, and gm at k = 2, first narrow each
-prefix's last slot with a necessary inequality. Multiamicable, Dickson and
-Yanney tuples of three or more members group 1..L by sigma with one stable
-argsort and solve for the last member. These, the mean families and the
-equal-sigma seeds all grow their prefixes with _tuple_blocks, in numpy
-blocks of bounded size. Every search runs in this one process."""
+for over the sorted keys instead; hm and gm first narrow each prefix's
+last slot with a necessary inequality. weighted_tuples, the mean families
+and the equal-sigma seeds all grow their prefixes with _tuple_blocks, in
+numpy blocks of bounded size."""
 
 from __future__ import annotations
 
@@ -40,11 +43,16 @@ MAX_SEARCH_LIMIT = 10**7  # keeps sigma buckets and tables within memory bounds
 _CAP = 1 << 62
 
 # The mean families' row filter works modulo this prime, 2^31 - 1. Scans take
-# blocks of at most _BLOCK tuples, or of _CHUNK prefixes for the bucket kinds
-# at k >= 3, each read when the scan starts.
+# blocks of at most _BLOCK tuples, or of _CHUNK prefixes for weighted_tuples,
+# each read when the scan starts.
 _MODULUS = 2**31 - 1
 _BLOCK = 1 << 13
-_CHUNK = 1 << 20
+_CHUNK = 1 << 18
+
+# alpha-beta sieves to max(alphas)*limit up to this weight. Measured at
+# limit 10^6 on 2 cores, the wider sieve is faster up to about 6 for
+# weights (1, a) and up to about 10 for (a, a).
+_WIDE_WEIGHT = 8
 
 
 @dataclass
@@ -55,10 +63,6 @@ class SearchReport:
     scanned: int
     elapsed: float
     label: str = ""
-
-
-# Kinds grouped by sigma value when they have three or more members.
-_BUCKET_KINDS = {"multiamicable", "dickson", "yanney"}
 
 
 def _capped(value: int) -> int:
@@ -90,10 +94,14 @@ def _aliquots(sieve: SigmaSieve, w: int, v: np.ndarray) -> np.ndarray:
     return s
 
 
-def _perfect(spec: FamilySpec, limit: int, sieve: SigmaSieve):
-    """n <= limit with sigma(n) = 2n. int64: 2n <= 2*MAX_SEARCH_LIMIT."""
+def _multiperfect(sieve: SigmaSieve, limit: int, a: int) -> np.ndarray:
+    """n <= limit with sigma(n) = a*n: perfect numbers at a = 2, and the
+    multiamicable singletons. Tested as sigma(n) % n == 0 and
+    sigma(n) // n == a, so int64 holds no product and a weight capped at
+    2^62 matches no n."""
     n = np.arange(1, limit + 1)
-    return [(v,) for v in n[sieve.table[1 : limit + 1] == 2 * n].tolist()]
+    s = sieve.table[1 : limit + 1]
+    return n[(s % n == 0) & (s // n == _capped(a))]
 
 
 def _amicable_numbers(spec: FamilySpec, limit: int, sieve: SigmaSieve):
@@ -110,54 +118,6 @@ def _amicable_numbers(spec: FamilySpec, limit: int, sieve: SigmaSieve):
     keep = s != n
     n, s = n[keep], s[keep]
     return [(v,) for v in n[_aliquots(sieve, 1, s) == n].tolist()]
-
-
-def partner_pairs(sieve: SigmaSieve, limit: int, alphas, strict: bool, partner_limit: int | None):
-    """Arrays (m, n) of the pairs with sigma(m) = sigma(n) = a*m + b*n, m <= limit,
-    m < n when strict and m <= n otherwise, and n <= partner_limit when one
-    is given; the sieve must cover limit.
-
-    The equation gives the partner n = (sigma(m) - a*m) / b, so each m is
-    visited once, and n >= m exactly when sigma(m) >= (a + b)*m (n > m when
-    sigma(m) > (a + b)*m). int64: that test is made in division form,
-    sigma(m) // m >= a + b, or (sigma(m) - 1) // m when strict; past it
-    a*m <= sigma(m) < 2^40, and b only divides. A partner past the sieve is
-    read through _aliquots: n < sigma(m) < 7*limit <= R^2 once limit >= 7,
-    so one sigma_beyond pass serves every partner.
-    """
-    a, b = _capped(alphas[0]), _capped(alphas[1])
-    m = np.arange(1, limit + 1)
-    m = m[(sieve.table[1 : limit + 1] - strict) // m >= _capped(a + b)]
-    s = sieve.table[m]
-    r = s - a * m
-    keep = r % b == 0
-    m, s, n = m[keep], s[keep], r[keep] // b
-    if partner_limit is not None:
-        keep = n <= partner_limit
-        m, s, n = m[keep], s[keep], n[keep]
-    hit = _aliquots(sieve, 1, n) == s - n
-    return m[hit], n[hit]
-
-
-def _solved_tuples(spec: FamilySpec, limit: int, sieve: SigmaSieve):
-    """amicable-pair, and multiamicable, Dickson and Yanney tuples of at most two
-    members: sigma(m) = sigma(n) = a*m + b*n with (a, b) the multiamicable
-    weights and (1, 1) otherwise, since (k-1)*sigma = sum at k = 2 is the
-    Dickson equation.
-
-    A multiamicable singleton solves sigma(m) = a*m, tested as
-    sigma(m) % m == 0 and sigma(m) // m == a, so int64 holds no product.
-    """
-    if spec.kind == "multiamicable":
-        alphas, strict = spec.alphas, True
-    else:
-        alphas, strict = (1, 1), False
-    if len(alphas) == 1:
-        m = np.arange(1, limit + 1)
-        s = sieve.table[1 : limit + 1]
-        return [(v,) for v in m[(s % m == 0) & (s // m == _capped(alphas[0]))].tolist()]
-    m, n = partner_pairs(sieve, limit, alphas, strict, limit)
-    return list(zip(m.tolist(), n.tolist()))
 
 
 def _cohen_pairs(spec: FamilySpec, limit: int, sieve: SigmaSieve):
@@ -197,18 +157,6 @@ def _alpha_beta_pairs(spec: FamilySpec, limit: int, sieve: SigmaSieve):
     n, m = n[keep], m[keep]
     hit = _aliquots(sieve, b, m) == n
     return list(zip(m[hit].tolist(), n[hit].tolist()))
-
-
-_LINEAR_KERNELS = {
-    "perfect": _perfect,
-    "amicable-number": _amicable_numbers,
-    "amicable-pair": _solved_tuples,
-    "cohen-pair": _cohen_pairs,
-    "alpha-beta": _alpha_beta_pairs,
-    "multiamicable": _solved_tuples,
-    "dickson": _solved_tuples,
-    "yanney": _solved_tuples,
-}
 
 
 def _by_sigma(sieve: SigmaSieve, limit: int) -> tuple[np.ndarray, np.ndarray]:
@@ -277,67 +225,109 @@ def equal_sigma_blocks(sieve: SigmaSieve, limit: int, k: int):
         yield sig[block[0]], [n[h] for h in block]
 
 
-def _bucket_tuples(spec: FamilySpec, limit: int, sieve: SigmaSieve):
-    """Multiamicable, Dickson and Yanney tuples of k >= 3 members <= limit:
-    members of one sigma value with a_1*n_1 + ... + a_k*n_k = T. The weights
-    are the alphas for multiamicable, members strictly increasing, and 1
-    otherwise, members non-decreasing; T is sigma times k - 1 for yanney and
-    times 1 otherwise.
+def weighted_tuples(sieve: SigmaSieve, limit: int, alphas, factor: int, strict: bool, partner_limit: int | None):
+    """The k = len(alphas) >= 2 member arrays of every tuple of one sigma
+    value with a_1*n_1 + ... + a_k*n_k = T = factor*sigma, members
+    non-decreasing (strictly increasing when strict), n_1, ..., n_(k-1) <=
+    limit and n_k <= partner_limit when one is given; the sieve must cover
+    limit. Rows come in the order of their prefixes, so at k = 2 by n_1.
 
-    _tuple_blocks grows the (k-1)-prefixes as positions in the order of the
-    key sigma*(limit + 1) + n, in which each sigma value's members form one
-    ascending run, _CHUNK prefixes at a time. Slot 0 admits n <= T // tails[0]
-    and slot i > 0 admits v from the previous member on (after it when
+    _tuple_blocks grows the (k-1)-prefixes, _CHUNK at a time, as positions
+    in an order of 1..limit. At k = 2 there is no middle slot, so that is
+    the natural order and no sort is made. At k >= 3 it is the _by_sigma
+    order, in which each sigma value's members form one ascending run of
+    the key sigma*(limit + 1) + n. Slot 0 admits n <= T // tails[0], and a
+    middle slot i admits v from the previous member on (after it when
     strict) up to the last v with partial + tails[i]*v <= T, where
     tails[i] = a_i + ... + a_k, since every later member is >= v; that end
     is one searchsorted on the key. The last member v = (T - partial) / a_k
-    is kept when the division is exact, v <= limit (a larger v would alias
-    into the next run), v >= the previous member (> when strict), and its
-    key is present.
+    is kept when the division is exact, v >= the previous member (> when
+    strict), v <= partner_limit when one is given, and sigma(v) equals the
+    prefix's sigma, read through _aliquots, so a v past the sieve is read
+    exactly.
 
     int64: sigma < 2^26 for n <= MAX_SEARCH_LIMIT, so a key is below 2^50,
-    and so is T = sigma outside yanney. Weights and tails are capped at
-    _CAP, which exceeds that T, so a capped one admits no member, as its
-    true value would not. Yanney weights are 1; its factor k - 1 and its T
-    are capped at _CAP, and T = n_1 + ... + n_k passes 2^62 only for
-    k > 2^38. Slot i ends at the quotient (T - partial) // tails[i], so
-    a_i*v is formed only once it is bounded by T - partial, and every
-    partial sum stays <= T <= 2^62.
+    and so is T when factor is 1. Weights and tails are capped at _CAP,
+    which exceeds that T, so a capped one admits no member, as its true
+    value would not. factor and T are capped at _CAP too; with weights of
+    1 and factor k - 1 (Yanney), T = n_1 + ... + n_k passes 2^62 only for
+    k > 2^38. Slot 0 ends at T // tails[0] and slot i at the quotient
+    (T - partial) // tails[i], so a_i*v is formed only once it is bounded
+    by T - partial, and every partial sum stays <= T <= 2^62; at k = 2
+    this is the test sigma(m) // m >= a + b, in division form. Without a
+    partner_limit, v <= T < 7*limit*factor, so for factor 1 and limit >= 7
+    every v past the sieve lies within R^2 and one sigma_beyond pass
+    serves them all.
     """
-    if spec.kind == "multiamicable":
-        alphas, strict = spec.alphas, 1
-    else:
-        alphas, strict = (1,) * spec.k, 0
     k = len(alphas)
     weights = [_capped(a) for a in alphas]
     tails = [_capped(sum(alphas[i:])) for i in range(k)]
-    factor = _capped(k - 1 if spec.kind == "yanney" else 1)
-    n, sig = _by_sigma(sieve, limit)
-    key = sig * (limit + 1) + n
-    target = np.minimum(sig, _CAP // factor) * factor
-    everywhere = np.arange(limit)
+    factor = _capped(factor)
+    if k == 2:
+        n, sig = np.arange(1, limit + 1), sieve.table[1 : limit + 1]
+    else:
+        n, sig = _by_sigma(sieve, limit)
+        key = sig * (limit + 1) + n
+        everywhere = np.arange(limit)
+
+    def target(at):
+        # T of the members at positions at, formed where used so no table of it is kept
+        return np.minimum(sig[at], _CAP // factor) * factor
 
     def room(heads):
         # T - partial for each prefix, whose members all share the T of its last
-        return target[heads[-1]] - sum(w * n[h] for w, h in zip(weights, heads))
+        return target(heads[-1]) - sum(w * n[h] for w, h in zip(weights, heads))
 
     def slot(j, heads):
         if j == 0:
-            first = np.flatnonzero(n <= target // tails[0])
+            first = np.flatnonzero(n <= target(slice(None)) // tails[0])
             return first, 0, len(first)
         end = sig[heads[-1]] * (limit + 1) + np.minimum(room(heads) // tails[j], limit)
         return everywhere, heads[-1] + strict, np.searchsorted(key, end, side="right")
 
-    found = []
+    blocks = [[np.empty(0, dtype=np.int64)] * k]
     for heads in _tuple_blocks(k - 1, slot, _CHUNK):
-        top, left = heads[-1], room(heads)
+        left = room(heads)
         v = left // weights[-1]
-        probe = sig[top] * (limit + 1) + np.minimum(v, limit)
-        at = np.minimum(np.searchsorted(key, probe), limit - 1)
-        hit = (left % weights[-1] == 0) & (v <= limit) & (v >= n[top] + strict)
-        hit &= key[at] == probe
-        found.extend(zip(*(n[h[hit]].tolist() for h in heads), v[hit].tolist()))
-    return found
+        keep = (left % weights[-1] == 0) & (v >= n[heads[-1]] + strict)
+        if partner_limit is not None:
+            keep &= v <= partner_limit
+        heads, v = [h[keep] for h in heads], v[keep]
+        hit = _aliquots(sieve, 1, v) == sig[heads[-1]] - v
+        blocks.append([n[h[hit]] for h in heads] + [v[hit]])
+    return [np.concatenate(column) for column in zip(*blocks)]
+
+
+def _weighted(spec: FamilySpec, limit: int, sieve: SigmaSieve):
+    """Perfect numbers, amicable pairs, and multiamicable, Dickson and Yanney
+    tuples, all members <= limit: members of one sigma value with
+    a_1*n_1 + ... + a_k*n_k = factor*sigma. The weights are the alphas for
+    multiamicable, members strictly increasing, and 1 otherwise, members
+    non-decreasing; factor is k - 1 for yanney and 1 otherwise, so at k = 2
+    Dickson, Yanney and amicable pairs share sigma(m) = sigma(n) = m + n.
+    One member solves sigma(n) = a*n, with a = 2 for perfect."""
+    if spec.k == 1:
+        a = spec.alphas[0] if spec.kind == "multiamicable" else 2
+        return [(v,) for v in _multiperfect(sieve, limit, a).tolist()]
+    if spec.kind == "multiamicable":
+        alphas, strict = spec.alphas, True
+    else:
+        alphas, strict = (1,) * spec.k, False
+    factor = spec.k - 1 if spec.kind == "yanney" else 1
+    members = weighted_tuples(sieve, limit, alphas, factor, strict, limit)
+    return list(zip(*(m.tolist() for m in members)))
+
+
+_KERNELS = {
+    "perfect": _weighted,
+    "amicable-number": _amicable_numbers,
+    "amicable-pair": _weighted,
+    "cohen-pair": _cohen_pairs,
+    "alpha-beta": _alpha_beta_pairs,
+    "multiamicable": _weighted,
+    "dickson": _weighted,
+    "yanney": _weighted,
+}
 
 
 def _powmod(base: np.ndarray, exp, mod: int) -> np.ndarray:
@@ -427,8 +417,7 @@ def _last_slot(spec: FamilySpec, limit: int, sieve: SigmaSieve):
     prod sigma_i/n_i >= k^k and some member is rich, sigma(n) >= k*n, a
     test in division form, sigma(n) // n >= k. A prefix with no rich member
     takes its last member from the rich numbers >= prefix[-1] only, which
-    values holds after 1..limit. The argument holds at every k >= 2; the
-    search applies it at k = 2 only, and ROADMAP item 2 says why.
+    values holds after 1..limit.
 
     Other families scan the whole slot. wpm's condition, max sigma_i >= T
     from T^(p+1) = sum n_i*sigma_i^p <= T * max sigma_i^p, keeps 58% of the
@@ -448,7 +437,7 @@ def _last_slot(spec: FamilySpec, limit: int, sieve: SigmaSieve):
 
         keep = None if _iroot(q, p) >= k else (lambda v, total: total <= cap[v])
         return last, keep
-    if spec.kind == "gm" and k == 2:
+    if spec.kind == "gm":
         is_rich = np.append(False, sieve.table[1 : limit + 1] // everything >= k)
         rich = np.flatnonzero(is_rich)
         first = limit + np.searchsorted(rich, np.arange(limit + 1))
@@ -553,10 +542,13 @@ def _mean_family_kernel(spec: FamilySpec, limit: int, sieve: SigmaSieve) -> list
 
 def _needed_coverage(spec: FamilySpec, limit: int, budget: int = DEFAULT_SIEVE_BUDGET) -> int:
     """The sieve size a search builds: alpha-beta reads sigma at alpha*n, so it
-    covers max(alphas)*limit when the budget allows and limit otherwise, since
-    _aliquots reads past the sieve exactly."""
-    if spec.kind == "alpha-beta" and 8 * (max(spec.alphas) * limit + 1) <= budget:
-        return max(spec.alphas) * limit
+    covers max(alphas)*limit when max(alphas) <= _WIDE_WEIGHT and the budget
+    allows, and limit otherwise, since _aliquots reads past the sieve exactly.
+    A wider sieve costs about max(alphas) times the build; past _WIDE_WEIGHT
+    that costs more than the reads past a sieve to limit save."""
+    if spec.kind == "alpha-beta" and max(spec.alphas) <= _WIDE_WEIGHT:
+        if 8 * (max(spec.alphas) * limit + 1) <= budget:
+            return max(spec.alphas) * limit
     return limit
 
 
@@ -588,9 +580,7 @@ def enumerate_family(spec: FamilySpec, limit: int, sieve: SigmaSieve | None = No
         records = _mean_family_kernel(spec, limit, sieve)
         scanned = math.comb(limit + spec.k - 1, spec.k)
     else:
-        bucket = spec.kind in _BUCKET_KINDS and spec.k >= 3
-        kernel = _bucket_tuples if bucket else _LINEAR_KERNELS[spec.kind]
-        records, scanned = _verified(spec, kernel(spec, limit, sieve), sieve), limit
+        records, scanned = _verified(spec, _KERNELS[spec.kind](spec, limit, sieve), sieve), limit
     return SearchReport(spec, limit, records, scanned, time.perf_counter() - t0)
 
 

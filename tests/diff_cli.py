@@ -9,10 +9,11 @@ stdout is printed; JSON stdout is compared with its `timing` blocks and
 A command that runs past TIMEOUT seconds is reported as timed out. The exit
 status is 1 when anything differs and 0 otherwise.
 
-The list covers every search kind (the bucket kinds at k = 3 and 4, each
-mean family at k = 1, 2 and 3), `construct` with --seed-limit and --ns, and
-`check` on members that the exact arithmetic must refuse or prove. pytest
-does not collect this file.
+The list covers every search kind (the weighted equal-sigma kinds at
+k = 2, 3 and 4, each mean family at k = 1, 2 and 3, alpha-beta with small
+and large weights), `density multi`, `construct` with --seed-limit and
+--ns, and `check` on members that the exact arithmetic must refuse or
+prove. pytest does not collect this file.
 """
 
 from __future__ import annotations
@@ -41,9 +42,13 @@ COMMANDS = [
     ("search", "perfect", "--limit", "100000"),
     ("search", "amicable-number", "--limit", "100000"),
     ("search", "amicable-pair", "--limit", "100000"),
+    ("search", "amicable-pair", "--limit", "3000000"),
     ("search", "cohen-pair", "--alphas", "1,2", "--limit", "100000"),
     ("search", "alpha-beta", "--alphas", "1,2", "--limit", "100000"),
+    ("search", "alpha-beta", "--alphas", "1,1000", "--limit", "100000"),
+    ("search", "alpha-beta", "--alphas", "2,3", "--limit", "1000000"),
     ("search", "multiamicable", "--alphas", "1,2", "--limit", "1000000"),
+    ("search", "multiamicable", "--alphas", "2,1", "--limit", "1000000"),
     ("search", "multiamicable", "--alphas", "3", "--limit", "100000"),
     ("search", "multiamicable", "--alphas", "1,2,3", "--limit", "100000"),
     ("search", "multiamicable", "--alphas", "1,1,1,1", "--limit", "3000"),
@@ -58,9 +63,11 @@ COMMANDS = [
     *(("search", kind, "--k", "3", *flags, "--limit", "100") for kind, *flags in MEAN),
     ("search", "hm", "--k", "3", "--p", "1", "--q", "2", "--limit", "600"),
     ("search", "gm", "--k", "3", "--limit", "300"),
+    ("search", "gm", "--k", "3", "--limit", "600"),
     ("search", "feebly", "--k", "3", "--limit", "300"),
     ("search", "yanney", "--k", "3", "--limit", "3000", "--format", "csv"),
     ("scan-question", "--limit", "100000"),
+    ("density", "multi", "--alpha", "1", "--beta", "2", "--checkpoints", "100000,3000000"),
     ("construct", "--alphas", "1,2", "--seed-limit", "3000", "--a-bound", "3000"),
     ("construct", "--alphas", "2,1", "--seed-limit", "20000", "--a-bound", "200"),
     ("construct", "--alphas", "1,1,1", "--seed-limit", "3000", "--a-bound", "3000"),

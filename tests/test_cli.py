@@ -152,13 +152,15 @@ def test_each_command_sizes_its_own_sieve(capsys, monkeypatch):
         raise ValueError("sieve size recorded")
 
     monkeypatch.setattr("amiforge.sieve.build_sigma_sieve", recorded)
-    budget = str(8 * 300001 - 1)  # just short of a sieve to 1000 * 300
+    budget = str(8 * 2401 - 1)  # just short of a sieve to 8 * 300
     for argv, size in (
         (["sieve"], 10**6),
         (["sieve", "--limit", "30"], 30),
         (["search", "gm", "--limit", "20"], 20),
-        (["search", "alpha-beta", "--alphas", "1,1000", "--limit", "300"], 300000),
-        (["search", "alpha-beta", "--alphas", "1,1000", "--limit", "300", "--sieve-budget", budget], 300),
+        (["search", "alpha-beta", "--alphas", "3,8", "--limit", "300"], 2400),
+        (["search", "alpha-beta", "--alphas", "3,8", "--limit", "300", "--sieve-budget", budget], 300),
+        (["search", "alpha-beta", "--alphas", "1,9", "--limit", "300"], 300),
+        (["search", "alpha-beta", "--alphas", "1,1000", "--limit", "300"], 300),
         (["construct", "--alphas", "1,2", "--ns", "104,116", "--a-bound", "20"], 20),
         (["construct", "--alphas", "1,2", "--seed-limit", "120", "--a-bound", "20"], 120),
         (["construct", "--alphas", "1,2", "--seed-limit", "10", "--a-bound", "50"], 50),
@@ -397,16 +399,17 @@ def test_no_process_pool_for_any_worker_count(monkeypatch, capsys):
 
 
 def test_alpha_beta_weight_past_the_budget(capsys):
-    # the 1000*limit sieve needs 8*(300000+1) bytes; under a smaller budget
-    # the search covers the limit only and reads past it exactly
-    argv = ["search", "alpha-beta", "--alphas", "1,1000", "--limit", "300", "--workers", "1"]
-    code, doc = run_json(capsys, argv + ["--sieve-budget", str(8 * 300001 - 1)])
+    # the 8*limit sieve needs 8*(2400+1) bytes; under a smaller budget the
+    # search covers the limit only and reads past it exactly
+    argv = ["search", "alpha-beta", "--alphas", "1,8", "--limit", "300", "--workers", "1"]
+    code, doc = run_json(capsys, argv + ["--sieve-budget", str(8 * 2401 - 1)])
     assert code == 0
     assert doc["params"]["sieve_limit"] == 300
-    found = [tuple(r["tuple"]) for r in doc["results"]["records"]]
-    assert found == oracles.naive_family("alpha-beta", 300, alphas=(1, 1000))
+    narrow = [tuple(r["tuple"]) for r in doc["results"]["records"]]
+    assert narrow == oracles.naive_family("alpha-beta", 300, alphas=(1, 8)) == [(1, 7)]
     code, doc = run_json(capsys, argv)
-    assert code == 0 and doc["params"]["sieve_limit"] == 300000
+    assert code == 0 and doc["params"]["sieve_limit"] == 2400
+    assert [tuple(r["tuple"]) for r in doc["results"]["records"]] == narrow
 
 
 def test_out_writes_file(tmp_path, capsys):

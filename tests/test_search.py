@@ -9,6 +9,7 @@ import pytest
 from amiforge import arith, cli, search
 from amiforge.arith import sigma
 from amiforge.construct import find_seed_tuples
+from amiforge.density import count_multiamicable_pairs
 from amiforge.families import MEAN_EQUATIONS, FamilySpec, holds
 from amiforge.search import (
     MAX_SEARCH_LIMIT,
@@ -255,7 +256,9 @@ def test_mean_filter_false_positives_are_dropped(sieve_1k, monkeypatch):
     monkeypatch.setattr(search, "_MODULUS", 7)
     monkeypatch.setattr(search, "check", lambda *args: calls.append(args) or exact_check(*args))
     for kw in MEAN_CASES:
-        for k, limit in ((2, 60), (3, 20)):
+        # gm takes its last member from the rich numbers, sigma(n) >= k*n,
+        # when the prefix has none, and the least n with sigma(n) >= 3n is 120
+        for k, limit in ((2, 60), (3, 120 if kw["kind"] == "gm" else 20)):
             calls.clear()
             report = enumerate_family(mean_spec(k, **kw), limit, sieve=sieve_1k)
             assert members_of(report) == oracles.naive_family(limit=limit, k=k, **kw), (kw, k)
@@ -337,6 +340,16 @@ def test_key_solve_falls_back_where_sigma_has_no_inverse(sieve_1k, monkeypatch):
     assert filters == [False]
 
 
+# the weighted equal-sigma kinds at k = 2, which solve for the partner
+K2_WEIGHTED = [
+    FamilySpec("amicable-pair", 2),
+    FamilySpec("multiamicable", 2, alphas=(1, 2)),
+    FamilySpec("multiamicable", 2, alphas=(2, 1)),
+    FamilySpec("dickson", 2),
+    FamilySpec("yanney", 2),
+]
+
+
 def test_block_splits_change_no_record(sieve_10k, monkeypatch):
     # blocks of 7 tuples and of 5 prefixes split nearly every prefix's slice
     # across blocks, and every kind that grows prefixes must find the same
@@ -347,23 +360,47 @@ def test_block_splits_change_no_record(sieve_10k, monkeypatch):
         (FamilySpec("multiamicable", 3, alphas=(1, 1, 1)), 3000),
         (FamilySpec("multiamicable", 3, alphas=(1, 2, 3)), 3000),
     ]
+    specs += [(spec, 10**4) for spec in K2_WEIGHTED]
     specs += [(mean_spec(k, **kw), limit) for k, limit in ((2, 300), (3, 60)) for kw in MEAN_CASES]
+    # (1560, 1740) counts at x = 1600 with its partner past x and the sieve
+    short = build_sigma_sieve(1600)
 
     def outputs():
         found = [members_of(enumerate_family(spec, limit, sieve=sieve_10k)) for spec, limit in specs]
         seeds = [find_seed_tuples(alphas, 3000, sieve_10k) for alphas in ((1, 2), (1, 1, 1))]
-        return found, seeds
+        counts = [count_multiamicable_pairs(1, 2, (1000, 1600), short), count_multiamicable_pairs(1, 1, (3000,), sieve_10k)]
+        return found, seeds, counts
 
     whole = outputs()
-    assert all(whole[0][:4]) and all(whole[1])  # (1, 2, 3) has no tuple this low
+    # multiamicable (1, 2, 3) and (2, 1) have no tuple this low
+    empty = [spec.alphas in ((1, 2, 3), (2, 1)) for spec, _ in specs[:10]]
+    assert [not found for found in whole[0][:10]] == empty and all(whole[1])
+    assert [c.counts for c in whole[2]] == [(0, 1), (3,)]
     monkeypatch.setattr(search, "_BLOCK", 7)
     monkeypatch.setattr(search, "_CHUNK", 5)
     assert outputs() == whole
 
 
+def test_k2_weighted_kinds_need_no_sigma_order(sieve_10k, monkeypatch):
+    # at k = 2 the partner is solved for each m in natural order, so no
+    # argsort of the sigma table is made
+    def no_sort(*args):
+        raise AssertionError("a k = 2 scan sorted the sigma table")
+
+    monkeypatch.setattr(search, "_by_sigma", no_sort)
+    for spec in K2_WEIGHTED:
+        # an amicable pair is a Dickson pair
+        kind = "dickson" if spec.kind == "amicable-pair" else spec.kind
+        expected = grouped_reference(kind, 3000, 2, spec.alphas)
+        assert members_of(enumerate_family(spec, 3000, sieve=sieve_10k)) == expected, spec
+    assert count_multiamicable_pairs(1, 2, (2000, 10**4), sieve_10k).counts == (1, 2)
+    with pytest.raises(AssertionError, match="sorted"):
+        enumerate_family(FamilySpec("yanney", 3), 100, sieve=sieve_10k)
+
+
 def test_mean_last_slot_cuts_drop_no_member(sieve_1k):
     # hm caps the total by every member, q*sigma_i^p > T^p, and masks the last
-    # member's row when q < k^p; gm at k = 2 needs a member with sigma >= 2n
+    # member's row when q < k^p; gm needs a member with sigma >= k*n
     for k, limit, pqs in (
         (2, 200, ((1, 2), (1, 3), (2, 1), (2, 2), (2, 5), (3, 2), (3, 13), (3, 16))),
         (3, 40, ((1, 2), (1, 6), (2, 16), (3, 24))),
@@ -375,6 +412,8 @@ def test_mean_last_slot_cuts_drop_no_member(sieve_1k):
     report = enumerate_family(FamilySpec("gm", 2), 600, sieve=sieve_1k)
     assert members_of(report) == oracles.naive_family("gm", 600, k=2)
     assert len(report.records) > 5
+    report = enumerate_family(FamilySpec("gm", 3), 200, sieve=sieve_1k)
+    assert members_of(report) == oracles.naive_family("gm", 200, k=3) == [(120, 120, 120)]
 
 
 def test_hm_row_mask_keeps_every_admissible_total(sieve_1k):
