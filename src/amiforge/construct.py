@@ -3,7 +3,9 @@
 Seeds are equal-sigma tuples N_1, ..., N_k; any a coprime to every N_i with
 sigma(a)/a = (alpha_1*N_1 + ... + alpha_k*N_k) / sigma(N_1) turns them into
 the multiamicable tuple (a*N_1, ..., a*N_k), because sigma is multiplicative
-over coprime factors.
+over coprime factors. The seeds come from search.equal_sigma_blocks and the
+multipliers from search.abundancy_solutions, so no scan of 1..L is made
+here.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import numpy as np
 
 from .arith import sigma
 from .families import is_multiamicable
-from .search import _CAP, MAX_SEARCH_LIMIT, _capped, equal_sigma_blocks
+from .search import _CAP, MAX_SEARCH_LIMIT, _capped, abundancy_solutions, equal_sigma_blocks
 from .sieve import SigmaSieve, covering_sieve
 
 
@@ -56,14 +58,11 @@ def seed_ratio(alphas, ns, sieve: SigmaSieve | None = None) -> SeedTuple:
 def find_multipliers(target: Fraction, bound: int, coprime_to=(), sieve: SigmaSieve | None = None) -> list[int]:
     """All a <= bound with sigma(a)/a = target and gcd(a, n) = 1 for each n.
 
-    sigma(a)/a = num/den in lowest terms forces den | a, so a = j*den, and
-    then sigma(a)/a = num/den exactly when sigma(a) = num*j. One pass over
-    the multiples of den in the sieve keeps a when sigma(a) % num == 0 and
-    sigma(a) // num == j. int64: that is division form, so no product with
-    num is formed, and a num capped at 2^62 divides no table entry, all of
-    which are below 2^40. The coprimality filter then runs over the
-    survivors only. Ascending, possibly empty; [] before the sieve is read
-    when den > bound.
+    search.abundancy_solutions reads the multiples of the target's
+    denominator in one pass over the sieve; the coprimality filter then
+    runs over its survivors only. Ascending, possibly empty; [] before the
+    sieve is read when the denominator exceeds bound, since it divides
+    every such a.
 
     Otherwise raises CoverageError when the given sieve stops short of bound.
     """
@@ -72,13 +71,10 @@ def find_multipliers(target: Fraction, bound: int, coprime_to=(), sieve: SigmaSi
         raise ValueError("target must be >= 1: sigma(a)/a >= 1 for every a")
     if bound < 1:
         raise ValueError("bound must be >= 1")
-    num, den = _capped(target.numerator), target.denominator
-    if den > bound:
+    if target.denominator > bound:
         return []
-    table = covering_sieve(bound, sieve).table
-    j = np.arange(1, bound // den + 1)
-    s = table[j * den]
-    hit = j[(s % num == 0) & (s // num == j)] * den
+    sieve = covering_sieve(bound, sieve)
+    hit = abundancy_solutions(sieve, bound, target.numerator, target.denominator)
     return [a for a in hit.tolist() if all(math.gcd(a, n) == 1 for n in coprime_to)]
 
 

@@ -50,19 +50,14 @@ def _validate_checkpoints(checkpoints) -> list[int]:
     return pts
 
 
-def amicable_members(limit: int, sieve: SigmaSieve | None = None, exclude_perfect: bool = True) -> list[int]:
+def amicable_members(limit: int, sieve: SigmaSieve | None = None) -> list[int]:
     """All amicable numbers n <= limit: sigma(s(n)) = sigma(n), n not perfect.
 
-    The members are those of the amicable-number search, so limit shares its
-    cap MAX_SEARCH_LIMIT; with exclude_perfect=False the perfect numbers are
-    merged in.
+    The members are those of the amicable-number search, in ascending order,
+    so limit shares its cap MAX_SEARCH_LIMIT.
     """
-    kinds = ("amicable-number",) if exclude_perfect else ("amicable-number", "perfect")
-    members = []
-    for kind in kinds:
-        report = enumerate_family(FamilySpec(kind, 1), limit, sieve)
-        members.extend(r.members[0] for r in report.records)
-    return sorted(members)
+    report = enumerate_family(FamilySpec("amicable-number", 1), limit, sieve)
+    return [r.members[0] for r in report.records]
 
 
 def _series(checkpoints: list[int], members: list[int]) -> CountSeries:
@@ -71,10 +66,10 @@ def _series(checkpoints: list[int], members: list[int]) -> CountSeries:
     return CountSeries(tuple(checkpoints), counts, ratios)
 
 
-def count_amicable(checkpoints, sieve: SigmaSieve | None = None, exclude_perfect: bool = True) -> CountSeries:
+def count_amicable(checkpoints, sieve: SigmaSieve | None = None) -> CountSeries:
     """A(x) at each checkpoint: amicable numbers up to x."""
     pts = _validate_checkpoints(checkpoints)
-    return _series(pts, amicable_members(pts[-1], sieve, exclude_perfect))
+    return _series(pts, amicable_members(pts[-1], sieve))
 
 
 def count_multiamicable_pairs(alpha: int, beta: int, checkpoints, sieve: SigmaSieve | None = None) -> CountSeries:
@@ -109,7 +104,6 @@ def lemma_sum_check(
     x: int,
     k: int,
     sieve: SigmaSieve | None = None,
-    eps: float = ZETA_EPS,
 ) -> BoundReport:
     """Check sum_{n<=x} (sigma(n)/n)^k < zeta(2)^k * zeta(2k-1 if k>=2) * x.
 
@@ -136,11 +130,11 @@ def lemma_sum_check(
     sieve = covering_sieve(x, sieve)
     sig = sieve.table[: x + 1].tolist()
 
-    factors = [zeta_approx(2, eps)] * k
+    factors = [zeta_approx(2, ZETA_EPS)] * k
     if k >= 2:
-        factors.append(zeta_approx(2 * k - 1, eps))
-    rhs_hi = math.prod((z + eps for z in factors), start=x)
-    rhs_lo = math.prod((z - eps for z in factors), start=x)
+        factors.append(zeta_approx(2 * k - 1, ZETA_EPS))
+    rhs_hi = math.prod((z + ZETA_EPS for z in factors), start=x)
+    rhs_lo = math.prod((z - ZETA_EPS for z in factors), start=x)
     if not math.isfinite(rhs_hi):
         raise ValueError(f"the lemma bound at x={x}, k={k} is too large for a float")
     num, den = rhs_lo.as_integer_ratio()

@@ -120,15 +120,12 @@ def is_amicable_pair(m: int, n: int, sieve: SigmaSieve | None = None) -> bool:
     return holds(FamilySpec("amicable-pair", 2), (m, n), sieve)
 
 
-def is_amicable_number(n: int, sieve: SigmaSieve | None = None, exclude_perfect: bool = True) -> bool:
+def is_amicable_number(n: int, sieve: SigmaSieve | None = None) -> bool:
     """n is a member of an amicable pair: sigma(s(n)) = sigma(n).
 
-    Perfect numbers satisfy the equation trivially and are excluded by
-    default.
+    Perfect numbers satisfy the equation trivially and are excluded.
     """
-    return holds(FamilySpec("amicable-number", 1), (n,), sieve) or (
-        not exclude_perfect and is_perfect(n, sieve)
-    )
+    return holds(FamilySpec("amicable-number", 1), (n,), sieve)
 
 
 def is_dickson_tuple(t, sieve: SigmaSieve | None = None) -> bool:

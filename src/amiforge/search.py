@@ -2,16 +2,17 @@
 the open conjecture and question.
 
 Every search runs in this process as numpy passes over the sigma table.
-Perfect numbers, amicable pairs, and multiamicable, Dickson and Yanney
-tuples of any size read one equation: the members share one sigma and
+Amicable pairs, and multiamicable, Dickson and Yanney tuples of any size
+read one equation: the members share one sigma and
 a_1*n_1 + ... + a_k*n_k = factor*sigma. weighted_tuples, the one solver of
 that equation, grows the (k-1)-prefixes and solves for the last member; at
 k = 2 that is the partner n = (sigma(m) - a*m) / b of each m in natural
 order, and at k >= 3 the prefixes grow within the runs of one stable
-argsort by sigma. A single member solves sigma(n) = a*n, with a = 2 for
-perfect. Amicable numbers, Cohen and alpha-beta pairs are their own linear
-passes. The mean families evaluate each block of candidate tuples against
-the family's families.MEAN_EQUATIONS entry modulo a prime, and the exact
+argsort by sigma. The amicable numbers are the members of its pairs at
+weights (1, 1). abundancy_solutions, the one solver of sigma(a)/a = r,
+gives perfect numbers (r = 2), the multiamicable singletons and construct's
+multipliers. Cohen and alpha-beta pairs are their own linear passes. The
+mean families evaluate each block of candidate tuples against the family's families.MEAN_EQUATIONS entry modulo a prime, and the exact
 check confirms the few that pass. Where the entry reads
 sum_i key(n_i) = target (pm with p = 1, mp, feebly, and whm with p = 1,
 whose key is n * sigma(n)^-1 modulo the prime) the last member is solved
@@ -23,7 +24,6 @@ numpy blocks of bounded size."""
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 from functools import cache
 
@@ -61,7 +61,6 @@ class SearchReport:
     limit: int
     records: list[TupleRecord]
     scanned: int
-    elapsed: float
     label: str = ""
 
 
@@ -94,30 +93,24 @@ def _aliquots(sieve: SigmaSieve, w: int, v: np.ndarray) -> np.ndarray:
     return s
 
 
-def _multiperfect(sieve: SigmaSieve, limit: int, a: int) -> np.ndarray:
-    """n <= limit with sigma(n) = a*n: perfect numbers at a = 2, and the
-    multiamicable singletons. Tested as sigma(n) % n == 0 and
-    sigma(n) // n == a, so int64 holds no product and a weight capped at
-    2^62 matches no n."""
-    n = np.arange(1, limit + 1)
-    s = sieve.table[1 : limit + 1]
-    return n[(s % n == 0) & (s // n == _capped(a))]
+def abundancy_solutions(sieve: SigmaSieve, bound: int, num: int, den: int) -> np.ndarray:
+    """Every a <= bound with sigma(a)/a = num/den, for num/den in lowest
+    terms, ascending: perfect numbers at 2/1, the multiamicable singletons
+    at alpha/1, and construct's multipliers. den | a, so a = j*den, and then
+    sigma(a)/a = num/den exactly when sigma(a) = num*j. The sieve must cover
+    bound.
 
-
-def _amicable_numbers(spec: FamilySpec, limit: int, sieve: SigmaSieve):
-    """2 <= n <= limit with s(n) != n and sigma(s(n)) = sigma(n), that is
-    s(s(n)) = sigma(n) - s(n) = n.
-
-    int64: s(n) is a difference of table entries and no product is formed.
-    An s(n) past the sieve is read through _aliquots: s(n) < sigma(n) <
-    7*limit <= limit^2 for limit >= 7, so every such read falls within
-    R^2 and takes the one vectorised sigma_beyond pass.
+    int64: j*den <= bound indexes the table, and sigma(a) = num*j is tested
+    in division form, sigma(a) % num == 0 and sigma(a) // num == j, so no
+    product with num is formed; a num capped at 2^62 divides no table
+    entry, all of which are below 2^40, so it matches nothing, as its true
+    value would not. sigma(j*den) is read through a strided view of the
+    table, which copies nothing and forms no index array.
     """
-    n = np.arange(2, limit + 1)
-    s = sieve.table[2 : limit + 1] - n
-    keep = s != n
-    n, s = n[keep], s[keep]
-    return [(v,) for v in n[_aliquots(sieve, 1, s) == n].tolist()]
+    num = _capped(num)
+    s = sieve.table[den : bound + 1 : den]
+    j = np.arange(1, len(s) + 1)
+    return j[(s % num == 0) & (s // num == j)] * den
 
 
 def _cohen_pairs(spec: FamilySpec, limit: int, sieve: SigmaSieve):
@@ -299,16 +292,22 @@ def weighted_tuples(sieve: SigmaSieve, limit: int, alphas, factor: int, strict: 
 
 
 def _weighted(spec: FamilySpec, limit: int, sieve: SigmaSieve):
-    """Perfect numbers, amicable pairs, and multiamicable, Dickson and Yanney
-    tuples, all members <= limit: members of one sigma value with
-    a_1*n_1 + ... + a_k*n_k = factor*sigma. The weights are the alphas for
-    multiamicable, members strictly increasing, and 1 otherwise, members
-    non-decreasing; factor is k - 1 for yanney and 1 otherwise, so at k = 2
-    Dickson, Yanney and amicable pairs share sigma(m) = sigma(n) = m + n.
+    """Perfect and amicable numbers, amicable pairs, and multiamicable,
+    Dickson and Yanney tuples, all members <= limit: members of one sigma
+    value with a_1*n_1 + ... + a_k*n_k = factor*sigma. The weights are the
+    alphas for multiamicable, members strictly increasing, and 1 otherwise,
+    members non-decreasing; factor is k - 1 for yanney and 1 otherwise, so
+    at k = 2 Dickson, Yanney and amicable pairs share
+    sigma(m) = sigma(n) = m + n. The amicable numbers are the members of
+    the pairs m < n of that equation: every m <= limit, whose n is solved
+    with no bound, and every n <= limit, whose m < n is then found too.
     One member solves sigma(n) = a*n, with a = 2 for perfect."""
+    if spec.kind == "amicable-number":
+        m, n = weighted_tuples(sieve, limit, (1, 1), 1, True, None)
+        return [(v,) for v in np.union1d(m, n[n <= limit]).tolist()]
     if spec.k == 1:
         a = spec.alphas[0] if spec.kind == "multiamicable" else 2
-        return [(v,) for v in _multiperfect(sieve, limit, a).tolist()]
+        return [(v,) for v in abundancy_solutions(sieve, limit, a, 1).tolist()]
     if spec.kind == "multiamicable":
         alphas, strict = spec.alphas, True
     else:
@@ -320,7 +319,7 @@ def _weighted(spec: FamilySpec, limit: int, sieve: SigmaSieve):
 
 _KERNELS = {
     "perfect": _weighted,
-    "amicable-number": _amicable_numbers,
+    "amicable-number": _weighted,
     "amicable-pair": _weighted,
     "cohen-pair": _cohen_pairs,
     "alpha-beta": _alpha_beta_pairs,
@@ -467,9 +466,7 @@ def _mean_family_kernel(spec: FamilySpec, limit: int, sieve: SigmaSieve) -> list
     is target minus the prefix's sum: O(L log L) at k = 2, not L^2 / 2.
     A key over the denominator sigma(n)^b is n^a times the inverse of
     sigma(n)^b, which is sigma(n)^(b*(P-2)) by Fermat for the prime P; it
-    exists since sigma(n) < 2^26 < P for every n <= MAX_SEARCH_LIMIT. When
-    some sigma(n) in 1..limit is 0 modulo the prime, which only a smaller
-    modulus can give, the key is undefined there and the row filter runs.
+    exists since sigma(n) < 2^26 < P for every n <= MAX_SEARCH_LIMIT.
     int64: every value is a residue below 2^31, reduced after each add and
     multiply, so a sum stays below 2^32 and a product below 2^62; a sorted
     entry key * (limit + 1) + n stays below 2^31 * 2^24 = 2^55. A member's
@@ -506,11 +503,9 @@ def _mean_family_kernel(spec: FamilySpec, limit: int, sieve: SigmaSieve) -> list
 
     def solved(entry):
         # the last slot over 1..limit sorted by key, each key read from the
-        # entry at k = 1; None when a denominator is 0 modulo the prime
+        # entry at k = 1
         num, den, rhs = mean_sides(spec, lambda a, b: [columns(a, b)], lambda e: columns(e, 0), mod, entry)
         if entry[1]:
-            if not den[1:].all():
-                return None
             num = num * _powmod(den, mod - 2, mod) % mod
         # a right side without a term is the constant target
         key, target = ((num - rhs) % mod, 0) if np.ndim(rhs) else (num, rhs)
@@ -527,12 +522,11 @@ def _mean_family_kernel(spec: FamilySpec, limit: int, sieve: SigmaSieve) -> list
         return n[1:], heads[-1] - 1 if heads else 0, limit
 
     entry = _additive(spec) if k > 1 else None
-    solve = solved(entry) if entry else None
-    last = solve or last or whole
+    last = solved(entry) if entry else last or whole
 
     blocks = _tuple_blocks(k, lambda j, heads: (last if j == k - 1 else whole)(heads), _BLOCK)
     records = []
-    for members in blocks if solve else filtered(blocks):
+    for members in blocks if entry else filtered(blocks):
         for t in zip(*(m.tolist() for m in members)):
             outcome = check(spec, t, sieve)
             if isinstance(outcome, TupleRecord):
@@ -566,7 +560,6 @@ def check_search_limit(limit: int, spec: FamilySpec | None = None) -> None:
 def enumerate_family(spec: FamilySpec, limit: int, sieve: SigmaSieve | None = None) -> SearchReport:
     """Every tuple of the family with all elements <= limit, found in this
     process."""
-    t0 = time.perf_counter()
     check_search_limit(limit, spec)
     # A built sieve also covers the alpha*n that alpha-beta reads, within the
     # budget; a caller's sieve need only cover limit, since _aliquots reads
@@ -581,7 +574,7 @@ def enumerate_family(spec: FamilySpec, limit: int, sieve: SigmaSieve | None = No
         scanned = math.comb(limit + spec.k - 1, spec.k)
     else:
         records, scanned = _verified(spec, _KERNELS[spec.kind](spec, limit, sieve), sieve), limit
-    return SearchReport(spec, limit, records, scanned, time.perf_counter() - t0)
+    return SearchReport(spec, limit, records, scanned)
 
 
 def _verified(spec: FamilySpec, found, sieve: SigmaSieve) -> list[TupleRecord]:
@@ -611,7 +604,6 @@ def scan_open_question(limit: int, sieve: SigmaSieve | None = None) -> SearchRep
     holds it exactly, and its sqrt, truncated, is within one of isqrt(target);
     n is corrected by one either way and kept only when n*n == target exactly.
     """
-    t0 = time.perf_counter()
     check_search_limit(limit)
     sieve = covering_sieve(limit, sieve)
     spec = FamilySpec("mp", 2, p=2, q=2)
@@ -630,7 +622,6 @@ def scan_open_question(limit: int, sieve: SigmaSieve | None = None) -> SearchRep
         limit,
         _verified(spec, found, sieve),
         limit,
-        time.perf_counter() - t0,
         label="equal-sigma mp(2,2) pairs",
     )
 

@@ -11,8 +11,9 @@ status is 1 when anything differs and 0 otherwise.
 
 The list covers every search kind (the weighted equal-sigma kinds at
 k = 2, 3 and 4, each mean family at k = 1, 2 and 3, alpha-beta with small
-and large weights), `density multi`, `construct` with --seed-limit and
---ns, and `check` on members that the exact arithmetic must refuse or
+and large weights, the amicable numbers and sigma(n) = a*n up to 10^7),
+`density multi`, `amicable` and `pomerance`, `construct` with --seed-limit
+and --ns, and `check` on members that the exact arithmetic must refuse or
 prove. pytest does not collect this file.
 """
 
@@ -41,6 +42,8 @@ MEAN = [
 COMMANDS = [
     ("search", "perfect", "--limit", "100000"),
     ("search", "amicable-number", "--limit", "100000"),
+    ("search", "amicable-number", "--limit", "10000000"),
+    ("search", "perfect", "--limit", "10000000"),
     ("search", "amicable-pair", "--limit", "100000"),
     ("search", "amicable-pair", "--limit", "3000000"),
     ("search", "cohen-pair", "--alphas", "1,2", "--limit", "100000"),
@@ -50,6 +53,7 @@ COMMANDS = [
     ("search", "multiamicable", "--alphas", "1,2", "--limit", "1000000"),
     ("search", "multiamicable", "--alphas", "2,1", "--limit", "1000000"),
     ("search", "multiamicable", "--alphas", "3", "--limit", "100000"),
+    ("search", "multiamicable", "--alphas", "3", "--limit", "10000000"),
     ("search", "multiamicable", "--alphas", "1,2,3", "--limit", "100000"),
     ("search", "multiamicable", "--alphas", "1,1,1,1", "--limit", "3000"),
     ("search", "dickson", "--k", "2", "--limit", "100000"),
@@ -68,11 +72,14 @@ COMMANDS = [
     ("search", "yanney", "--k", "3", "--limit", "3000", "--format", "csv"),
     ("scan-question", "--limit", "100000"),
     ("density", "multi", "--alpha", "1", "--beta", "2", "--checkpoints", "100000,3000000"),
+    ("density", "amicable", "--checkpoints", "100000,1000000"),
+    ("density", "pomerance", "--checkpoints", "1000,1000000"),
     ("construct", "--alphas", "1,2", "--seed-limit", "3000", "--a-bound", "3000"),
     ("construct", "--alphas", "2,1", "--seed-limit", "20000", "--a-bound", "200"),
     ("construct", "--alphas", "1,1,1", "--seed-limit", "3000", "--a-bound", "3000"),
     ("construct", "--alphas", "1,2", "--seed-limit", "100000", "--a-bound", "1"),
     ("construct", "--alphas", "1,2", "--ns", "2^3*13,2^2*29", "--a-bound", "3000"),
+    ("construct", "--alphas", "1,2", "--ns", "104,116", "--a-bound", "300000"),
     ("check", "perfect", "--tuple", "2^4*31"),
     ("check", "perfect", "--tuple", "2^60*1000000007"),
     ("check", "perfect", "--tuple", "1000003*1000033"),

@@ -25,10 +25,6 @@ def test_amicable_members_example(sieve_10k):
     assert amicable_members(1300, sieve_10k) == [220, 284, 1184, 1210]
 
 
-def test_amicable_members_with_perfect(sieve_10k):
-    assert amicable_members(500, sieve_10k, exclude_perfect=False) == [6, 28, 220, 284, 496]
-
-
 def test_count_amicable_example(sieve_10k):
     series = count_amicable((100, 300, 1300), sieve_10k)
     assert series.checkpoints == (100, 300, 1300)

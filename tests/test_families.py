@@ -46,7 +46,6 @@ def test_amicable_number():
     assert is_amicable_number(220)
     assert is_amicable_number(284)
     assert not is_amicable_number(6)
-    assert is_amicable_number(6, exclude_perfect=False)
     assert not is_amicable_number(10)
 
 

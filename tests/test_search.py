@@ -8,7 +8,7 @@ import pytest
 
 from amiforge import arith, cli, search
 from amiforge.arith import sigma
-from amiforge.construct import find_seed_tuples
+from amiforge.construct import find_multipliers, find_seed_tuples
 from amiforge.density import count_multiamicable_pairs
 from amiforge.families import MEAN_EQUATIONS, FamilySpec, holds
 from amiforge.search import (
@@ -249,11 +249,13 @@ def test_mean_families_single_members_match_oracle(sieve_1k):
 
 
 def test_mean_filter_false_positives_are_dropped(sieve_1k, monkeypatch):
-    # modulo 7 about one candidate in seven passes the row filter; the exact
-    # check must drop every non-member without raising
+    # modulo 17 about one candidate in seventeen passes the row filter or
+    # matches a solved key; the exact check must drop every non-member
+    # without raising. 17 is the least prime that divides no sigma(n) for
+    # n <= 60, so every key over sigma(n) has its inverse
     calls = []
     exact_check = search.check
-    monkeypatch.setattr(search, "_MODULUS", 7)
+    monkeypatch.setattr(search, "_MODULUS", 17)
     monkeypatch.setattr(search, "check", lambda *args: calls.append(args) or exact_check(*args))
     for kw in MEAN_CASES:
         # gm takes its last member from the rich numbers, sigma(n) >= k*n,
@@ -318,28 +320,6 @@ def test_feebly_and_whm_p1_agree(sieve_10k):
     assert small == oracles.naive_family("feebly", 60, k=3)
 
 
-def test_key_solve_falls_back_where_sigma_has_no_inverse(sieve_1k, monkeypatch):
-    # modulo 7, sigma(4) = 7 and sigma(12) = 28 have no inverse, and (4, 12)
-    # is feebly: 4/7 + 12/28 = 1. The key solve cannot see such members, so
-    # the row filter over pairs runs instead of the solve over single prefixes.
-    # The key read passes mean_sides the entry's factor lists and the row
-    # filter does not, so each call records whether it is the row filter
-    monkeypatch.setattr(search, "_MODULUS", 7)
-    filters = []
-    sides = search.mean_sides
-    monkeypatch.setattr(search, "mean_sides", lambda *args: filters.append(len(args) == 4) or sides(*args))
-    for spec, kw in ((FamilySpec("feebly", 2), {}), (FamilySpec("whm", 2, p=1), dict(p=1))):
-        filters.clear()
-        found = members_of(enumerate_family(spec, 60, sieve=sieve_1k))
-        assert (4, 12) in found
-        assert found == oracles.naive_family(spec.kind, 60, k=2, **kw), spec
-        assert filters[0] is False and all(filters[1:]) and len(filters) > 1, spec
-    # sigma(1..3) = 1, 3, 4 are units modulo 7, so the solve runs
-    filters.clear()
-    assert members_of(enumerate_family(FamilySpec("feebly", 2), 3, sieve=sieve_1k)) == []
-    assert filters == [False]
-
-
 # the weighted equal-sigma kinds at k = 2, which solve for the partner
 K2_WEIGHTED = [
     FamilySpec("amicable-pair", 2),
@@ -362,11 +342,15 @@ def test_block_splits_change_no_record(sieve_10k, monkeypatch):
     ]
     specs += [(spec, 10**4) for spec in K2_WEIGHTED]
     specs += [(mean_spec(k, **kw), limit) for k, limit in ((2, 300), (3, 60)) for kw in MEAN_CASES]
-    # (1560, 1740) counts at x = 1600 with its partner past x and the sieve
+    # (1560, 1740) counts at x = 1600 with its partner past x and the sieve,
+    # and the amicable number 1184 is found at L = 1200 with its partner
+    # 1210 past the limit and the sieve
     short = build_sigma_sieve(1600)
+    to_1200 = build_sigma_sieve(1200)
 
     def outputs():
         found = [members_of(enumerate_family(spec, limit, sieve=sieve_10k)) for spec, limit in specs]
+        found.append(members_of(enumerate_family(FamilySpec("amicable-number", 1), 1200, sieve=to_1200)))
         seeds = [find_seed_tuples(alphas, 3000, sieve_10k) for alphas in ((1, 2), (1, 1, 1))]
         counts = [count_multiamicable_pairs(1, 2, (1000, 1600), short), count_multiamicable_pairs(1, 1, (3000,), sieve_10k)]
         return found, seeds, counts
@@ -375,6 +359,7 @@ def test_block_splits_change_no_record(sieve_10k, monkeypatch):
     # multiamicable (1, 2, 3) and (2, 1) have no tuple this low
     empty = [spec.alphas in ((1, 2, 3), (2, 1)) for spec, _ in specs[:10]]
     assert [not found for found in whole[0][:10]] == empty and all(whole[1])
+    assert whole[0][-1] == [(220,), (284,), (1184,)]
     assert [c.counts for c in whole[2]] == [(0, 1), (3,)]
     monkeypatch.setattr(search, "_BLOCK", 7)
     monkeypatch.setattr(search, "_CHUNK", 5)
@@ -543,6 +528,27 @@ def test_multiamicable_singletons_are_multiperfect(sieve_1k):
         assert members_of(report) == oracles.naive_family("multiamicable", 1000, alphas=(a,)), a
     report = enumerate_family(FamilySpec("multiamicable", 1, alphas=(3,)), 1000, sieve=sieve_1k)
     assert members_of(report) == [(120,), (672,)]
+
+
+def test_abundancy_solutions_match_brute_force(sieve_10k):
+    # sigma(a)/a = num/den for a <= 10^4 against the divisor loop; a
+    # numerator of 2^62 or more exceeds every table entry and matches nothing
+    limit = 10**4
+    sig = [oracles.divisor_sigma(a) for a in range(1, limit + 1)]
+    targets = [Fraction(2), Fraction(3), Fraction(8, 5), Fraction(35, 12), Fraction(104, 63)]
+    targets += [Fraction(2**62), Fraction(2**64, 3)]
+    for target in targets:
+        num, den = target.numerator, target.denominator
+        expected = [a for a, s in enumerate(sig, 1) if s * den == num * a]
+        assert bool(expected) == (num < 2**62), target
+        assert search.abundancy_solutions(sieve_10k, limit, num, den).tolist() == expected, target
+    # perfect numbers and the multiamicable singletons are the multipliers of
+    # an integer target
+    perfect = enumerate_family(FamilySpec("perfect", 1), limit, sieve=sieve_10k)
+    assert members_of(perfect) == [(a,) for a in find_multipliers(Fraction(2), limit)] == [(6,), (28,), (496,), (8128,)]
+    for a in (1, 2, 3):
+        report = enumerate_family(FamilySpec("multiamicable", 1, alphas=(a,)), limit, sieve=sieve_10k)
+        assert members_of(report) == [(m,) for m in find_multipliers(Fraction(a), limit)], a
 
 
 def test_limit_validation(sieve_1k):
