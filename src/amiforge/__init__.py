@@ -49,7 +49,7 @@ _HOME = {
             "is_wpm",
             "is_yanney_tuple",
         ),
-        "search": ("SearchReport", "conjecture_census", "enumerate_family", "scan_open_question"),
+        "search": ("SearchReport", "enumerate_family", "scan_open_question"),
         "tables": ("verify_tables",),
         "construct": (
             "ConstructedTuple",

@@ -40,7 +40,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--sieve-budget",
         type=int,
         default=DEFAULT_SIEVE_BUDGET,
-        help="sieve memory budget in bytes",
+        help="sigma sieve budget in bytes: 8 per entry covers the build and the int32 table; past 2^28 entries is refused",
     )
 
     sub = parser.add_subparsers(dest="command", required=True)

@@ -1,5 +1,5 @@
-"""Bounded exhaustive enumeration of every family, and scan harnesses for
-the open conjecture and question.
+"""Bounded exhaustive enumeration of every family, and the scan for the
+open question.
 
 Every search runs in this process as numpy passes over the sigma table.
 Amicable pairs, and multiamicable, Dickson and Yanney tuples of any size
@@ -11,15 +11,17 @@ order, and at k >= 3 the prefixes grow within the runs of one stable
 argsort by sigma. The amicable numbers are the members of its pairs at
 weights (1, 1). abundancy_solutions, the one solver of sigma(a)/a = r,
 gives perfect numbers (r = 2), the multiamicable singletons and construct's
-multipliers. Cohen and alpha-beta pairs are their own linear passes. The
-mean families evaluate each block of candidate tuples against the family's families.MEAN_EQUATIONS entry modulo a prime, and the exact
-check confirms the few that pass. Where the entry reads
-sum_i key(n_i) = target (pm with p = 1, mp, feebly, and whm with p = 1,
-whose key is n * sigma(n)^-1 modulo the prime) the last member is solved
-for over the sorted keys instead; hm and gm first narrow each prefix's
-last slot with a necessary inequality. weighted_tuples, the mean families
-and the equal-sigma seeds all grow their prefixes with _tuple_blocks, in
-numpy blocks of bounded size."""
+multipliers. Each O(L) pass over members m (pairs at k = 2, Cohen and
+alpha-beta pairs, the open-question scan) is one blocked _partner_pass: m
+solves for its partner, and one test accepts the pair. The mean families
+evaluate each block of candidate tuples against their MEAN_EQUATIONS
+entry modulo a prime, and the exact check confirms the few that pass.
+Where the entry reads sum_i key(n_i) = target (pm with p = 1, mp, feebly,
+and whm with p = 1, whose key is n * sigma(n)^-1 modulo the prime) the
+last member is solved for over the sorted keys instead; hm and gm first
+narrow each prefix's last slot with a necessary inequality.
+weighted_tuples, the mean families and the equal-sigma seeds all grow
+their prefixes with _tuple_blocks, in numpy blocks of bounded size."""
 
 from __future__ import annotations
 
@@ -33,18 +35,18 @@ from .arith import DEFAULT_SIEVE_BUDGET, sigma
 from .families import MEAN_EQUATIONS, FamilySpec, Mismatch, TupleRecord, check, mean_sides
 from .sieve import SigmaSieve, beyond_reach, build_sigma_sieve, covering_sieve, sigma_beyond
 
-MAX_SEARCH_LIMIT = 10**7  # keeps sigma buckets and tables within memory bounds
+MAX_SEARCH_LIMIT = 10**7  # sigma(n) < 2^26 up to it, which the int64 arguments use
 
-# sigma(n) < 2^40 for every n <= 2^31, which bounds any sieve table of up to
-# 16 GiB. The linear kernels compare weights and aliquot sums only with
-# members, table entries, and their quotients and remainders, all below 2^40.
-# A value of 2^62 or more can therefore never match, and capping it at 2^62
-# keeps that while fitting int64.
+# Every sigma a kernel reads is below 2^59 (table entries below 2^31, values
+# of sigma_beyond below 2^59), and the linear kernels compare weights and
+# aliquot sums only with members, such sigmas, and their quotients and
+# remainders. So a value of 2^62 or more never matches, and capping it at
+# 2^62 keeps that while fitting int64.
 _CAP = 1 << 62
 
 # The mean families' row filter works modulo this prime, 2^31 - 1. Scans take
-# blocks of at most _BLOCK tuples, or of _CHUNK prefixes for weighted_tuples,
-# each read when the scan starts.
+# blocks of at most _BLOCK tuples, or of _CHUNK members or prefixes for the
+# partner passes and weighted_tuples, each read when the scan starts.
 _MODULUS = 2**31 - 1
 _BLOCK = 1 << 13
 _CHUNK = 1 << 18
@@ -83,7 +85,7 @@ def _aliquots(sieve: SigmaSieve, w: int, v: np.ndarray) -> np.ndarray:
     w_cap = _capped(w)
     inside = v <= sieve.limit // w
     wv = w_cap * v[inside]
-    s[inside] = sieve.table[wv] - wv
+    s[inside] = sieve.read(wv) - wv
     near = ~inside & (v <= beyond_reach(sieve) // w)
     wv = w_cap * v[near]
     s[near] = sigma_beyond(sieve, wv) - wv
@@ -103,14 +105,34 @@ def abundancy_solutions(sieve: SigmaSieve, bound: int, num: int, den: int) -> np
     int64: j*den <= bound indexes the table, and sigma(a) = num*j is tested
     in division form, sigma(a) % num == 0 and sigma(a) // num == j, so no
     product with num is formed; a num capped at 2^62 divides no table
-    entry, all of which are below 2^40, so it matches nothing, as its true
-    value would not. sigma(j*den) is read through a strided view of the
-    table, which copies nothing and forms no index array.
+    entry, all of which are below 2^31, so it matches nothing, as its true
+    value would not. j runs in blocks of _CHUNK, each reading sigma(j*den)
+    in int64 through a strided slice of the table.
     """
-    num = _capped(num)
-    s = sieve.table[den : bound + 1 : den]
-    j = np.arange(1, len(s) + 1)
-    return j[(s % num == 0) & (s // num == j)] * den
+    num, count = _capped(num), bound // den
+    found = [np.empty(0, dtype=np.int64)]
+    for lo in range(1, count + 1, _CHUNK):
+        hi = min(lo + _CHUNK, count + 1)
+        j, s = np.arange(lo, hi), sieve.read(slice(lo * den, hi * den, den))
+        found.append(j[(s % num == 0) & (s // num == j)] * den)
+    return np.concatenate(found)
+
+
+def _partner_pass(sieve: SigmaSieve, limit: int, partner, accept) -> tuple[np.ndarray, np.ndarray]:
+    """The accepted pairs (m, n), m in 1..limit, as two arrays in the order
+    of m: partner(m, s), s = sigma(m), gives each m its partner n and a mask
+    of the valid ones, and accept(m, s, n) tests those. m runs in int64
+    blocks of _CHUNK, so the pass holds a few block arrays besides the
+    table; each rule states its own int64 argument."""
+    found = [(np.empty(0, dtype=np.int64),) * 2]
+    for lo in range(1, limit + 1, _CHUNK):
+        hi = min(lo + _CHUNK, limit + 1)
+        m, s = np.arange(lo, hi), sieve.read(slice(lo, hi))
+        n, keep = partner(m, s)
+        m, s, n = m[keep], s[keep], n[keep]
+        hit = accept(m, s, n)
+        found.append((m[hit], n[hit]))
+    return tuple(np.concatenate(column) for column in zip(*found))
 
 
 def _cohen_pairs(spec: FamilySpec, limit: int, sieve: SigmaSieve):
@@ -121,43 +143,43 @@ def _cohen_pairs(spec: FamilySpec, limit: int, sieve: SigmaSieve):
     """
     same = spec.alphas[0] == spec.alphas[1]
     a, b = _capped(spec.alphas[0]), _capped(spec.alphas[1])
-    m = np.arange(1, limit + 1)
-    r = sieve.table[1 : limit + 1] - m
-    keep = (r >= a) & (r % a == 0)
-    m, n = m[keep], r[keep] // a
-    keep = n <= limit
-    if same:
-        keep &= m <= n
-    m, n = m[keep], n[keep]
-    rn = sieve.table[n] - n
-    hit = (rn % m == 0) & (rn // m == b)
-    return list(zip(m[hit].tolist(), n[hit].tolist()))
+
+    def partner(m, s):
+        n, r = np.divmod(s - m, a)
+        keep = (n >= 1) & (r == 0) & (n <= limit)
+        return n, keep & (m <= n) if same else keep
+
+    def accept(m, s, n):
+        rn = sieve.read(n) - n
+        return (rn % m == 0) & (rn // m == b)
+
+    return _partner_pass(sieve, limit, partner, accept)
 
 
 def _alpha_beta_pairs(spec: FamilySpec, limit: int, sieve: SigmaSieve):
-    """(m, n), both <= limit, with s(a*n) = m and s(b*m) = n; m <= n when a = b.
+    """(m, n), both <= limit, with s(a*n) = m and s(b*m) = n; m <= n when
+    a = b. The pass runs over n, whose partner is m = s(a*n).
 
     int64: both reads go through _aliquots, which forms a*n and b*m only
     as indices within the table or values within R^2 <= 2^56, and reads a
     value past R^2 through the exact sigma().
     """
     a, b = spec.alphas
-    n = np.arange(1, limit + 1)
-    m = _aliquots(sieve, a, n)
-    keep = (m >= 1) & (m <= limit)
-    if a == b:
-        keep &= m <= n
-    n, m = n[keep], m[keep]
-    hit = _aliquots(sieve, b, m) == n
-    return list(zip(m[hit].tolist(), n[hit].tolist()))
+
+    def partner(n, s):
+        m = _aliquots(sieve, a, n)
+        keep = (m >= 1) & (m <= limit)
+        return m, keep & (m <= n) if a == b else keep
+
+    return _partner_pass(sieve, limit, partner, lambda n, s, m: _aliquots(sieve, b, m) == n)[::-1]
 
 
 def _by_sigma(sieve: SigmaSieve, limit: int) -> tuple[np.ndarray, np.ndarray]:
     """1..limit ordered by (sigma(n), n), and the sigma of each: one stable
     argsort of the table, after which each sigma value's members form one
     ascending run."""
-    order = np.argsort(sieve.table[1 : limit + 1], kind="stable")
-    return order + 1, sieve.table[1:][order]
+    n = np.argsort(sieve.table[1 : limit + 1], kind="stable") + 1
+    return n, sieve.read(n)
 
 
 def _tuple_blocks(k: int, slot, size: int):
@@ -225,66 +247,71 @@ def weighted_tuples(sieve: SigmaSieve, limit: int, alphas, factor: int, strict: 
     limit and n_k <= partner_limit when one is given; the sieve must cover
     limit. Rows come in the order of their prefixes, so at k = 2 by n_1.
 
+    At k = 2 the prefix is one member m, and _partner_pass solves for its
+    partner over 1..limit in natural order, with no sort. At k >= 3
     _tuple_blocks grows the (k-1)-prefixes, _CHUNK at a time, as positions
-    in an order of 1..limit. At k = 2 there is no middle slot, so that is
-    the natural order and no sort is made. At k >= 3 it is the _by_sigma
-    order, in which each sigma value's members form one ascending run of
-    the key sigma*(limit + 1) + n. Slot 0 admits n <= T // tails[0], and a
-    middle slot i admits v from the previous member on (after it when
-    strict) up to the last v with partial + tails[i]*v <= T, where
-    tails[i] = a_i + ... + a_k, since every later member is >= v; that end
-    is one searchsorted on the key. The last member v = (T - partial) / a_k
-    is kept when the division is exact, v >= the previous member (> when
-    strict), v <= partner_limit when one is given, and sigma(v) equals the
-    prefix's sigma, read through _aliquots, so a v past the sieve is read
-    exactly.
+    in the _by_sigma order, in which each sigma value's members form one
+    ascending run of the key sigma*(limit + 1) + n. Slot 0 admits
+    n <= T // tails[0], and a middle slot i admits v from the previous
+    member on (after it when strict) up to the last v with
+    partial + tails[i]*v <= T, where tails[i] = a_i + ... + a_k, since every
+    later member is >= v; that end is one searchsorted on the key. The last
+    member v = (T - partial) / a_k is kept when the division is exact,
+    v >= the previous member (> when strict), v <= partner_limit when one is
+    given, and sigma(v) equals the prefix's sigma, read through _aliquots,
+    so a v past the sieve is read exactly.
 
-    int64: sigma < 2^26 for n <= MAX_SEARCH_LIMIT, so a key is below 2^50,
-    and so is T when factor is 1. Weights and tails are capped at _CAP,
-    which exceeds that T, so a capped one admits no member, as its true
-    value would not. factor and T are capped at _CAP too; with weights of
-    1 and factor k - 1 (Yanney), T = n_1 + ... + n_k passes 2^62 only for
-    k > 2^38. Slot 0 ends at T // tails[0] and slot i at the quotient
-    (T - partial) // tails[i], so a_i*v is formed only once it is bounded
-    by T - partial, and every partial sum stays <= T <= 2^62; at k = 2
-    this is the test sigma(m) // m >= a + b, in division form. Without a
-    partner_limit, v <= T < 7*limit*factor, so for factor 1 and limit >= 7
-    every v past the sieve lies within R^2 and one sigma_beyond pass
-    serves them all.
+    int64: sigma is read in int64, below 2^26 for n <= MAX_SEARCH_LIMIT, so
+    a key is below 2^50, and so is T when factor is 1. Weights and tails
+    are capped at _CAP, which exceeds that T, so a capped one admits no
+    member, as its true value would not. factor and T are capped at _CAP
+    too; with weights of 1 and factor k - 1 (Yanney), T = n_1 + ... + n_k
+    passes 2^62 only for k > 2^38. Slot 0 ends at T // tails[0] and slot i
+    at the quotient (T - partial) // tails[i], so a_i*v is formed only once
+    it is bounded by T - partial, and every partial sum stays <= T <= 2^62;
+    at k = 2 this is the test sigma(m) // m >= a + b, in division form.
+    Without a partner_limit, v <= T < 7*limit*factor, so for factor 1 and
+    limit >= 7 every v past the sieve lies within R^2 and the sigma_beyond
+    pass of its block serves it.
     """
     k = len(alphas)
     weights = [_capped(a) for a in alphas]
     tails = [_capped(sum(alphas[i:])) for i in range(k)]
     factor = _capped(factor)
-    if k == 2:
-        n, sig = np.arange(1, limit + 1), sieve.table[1 : limit + 1]
-    else:
-        n, sig = _by_sigma(sieve, limit)
-        key = sig * (limit + 1) + n
-        everywhere = np.arange(limit)
 
-    def target(at):
-        # T of the members at positions at, formed where used so no table of it is kept
-        return np.minimum(sig[at], _CAP // factor) * factor
+    def target(s):
+        return np.minimum(s, _CAP // factor) * factor
+
+    def solved(left, prev):
+        # the last member v = left / a_k of each row, and the rows that keep it
+        v = left // weights[-1]
+        return v, (left % weights[-1] == 0) & (v >= prev + strict) & (v <= (partner_limit or _CAP))
+
+    if k == 2:
+        def partner(m, s):
+            first = m <= target(s) // tails[0]
+            v, keep = solved(target(s) - weights[0] * np.where(first, m, 0), m)
+            return v, first & keep
+
+        return list(_partner_pass(sieve, limit, partner, lambda m, s, v: _aliquots(sieve, 1, v) == s - v))
+    n, sig = _by_sigma(sieve, limit)
+    key = sig * (limit + 1) + n
+    everywhere = np.arange(limit)
 
     def room(heads):
         # T - partial for each prefix, whose members all share the T of its last
-        return target(heads[-1]) - sum(w * n[h] for w, h in zip(weights, heads))
+        return target(sig[heads[-1]]) - sum(w * n[h] for w, h in zip(weights, heads))
 
     def slot(j, heads):
         if j == 0:
-            first = np.flatnonzero(n <= target(slice(None)) // tails[0])
+            first = np.flatnonzero(n <= target(sig) // tails[0])
             return first, 0, len(first)
         end = sig[heads[-1]] * (limit + 1) + np.minimum(room(heads) // tails[j], limit)
         return everywhere, heads[-1] + strict, np.searchsorted(key, end, side="right")
 
     blocks = [[np.empty(0, dtype=np.int64)] * k]
     for heads in _tuple_blocks(k - 1, slot, _CHUNK):
-        left = room(heads)
-        v = left // weights[-1]
-        keep = (left % weights[-1] == 0) & (v >= n[heads[-1]] + strict)
-        if partner_limit is not None:
-            keep &= v <= partner_limit
+        v, keep = solved(room(heads), n[heads[-1]])
         heads, v = [h[keep] for h in heads], v[keep]
         hit = _aliquots(sieve, 1, v) == sig[heads[-1]] - v
         blocks.append([n[h[hit]] for h in heads] + [v[hit]])
@@ -304,29 +331,17 @@ def _weighted(spec: FamilySpec, limit: int, sieve: SigmaSieve):
     One member solves sigma(n) = a*n, with a = 2 for perfect."""
     if spec.kind == "amicable-number":
         m, n = weighted_tuples(sieve, limit, (1, 1), 1, True, None)
-        return [(v,) for v in np.union1d(m, n[n <= limit]).tolist()]
+        return [np.union1d(m, n[n <= limit])]
+    strict = spec.kind == "multiamicable"
+    alphas = spec.alphas if strict else (1,) * spec.k
     if spec.k == 1:
-        a = spec.alphas[0] if spec.kind == "multiamicable" else 2
-        return [(v,) for v in abundancy_solutions(sieve, limit, a, 1).tolist()]
-    if spec.kind == "multiamicable":
-        alphas, strict = spec.alphas, True
-    else:
-        alphas, strict = (1,) * spec.k, False
+        return [abundancy_solutions(sieve, limit, alphas[0] if strict else 2, 1)]
     factor = spec.k - 1 if spec.kind == "yanney" else 1
-    members = weighted_tuples(sieve, limit, alphas, factor, strict, limit)
-    return list(zip(*(m.tolist() for m in members)))
+    return weighted_tuples(sieve, limit, alphas, factor, strict, limit)
 
 
-_KERNELS = {
-    "perfect": _weighted,
-    "amicable-number": _weighted,
-    "amicable-pair": _weighted,
-    "cohen-pair": _cohen_pairs,
-    "alpha-beta": _alpha_beta_pairs,
-    "multiamicable": _weighted,
-    "dickson": _weighted,
-    "yanney": _weighted,
-}
+# The kernel of each kind that is not a mean family: _weighted unless named.
+_KERNELS = {"cohen-pair": _cohen_pairs, "alpha-beta": _alpha_beta_pairs}
 
 
 def _powmod(base: np.ndarray, exp, mod: int) -> np.ndarray:
@@ -437,7 +452,7 @@ def _last_slot(spec: FamilySpec, limit: int, sieve: SigmaSieve):
         keep = None if _iroot(q, p) >= k else (lambda v, total: total <= cap[v])
         return last, keep
     if spec.kind == "gm":
-        is_rich = np.append(False, sieve.table[1 : limit + 1] // everything >= k)
+        is_rich = np.append(False, sieve.read(slice(1, limit + 1)) // everything >= k)
         rich = np.flatnonzero(is_rich)
         first = limit + np.searchsorted(rich, np.arange(limit + 1))
         values = np.concatenate([everything, rich])
@@ -467,18 +482,18 @@ def _mean_family_kernel(spec: FamilySpec, limit: int, sieve: SigmaSieve) -> list
     A key over the denominator sigma(n)^b is n^a times the inverse of
     sigma(n)^b, which is sigma(n)^(b*(P-2)) by Fermat for the prime P; it
     exists since sigma(n) < 2^26 < P for every n <= MAX_SEARCH_LIMIT.
-    int64: every value is a residue below 2^31, reduced after each add and
-    multiply, so a sum stays below 2^32 and a product below 2^62; a sorted
-    entry key * (limit + 1) + n stays below 2^31 * 2^24 = 2^55. A member's
-    equation holds in the integers and hence modulo the prime, where each
-    denominator is a unit, so the filter cannot drop a member. A candidate
-    that passes is kept only when families.check proves it, so a false
-    positive is dropped and each record is proven once. Only
-    sieve.table[: limit + 1] is read.
+    int64: sigma is read in int64, and every value is a residue below
+    2^31, reduced after each add and multiply, so a sum stays below 2^32
+    and a product below 2^62; a sorted entry key * (limit + 1) + n stays
+    below 2^31 * 2^24 = 2^55. A member's equation holds in the integers
+    and hence modulo the prime, where each denominator is a unit, so the
+    filter cannot drop a member. A candidate that passes is kept only when
+    families.check proves it, so a false positive is dropped and each
+    record is proven once. Only sieve.table[: limit + 1] is read.
     """
     mod, k = _MODULUS, spec.k
     n = np.arange(limit + 1, dtype=np.int64)
-    sig = sieve.table[: limit + 1] % mod
+    sig = sieve.read(slice(limit + 1)) % mod
     last, keep = _last_slot(spec, limit, sieve) if k > 1 else (None, None)
 
     @cache
@@ -573,17 +588,18 @@ def enumerate_family(spec: FamilySpec, limit: int, sieve: SigmaSieve | None = No
         records = _mean_family_kernel(spec, limit, sieve)
         scanned = math.comb(limit + spec.k - 1, spec.k)
     else:
-        records, scanned = _verified(spec, _KERNELS[spec.kind](spec, limit, sieve), sieve), limit
+        records, scanned = _verified(spec, _KERNELS.get(spec.kind, _weighted)(spec, limit, sieve), sieve), limit
     return SearchReport(spec, limit, records, scanned)
 
 
-def _verified(spec: FamilySpec, found, sieve: SigmaSieve) -> list[TupleRecord]:
-    """The found tuples in sorted order, each re-proven by families.check.
+def _verified(spec: FamilySpec, columns, sieve: SigmaSieve) -> list[TupleRecord]:
+    """The tuples of the found member columns, in sorted order, each
+    re-proven by families.check.
 
     A tuple that fails the check is a bug in the scan and raises RuntimeError.
     """
     records = []
-    for t in sorted(found):
+    for t in sorted(zip(*(c.tolist() for c in columns))):
         outcome = check(spec, t, sieve, provenance="found")
         if isinstance(outcome, Mismatch):
             raise RuntimeError(f"search produced a non-member: {outcome.describe()}")
@@ -596,53 +612,25 @@ def scan_open_question(limit: int, sieve: SigmaSieve | None = None) -> SearchRep
 
     Such a pair would answer the open question on mp(2,2) pairs with equal
     sigma; every scan so far comes back empty. The second equation fixes the
-    partner of each m as n = isqrt(sigma(m)^2 - m^2), so one numpy pass
+    partner of each m as n = isqrt(sigma(m)^2 - m^2), so one partner pass
     visits each candidate m once.
 
-    int64: the limit is capped at MAX_SEARCH_LIMIT = 10^7, and sigma(m) < 2^26
-    for every m <= 10^7, so the target sigma(m)^2 - m^2 is below 2^52. float64
-    holds it exactly, and its sqrt, truncated, is within one of isqrt(target);
-    n is corrected by one either way and kept only when n*n == target exactly.
+    int64: sigma is read in int64; the limit is capped at MAX_SEARCH_LIMIT =
+    10^7, and sigma(m) < 2^26 for every m <= 10^7, so the target
+    sigma(m)^2 - m^2 is below 2^52. float64 holds it exactly, and its sqrt,
+    truncated, is within one of isqrt(target); n is corrected by one either
+    way and kept only when n*n == target exactly.
     """
     check_search_limit(limit)
     sieve = covering_sieve(limit, sieve)
     spec = FamilySpec("mp", 2, p=2, q=2)
-    m = np.arange(1, limit + 1)
-    s = sieve.table[1 : limit + 1]
-    target = s * s - m * m
-    n = np.sqrt(np.maximum(target, 0)).astype(np.int64)
-    n -= n * n > target
-    n += (n + 1) * (n + 1) <= target
-    keep = (m <= n) & (n <= limit) & (n * n == target)
-    m, s, n = m[keep], s[keep], n[keep]
-    hit = sieve.table[n] == s
-    found = list(zip(m[hit].tolist(), n[hit].tolist()))
-    return SearchReport(
-        spec,
-        limit,
-        _verified(spec, found, sieve),
-        limit,
-        label="equal-sigma mp(2,2) pairs",
-    )
 
+    def partner(m, s):
+        target = s * s - m * m
+        n = np.sqrt(np.maximum(target, 0)).astype(np.int64)
+        n -= n * n > target
+        n += (n + 1) * (n + 1) <= target
+        return n, (m <= n) & (n <= limit) & (n * n == target)
 
-def conjecture_census(
-    alphas,
-    limits,
-    sieve: SigmaSieve | None = None,
-) -> list[tuple[int, int]]:
-    """Counts of multiamicable tuples (every element within the limit) for an
-    increasing list of limits. Evidence for the infinitude conjecture only;
-    proves nothing."""
-    alphas = tuple(alphas)
-    limits = list(limits)
-    if not limits:
-        raise ValueError("limits must be non-empty")
-    if any(b <= a for a, b in zip(limits, limits[1:])):
-        raise ValueError("limits must be strictly increasing")
-    spec = FamilySpec("multiamicable", len(alphas), alphas=alphas)
-    report = enumerate_family(spec, limits[-1], sieve)
-    counts = []
-    for bound in limits:
-        counts.append((bound, sum(1 for r in report.records if r.members[-1] <= bound)))
-    return counts
+    found = _partner_pass(sieve, limit, partner, lambda m, s, n: sieve.read(n) == s)
+    return SearchReport(spec, limit, _verified(spec, found, sieve), limit, label="equal-sigma mp(2,2) pairs")

@@ -13,13 +13,15 @@ from .arith import DEFAULT_SIEVE_BUDGET
 # sigma_beyond factors at most this many values at a time.
 _BEYOND_BLOCK = 1 << 20
 
+MAX_SIEVE_LIMIT = 1 << 28  # sigma(n) < 2^31 up to it, so the table is int32
+
 
 @dataclass(frozen=True, eq=False)
 class SigmaSieve:
     """Lookup table of sigma(n) for 1 <= n <= limit.
 
-    The table is marked read-only after construction, so one sieve can be
-    shared freely between searches.
+    The table is int32 and marked read-only after construction, so one
+    sieve can be shared freely between searches.
     """
 
     limit: int
@@ -33,35 +35,45 @@ class SigmaSieve:
             raise ValueError(f"sigma({n}) outside sieve range 1..{self.limit}")
         return int(self.table[n])
 
+    def read(self, index) -> np.ndarray:
+        """sigma at index (int array or slice) in int64, which every kernel
+        computes in: int32 stays int32 with a Python int, and would wrap."""
+        return self.table[index].astype(np.int64)
+
     def as_list(self) -> list[int]:
         """[sigma(1), ..., sigma(limit)]."""
         return self.table[1:].tolist()
 
 
 def build_sigma_sieve(limit: int, budget_bytes: int = DEFAULT_SIEVE_BUDGET) -> SigmaSieve:
-    """Tabulate sigma up to limit by accumulating divisor pairs.
+    """Tabulate sigma up to limit in int32 by accumulating divisor pairs.
 
-    Each n = d*m with d <= m has the divisor pair (d, m). For every
-    d <= isqrt(limit), the table entries n = d*m, m = d, d+1, ..., get d + m
-    added in one slice-add; at n = d*d the pair counts d twice, so d is
-    taken off once there. That is isqrt(limit) Python iterations and about
-    limit*ln(limit)/2 int64 additions. The d + m values are built in place
-    in one reusable arange, so the temporaries never exceed one table's
-    size: the sieve holds at most two tables, 16 bytes per entry. Every
-    entry stays below 2^40 for limit <= 2^31, far from int64 overflow.
-    Raises ValueError when the table would not fit the memory budget
-    (8 bytes per entry, 2 GiB by default).
+    Each n = d*m with d <= m has the divisor pair (d, m). The table starts
+    at n + 1, the pair (1, n), with sigma(0) = 0 and sigma(1) = 1. For each
+    2 <= d <= isqrt(limit), the entries n = d*m, m = d, d+1, ..., get d + m
+    added in one slice-add, built in place in one reusable arange of
+    m <= limit/2; at n = d*d the pair counts d twice, so d is taken off.
+    int32: every entry is a partial sum of sigma(n) plus at most d, and
+    sigma(n)/n < 5.6 for n <= MAX_SIEVE_LIMIT = 2^28 by Robin's bound (see
+    sigma_beyond), so sigma(n) < 2^31. Kernels read the table in int64.
+    The table takes 4 bytes per entry and the arange 2, so the budget of 8
+    bytes per entry (2 GiB by default) covers the whole build and the table
+    it leaves. Raises ValueError, before any allocation, when limit exceeds
+    2^28 or the sieve would not fit the budget.
     """
     if limit < 1:
         raise ValueError("sieve limit must be >= 1")
+    if limit > MAX_SIEVE_LIMIT:
+        raise ValueError(f"sieve limit {limit} exceeds 2^28 = {MAX_SIEVE_LIMIT}, past which sigma may not fit int32")
     need = 8 * (limit + 1)
     if need > budget_bytes:
         raise ValueError(
             f"sieve to {limit} needs {need} bytes which exceeds the budget of {budget_bytes}"
         )
-    table = np.zeros(limit + 1, dtype=np.int64)
-    partner = np.arange(limit + 1, dtype=np.int64)
-    for d in range(1, math.isqrt(limit) + 1):
+    table = np.arange(1, limit + 2, dtype=np.int32)
+    table[:2] = 0, 1
+    partner = np.arange(limit // 2 + 1, dtype=np.int32)
+    for d in range(2, math.isqrt(limit) + 1):
         pair_sums = partner[d : limit // d + 1]
         pair_sums += d
         table[d * d :: d] += pair_sums

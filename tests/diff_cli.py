@@ -11,10 +11,11 @@ status is 1 when anything differs and 0 otherwise.
 
 The list covers every search kind (the weighted equal-sigma kinds at
 k = 2, 3 and 4, each mean family at k = 1, 2 and 3, alpha-beta with small
-and large weights, the amicable numbers and sigma(n) = a*n up to 10^7),
-`density multi`, `amicable` and `pomerance`, `construct` with --seed-limit
-and --ns, and `check` on members that the exact arithmetic must refuse or
-prove. pytest does not collect this file.
+and large weights, and the amicable numbers and pairs, Cohen pairs and
+sigma(n) = a*n up to 10^7), `scan-question` up to 10^7, `density multi`,
+`amicable` and `pomerance`, `construct` with --seed-limit and --ns, the
+`sieve` table as CSV, and `check` on members that the exact arithmetic
+must refuse or prove. pytest does not collect this file.
 """
 
 from __future__ import annotations
@@ -46,9 +47,12 @@ COMMANDS = [
     ("search", "perfect", "--limit", "10000000"),
     ("search", "amicable-pair", "--limit", "100000"),
     ("search", "amicable-pair", "--limit", "3000000"),
+    ("search", "amicable-pair", "--limit", "10000000"),
     ("search", "cohen-pair", "--alphas", "1,2", "--limit", "100000"),
+    ("search", "cohen-pair", "--alphas", "1,2", "--limit", "10000000"),
     ("search", "alpha-beta", "--alphas", "1,2", "--limit", "100000"),
     ("search", "alpha-beta", "--alphas", "1,1000", "--limit", "100000"),
+    ("search", "alpha-beta", "--alphas", "1,1000", "--limit", "1000000"),
     ("search", "alpha-beta", "--alphas", "2,3", "--limit", "1000000"),
     ("search", "multiamicable", "--alphas", "1,2", "--limit", "1000000"),
     ("search", "multiamicable", "--alphas", "2,1", "--limit", "1000000"),
@@ -71,6 +75,8 @@ COMMANDS = [
     ("search", "feebly", "--k", "3", "--limit", "300"),
     ("search", "yanney", "--k", "3", "--limit", "3000", "--format", "csv"),
     ("scan-question", "--limit", "100000"),
+    ("scan-question", "--limit", "10000000"),
+    ("sieve", "--limit", "1000000", "--format", "csv"),
     ("density", "multi", "--alpha", "1", "--beta", "2", "--checkpoints", "100000,3000000"),
     ("density", "amicable", "--checkpoints", "100000,1000000"),
     ("density", "pomerance", "--checkpoints", "1000,1000000"),

@@ -223,6 +223,8 @@ def test_sieve_validation():
         build_sigma_sieve(0)
     with pytest.raises(ValueError, match="budget"):
         build_sigma_sieve(10**6, budget_bytes=100)
+    with pytest.raises(ValueError, match="exceeds 2\\^28"):
+        build_sigma_sieve(2**28 + 1, budget_bytes=2**40)
 
 
 def test_sieve_table_read_only():

@@ -5,6 +5,7 @@ import re
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -364,6 +365,28 @@ def test_usage_errors_exit_two(capsys):
         assert capsys.readouterr().err == "error: checkpoints must be finite\n", value
     assert cli.run(["construct", "--alphas", "1,2", "--ns", "104,116", "--a-bound", "20", "--sieve-limit", "5"]) == 2
     assert "unrecognized arguments: --sieve-limit 5" in capsys.readouterr().err
+
+
+def test_sieve_past_2_28_refused_before_allocating(capsys):
+    # sigma fits int32 only up to 2^28, so a larger sieve is refused with
+    # exit 2 even under a budget that admits it, before any table exists;
+    # the commands' modules load first, so the trace sees only the runs
+    import amiforge.construct  # noqa: F401
+
+    budget = ["--sieve-budget", str(2**40)]
+    cases = (
+        ["sieve", "--limit", str(2**28 + 1)],
+        ["construct", "--alphas", "1,2", "--ns", "104,116", "--a-bound", str(2**28 + 1)],
+    )
+    tracemalloc.start()
+    try:
+        for argv in cases:
+            assert cli.run(argv + budget) == 2, argv
+            assert "exceeds 2^28" in capsys.readouterr().err, argv
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20  # a table to 2^28 would take 1 GiB
 
 
 def test_search_cap_checked_before_sieve(monkeypatch, capsys):

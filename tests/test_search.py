@@ -1,7 +1,11 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +17,6 @@ from amiforge.density import count_multiamicable_pairs
 from amiforge.families import MEAN_EQUATIONS, FamilySpec, holds
 from amiforge.search import (
     MAX_SEARCH_LIMIT,
-    conjecture_census,
     enumerate_family,
     scan_open_question,
 )
@@ -588,28 +591,6 @@ def test_scan_open_question_finds_planted_pair(sieve_1k):
     assert report.records[0].sigmas == (5, 5)
 
 
-def test_census_examples(sieve_10k):
-    assert conjecture_census((1, 2), (1000, 2000), sieve=sieve_10k) == [(1000, 0), (2000, 1)]
-    assert conjecture_census((1, 1), (300,), sieve=sieve_10k) == [(300, 1)]
-    assert conjecture_census((5, 5), (100,), sieve=sieve_10k) == [(100, 0)]
-
-
-def test_census_counts_never_decrease(sieve_10k):
-    counts = conjecture_census((1, 1), (100, 500, 1300, 10**4), sieve=sieve_10k)
-    values = [c for _, c in counts]
-    assert values == sorted(values)
-    assert counts[-1] == (10**4, 5)
-
-
-def test_census_validation(sieve_1k):
-    with pytest.raises(ValueError):
-        conjecture_census((1, 2), (), sieve=sieve_1k)
-    with pytest.raises(ValueError):
-        conjecture_census((1, 2), (500, 500), sieve=sieve_1k)
-    with pytest.raises(ValueError):
-        conjecture_census((1, 2), (500, 100), sieve=sieve_1k)
-
-
 def test_auto_sieve_when_none_given():
     report = enumerate_family(FamilySpec("perfect", 1), 500)
     assert members_of(report) == [(6,), (28,), (496,)]
@@ -626,3 +607,116 @@ def test_alpha_beta_auto_sieve_covers_weighted_range():
 def test_scanned_counts_whole_range(sieve_1k):
     report = enumerate_family(FamilySpec("perfect", 1), 1000, sieve=sieve_1k)
     assert report.scanned == 1000
+
+
+# The table is int32, and an int32 array combined with a Python int stays
+# int32 under NumPy 2, so each kernel casts what it reads to int64. The
+# tests below run each kernel where int32 arithmetic would wrap or raise,
+# against records computed in exact Python integers.
+
+
+def test_int32_table_read_as_int64(sieve_1k):
+    assert sieve_1k.table.dtype == np.int32
+    assert sieve_1k.read(slice(1, 4)).dtype == np.int64
+    assert sieve_1k.read(np.array([220, 284])).tolist() == [504, 504]
+
+
+def test_scan_question_past_int32_squares(sieve_100k):
+    # sigma(m)^2 passes 2^31 once sigma(m) > 46341; plant the triple
+    # (60000, 80000, 100000) and compare with the scan in exact integers
+    table = sieve_100k.table.copy()
+    table[60000] = table[80000] = 100000
+    table.setflags(write=False)
+    planted = SigmaSieve(sieve_100k.limit, table)
+    sig = table.tolist()
+    expected = []
+    for m in range(1, 10**5 + 1):
+        target = sig[m] ** 2 - m * m
+        n = math.isqrt(target) if target >= 0 else 0
+        if m <= n <= 10**5 and n * n == target and sig[n] == sig[m]:
+            expected.append((m, n))
+    assert expected == [(60000, 80000)]
+    assert [r.members for r in scan_open_question(10**5, planted).records] == expected
+    assert scan_open_question(10**5, sieve_100k).records == []
+
+
+def test_k3_weighted_keys_past_int32(sieve_100k):
+    # the key sigma*(limit + 1) + n passes 2^31 at limit 10^5; Dickson and
+    # Yanney triples against the sigma groups, in exact integers
+    limit = 10**5
+    groups = {}
+    for n, s in enumerate(sieve_100k.table[: limit + 1].tolist()):
+        if n:
+            groups.setdefault(s, []).append(n)
+    for kind, factor in (("dickson", 1), ("yanney", 2)):
+        expected = sorted(
+            (a, b, factor * s - a - b)
+            for s, members in groups.items()
+            for a, b in combinations_with_replacement(members, 2)
+            if factor * s - a - b >= b and factor * s - a - b in members
+        )
+        assert expected, kind
+        report = enumerate_family(FamilySpec(kind, 3), limit, sieve_100k)
+        assert members_of(report) == expected, kind
+
+
+def test_mean_filter_powers_past_int32():
+    # pm with p = 2 and q = 9 at k = 1 is sigma(n) = 3n; sigma(523776) =
+    # 1571328, whose square passes 2^31 in the modular powers
+    limit = 600000
+    sieve = build_sigma_sieve(limit)
+    expected = [(n,) for n, s in enumerate(sieve.table.tolist()) if n and s * s == 9 * n * n]
+    assert expected == [(120,), (672,), (523776,)]
+    assert members_of(enumerate_family(FamilySpec("pm", 1, p=2, q=9), limit, sieve)) == expected
+
+
+def test_abundancy_numerators_past_int32(sieve_100k):
+    # a numerator that int32 cannot hold meets the table in int64
+    sig = sieve_100k.table.tolist()
+    for num, den in ((2**31 - 1, 1), (2**31 + 1, 3), (2**40, 7), (2**62 + 5, 1)):
+        expected = [a for a in range(1, 10**5 + 1) if sig[a] * den == num * a]
+        assert search.abundancy_solutions(sieve_100k, 10**5, num, den).tolist() == expected
+    assert search.abundancy_solutions(sieve_100k, 10**5, 3, 1).tolist() == [120, 672]
+
+
+def test_seed_weights_past_int32(sieve_10k):
+    # weights of 2^31 and more meet the sigma of equal_sigma_blocks in int64
+    groups = {}
+    for n, s in enumerate(sieve_10k.table[:3001].tolist()):
+        if n:
+            groups.setdefault(s, []).append(n)
+    for alphas in ((2**31 + 1, 1), (1, 2**40), (3, 2**31 - 1)):
+        expected = sorted(
+            (combo, Fraction(alphas[0] * combo[0] + alphas[1] * combo[1], s))
+            for s, members in groups.items()
+            for combo in combinations(members, 2)
+        )
+        seeds = find_seed_tuples(alphas, 3000, sieve_10k)
+        assert [(s.ns, s.target) for s in seeds] == [e for e in expected if e[1] >= 1], alphas
+        assert seeds, alphas
+
+
+# Prints the ru_maxrss (KiB) of one child per code argument. The children
+# start from this small interpreter, since on Linux a child forked from a
+# large process, such as pytest, counts that process's size in ru_maxrss.
+_PEAKS = """
+import os, subprocess, sys
+for code in sys.argv[1:]:
+    child = subprocess.Popen([sys.executable, "-c", code], stdout=subprocess.DEVNULL)
+    _, status, usage = os.wait4(child.pid, 0)
+    print(usage.ru_maxrss if status == 0 else -1)
+"""
+
+
+def test_linear_pass_peak_memory_is_one_table_plus_blocks():
+    # search amicable-pair at 3*10^6 over a child that only imports the
+    # search: at most 8 bytes per table entry (the budget) plus 8 int64
+    # arrays of one _CHUNK block
+    limit = 3_000_000
+    src = str(Path(search.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    job = f"from amiforge.cli import run; run(['search', 'amicable-pair', '--limit', '{limit}'])"
+    done = subprocess.run([sys.executable, "-c", _PEAKS, "import amiforge.search", job], env=env, capture_output=True, text=True, check=True)
+    base, run = (int(v) * 1024 for v in done.stdout.split())
+    assert base > 0 and run > 0, done.stdout
+    assert run - base <= 8 * (limit + 1) + 8 * 8 * search._CHUNK, (run - base) / 2**20

@@ -42,7 +42,7 @@ EXPORTS = {
         "is_multiamicable", "is_perfect", "is_pm", "is_wgm", "is_whm", "is_wpm",
         "is_yanney_tuple",
     ),
-    "search": ("SearchReport", "conjecture_census", "enumerate_family", "scan_open_question"),
+    "search": ("SearchReport", "enumerate_family", "scan_open_question"),
     "tables": ("verify_tables",),
     "construct": (
         "ConstructedTuple", "SeedTuple", "construct_multiamicable", "find_multipliers",
