@@ -203,6 +203,7 @@ def _cmd_search(args):
 
 def _cmd_construct(args):
     from .construct import construct_multiamicable, find_seed_tuples, seed_ratio
+    from .search import check_search_limit
     from .sieve import build_sigma_sieve
 
     alphas = tuple(_parse_int_list(args.alphas, "alphas"))
@@ -210,6 +211,8 @@ def _cmd_construct(args):
         raise ValueError("construct requires exactly one of --ns or --seed-limit")
     if args.a_bound < 1:
         raise ValueError("bound must be >= 1")
+    if args.seed_limit is not None:
+        check_search_limit(args.seed_limit)
     # one sieve serves the seed search and every multiplier scan, so the
     # budget refuses an oversized --a-bound before any work starts
     sieve = build_sigma_sieve(max(args.seed_limit or 1, args.a_bound), args.sieve_budget)

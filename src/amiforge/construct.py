@@ -18,7 +18,7 @@ import numpy as np
 
 from .arith import sigma
 from .families import is_multiamicable
-from .search import _CAP, MAX_SEARCH_LIMIT, _capped, abundancy_solutions, equal_sigma_blocks
+from .search import _CAP, _capped, abundancy_solutions, check_search_limit, equal_sigma_blocks
 from .sieve import SigmaSieve, covering_sieve
 
 
@@ -122,10 +122,7 @@ def find_seed_tuples(
         raise ValueError("seed search requires k >= 2")
     if min(alphas) < 1:
         raise ValueError("alphas must be positive integers")
-    if n_limit < 1:
-        raise ValueError("N_limit must be >= 1")
-    if n_limit > MAX_SEARCH_LIMIT:
-        raise ValueError(f"N_limit {n_limit} exceeds the cap of {MAX_SEARCH_LIMIT}")
+    check_search_limit(n_limit)
     bound = _CAP if a_bound is None else _capped(a_bound)
     out = []
     for s, members in equal_sigma_blocks(covering_sieve(n_limit, sieve), n_limit, k):

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .arith import zeta_approx
 from .families import FamilySpec
-from .search import enumerate_family, weighted_tuples
+from .search import _CHUNK, enumerate_family, weighted_tuples
 from .sieve import SigmaSieve, covering_sieve
 
 ZETA_EPS = 1e-9
@@ -90,13 +90,14 @@ def count_multiamicable_pairs(alpha: int, beta: int, checkpoints, sieve: SigmaSi
     return _series(pts, members.tolist())
 
 
-def _fixed_point_sum(sig: list[int], x: int, k: int, bits: int) -> tuple[int, int]:
-    """(lo, hi) with lo <= 2^bits * sum_{n<=x} (sig[n]/n)^k <= hi <= lo + x."""
+def _fixed_point_sum(sieve: SigmaSieve, x: int, k: int, bits: int) -> tuple[int, int]:
+    """(lo, hi) with lo <= 2^bits * sum_{n<=x} (sigma(n)/n)^k <= hi <= lo + x."""
     lo = inexact = 0
-    for n in range(1, x + 1):
-        q, r = divmod(sig[n] ** k << bits, n**k)
-        lo += q
-        inexact += r != 0
+    for start in range(1, x + 1, _CHUNK):
+        for n, s in enumerate(sieve.table[start : min(start + _CHUNK, x + 1)].tolist(), start):
+            q, r = divmod(s**k << bits, n**k)
+            lo += q
+            inexact += r != 0
     return lo, lo + inexact
 
 
@@ -128,7 +129,6 @@ def lemma_sum_check(
     if k < 1:
         raise ValueError("k must be >= 1")
     sieve = covering_sieve(x, sieve)
-    sig = sieve.table[: x + 1].tolist()
 
     factors = [zeta_approx(2, ZETA_EPS)] * k
     if k >= 2:
@@ -139,10 +139,10 @@ def lemma_sum_check(
         raise ValueError(f"the lemma bound at x={x}, k={k} is too large for a float")
     num, den = rhs_lo.as_integer_ratio()
     bits = _START_BITS
-    lo, hi = _fixed_point_sum(sig, x, k, bits)
+    lo, hi = _fixed_point_sum(sieve, x, k, bits)
     while lo * den < num << bits <= hi * den:
         bits *= 2
-        lo, hi = _fixed_point_sum(sig, x, k, bits)
+        lo, hi = _fixed_point_sum(sieve, x, k, bits)
     lhs = Fraction(hi, 1 << bits)
     try:
         margin = rhs_hi - float(lhs)

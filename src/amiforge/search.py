@@ -5,20 +5,20 @@ Every search runs in this process as numpy passes over the sigma table.
 Amicable pairs, and multiamicable, Dickson and Yanney tuples of any size
 read one equation: the members share one sigma and
 a_1*n_1 + ... + a_k*n_k = factor*sigma. weighted_tuples, the one solver of
-that equation, grows the (k-1)-prefixes and solves for the last member; at
-k = 2 that is the partner n = (sigma(m) - a*m) / b of each m in natural
-order, and at k >= 3 the prefixes grow within the runs of one stable
-argsort by sigma. The amicable numbers are the members of its pairs at
+that equation, takes the first members in blocks, in natural order at
+k = 2 and at k >= 3 in the order of _sorted_entries, the ascending
+sigma(n)*(L + 1) + n, grows the middle ones within each sigma run and
+solves for the last. The amicable numbers are the members of its pairs at
 weights (1, 1). abundancy_solutions, the one solver of sigma(a)/a = r,
-gives perfect numbers (r = 2), the multiamicable singletons and construct's
-multipliers. Each O(L) pass over members m (pairs at k = 2, Cohen and
-alpha-beta pairs, the open-question scan) is one blocked _partner_pass: m
-solves for its partner, and one test accepts the pair. The mean families
-evaluate each block of candidate tuples against their MEAN_EQUATIONS
-entry modulo a prime, and the exact check confirms the few that pass.
-Where the entry reads sum_i key(n_i) = target (pm with p = 1, mp, feebly,
-and whm with p = 1, whose key is n * sigma(n)^-1 modulo the prime) the
-last member is solved for over the sorted keys instead; hm and gm first
+gives perfect numbers (r = 2), the multiamicable singletons and
+construct's multipliers. Cohen and alpha-beta pairs and the open-question
+scan are each one blocked _partner_pass over members m: m solves for its
+partner, and one test accepts the pair. The mean families evaluate each
+block of candidate tuples against their MEAN_EQUATIONS entry modulo a
+prime, and the exact check confirms the few that pass. Where the entry
+reads sum_i key(n_i) = target (pm with p = 1, mp, feebly, and whm with
+p = 1, whose key is n * sigma(n)^-1 modulo the prime) the last member is
+solved for over the _sorted_entries of the key instead; hm and gm first
 narrow each prefix's last slot with a necessary inequality.
 weighted_tuples, the mean families and the equal-sigma seeds all grow
 their prefixes with _tuple_blocks, in numpy blocks of bounded size."""
@@ -174,12 +174,21 @@ def _alpha_beta_pairs(spec: FamilySpec, limit: int, sieve: SigmaSieve):
     return _partner_pass(sieve, limit, partner, lambda n, s, m: _aliquots(sieve, b, m) == n)[::-1]
 
 
-def _by_sigma(sieve: SigmaSieve, limit: int) -> tuple[np.ndarray, np.ndarray]:
-    """1..limit ordered by (sigma(n), n), and the sigma of each: one stable
-    argsort of the table, after which each sigma value's members form one
-    ascending run."""
-    n = np.argsort(sieve.table[1 : limit + 1], kind="stable") + 1
-    return n, sieve.read(n)
+def _sorted_entries(values, limit: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ascending int64 entries values[n]*(limit + 1) + n for n in
+    1..limit, built a block of _CHUNK at a time and sorted in place, and
+    rank[n], the int32 position of n's entry (rank[0] is not set). The
+    members of each value form one ascending run, and an entry e holds
+    n = e % (limit + 1) and its value e // (limit + 1). int64: every value
+    is below 2^31 and limit < 2^24, so every entry is below 2^55."""
+    index, rank = np.empty(limit, dtype=np.int64), np.empty(limit + 1, dtype=np.int32)
+    for lo in range(0, limit, _CHUNK):
+        hi = min(lo + _CHUNK, limit)
+        index[lo:hi] = values[lo + 1 : hi + 1].astype(np.int64) * (limit + 1) + np.arange(lo + 1, hi + 1)
+    index.sort()
+    for lo in range(0, limit, _CHUNK):
+        rank[index[lo : lo + _CHUNK] % (limit + 1)] = np.arange(lo, min(lo + _CHUNK, limit))
+    return index, rank
 
 
 def _tuple_blocks(k: int, slot, size: int):
@@ -223,21 +232,21 @@ def _ranges(lo: np.ndarray, length: np.ndarray) -> np.ndarray:
 def equal_sigma_blocks(sieve: SigmaSieve, limit: int, k: int):
     """The strictly increasing k-tuples over 1..limit of one sigma value, in
     blocks (sigma, members) of at most _BLOCK tuples, members a list of k
-    arrays; the sieve must cover limit. _tuple_blocks grows them over
-    positions in the _by_sigma order: slot j > 0 runs from the position
-    after the prefix's last member to the end of its sigma run, less the
-    k - 1 - j positions the later members need."""
-    n, sig = _by_sigma(sieve, limit)
-    run_end = np.searchsorted(sig, sig, side="right")
-    everywhere = np.arange(limit)
+    arrays; the sieve must cover limit. _tuple_blocks grows them over the
+    _sorted_entries of sigma: slot j > 0 runs from the entry after the
+    prefix's last member to the end of its sigma run, less the k - 1 - j
+    entries the later members need."""
+    index, rank = _sorted_entries(sieve.table, limit)
+    width = limit + 1
 
     def slot(j, heads):
         if j == 0:
-            return everywhere, 0, limit
-        return everywhere, heads[-1] + 1, run_end[heads[-1]] - (k - 1 - j)
+            return index, 0, limit
+        end = np.searchsorted(index, (heads[-1] // width + 1) * width)
+        return index, rank[heads[-1] % width] + 1, end - (k - 1 - j)
 
     for block in _tuple_blocks(k, slot, _BLOCK):
-        yield sig[block[0]], [n[h] for h in block]
+        yield block[0] // width, [h % width for h in block]
 
 
 def weighted_tuples(sieve: SigmaSieve, limit: int, alphas, factor: int, strict: bool, partner_limit: int | None):
@@ -245,76 +254,67 @@ def weighted_tuples(sieve: SigmaSieve, limit: int, alphas, factor: int, strict: 
     value with a_1*n_1 + ... + a_k*n_k = T = factor*sigma, members
     non-decreasing (strictly increasing when strict), n_1, ..., n_(k-1) <=
     limit and n_k <= partner_limit when one is given; the sieve must cover
-    limit. Rows come in the order of their prefixes, so at k = 2 by n_1.
+    limit. Rows come in the order of their first members.
 
-    At k = 2 the prefix is one member m, and _partner_pass solves for its
-    partner over 1..limit in natural order, with no sort. At k >= 3
-    _tuple_blocks grows the (k-1)-prefixes, _CHUNK at a time, as positions
-    in the _by_sigma order, in which each sigma value's members form one
-    ascending run of the key sigma*(limit + 1) + n. Slot 0 admits
-    n <= T // tails[0], and a middle slot i admits v from the previous
-    member on (after it when strict) up to the last v with
-    partial + tails[i]*v <= T, where tails[i] = a_i + ... + a_k, since every
-    later member is >= v; that end is one searchsorted on the key. The last
-    member v = (T - partial) / a_k is kept when the division is exact,
-    v >= the previous member (> when strict), v <= partner_limit when one is
-    given, and sigma(v) equals the prefix's sigma, read through _aliquots,
-    so a v past the sieve is read exactly.
+    The first members n <= T // tails[0], tails[i] = a_i + ... + a_k, run
+    in blocks of _CHUNK: at k = 2 in natural order, with no sort, and at
+    k >= 3 in the order of the _sorted_entries of sigma. _tuple_blocks
+    grows their prefixes of entries sigma*(limit + 1) + n: middle slot i
+    runs from the previous member's rank (the next one when strict) to the
+    last v with partial + tails[i]*v <= T, as every later member is >= v,
+    which one searchsorted finds. The last member v = (T - partial) / a_k is
+    kept when the division is exact, v >= the previous member (> when
+    strict), v <= partner_limit when one is given, and sigma(v), read
+    exactly through _aliquots, equals the prefix's sigma.
 
     int64: sigma is read in int64, below 2^26 for n <= MAX_SEARCH_LIMIT, so
-    a key is below 2^50, and so is T when factor is 1. Weights and tails
+    an entry is below 2^50, and so is T when factor is 1. Weights and tails
     are capped at _CAP, which exceeds that T, so a capped one admits no
     member, as its true value would not. factor and T are capped at _CAP
     too; with weights of 1 and factor k - 1 (Yanney), T = n_1 + ... + n_k
     passes 2^62 only for k > 2^38. Slot 0 ends at T // tails[0] and slot i
     at the quotient (T - partial) // tails[i], so a_i*v is formed only once
-    it is bounded by T - partial, and every partial sum stays <= T <= 2^62;
-    at k = 2 this is the test sigma(m) // m >= a + b, in division form.
+    it is bounded by T - partial, and every partial sum stays <= T <= 2^62.
     Without a partner_limit, v <= T < 7*limit*factor, so for factor 1 and
-    limit >= 7 every v past the sieve lies within R^2 and the sigma_beyond
-    pass of its block serves it.
-    """
-    k = len(alphas)
+    limit >= 7 sigma_beyond serves every v past the sieve, within R^2."""
+    k, width = len(alphas), limit + 1
     weights = [_capped(a) for a in alphas]
     tails = [_capped(sum(alphas[i:])) for i in range(k)]
     factor = _capped(factor)
+    index, rank = _sorted_entries(sieve.table, limit) if k > 2 else (None, None)
 
     def target(s):
         return np.minimum(s, _CAP // factor) * factor
 
-    def solved(left, prev):
-        # the last member v = left / a_k of each row, and the rows that keep it
-        v = left // weights[-1]
-        return v, (left % weights[-1] == 0) & (v >= prev + strict) & (v <= (partner_limit or _CAP))
-
-    if k == 2:
-        def partner(m, s):
-            first = m <= target(s) // tails[0]
-            v, keep = solved(target(s) - weights[0] * np.where(first, m, 0), m)
-            return v, first & keep
-
-        return list(_partner_pass(sieve, limit, partner, lambda m, s, v: _aliquots(sieve, 1, v) == s - v))
-    n, sig = _by_sigma(sieve, limit)
-    key = sig * (limit + 1) + n
-    everywhere = np.arange(limit)
-
-    def room(heads):
-        # T - partial for each prefix, whose members all share the T of its last
-        return target(sig[heads[-1]]) - sum(w * n[h] for w, h in zip(weights, heads))
+    def split(heads):
+        # the sigma, last member and T - partial of each prefix, whose entries share one sigma
+        s = heads[-1] // width
+        base, left = s * width, target(s)
+        for w, h in zip(weights, heads):
+            left -= w * (h - base)
+        return s, heads[-1] - base, left
 
     def slot(j, heads):
         if j == 0:
-            first = np.flatnonzero(n <= target(sig) // tails[0])
             return first, 0, len(first)
-        end = sig[heads[-1]] * (limit + 1) + np.minimum(room(heads) // tails[j], limit)
-        return everywhere, heads[-1] + strict, np.searchsorted(key, end, side="right")
+        s, last, left = split(heads)
+        end = s * width + np.minimum(left // tails[j], limit)
+        return index, rank[last] + strict, np.searchsorted(index, end, side="right")
 
     blocks = [[np.empty(0, dtype=np.int64)] * k]
-    for heads in _tuple_blocks(k - 1, slot, _CHUNK):
-        v, keep = solved(room(heads), n[heads[-1]])
-        heads, v = [h[keep] for h in heads], v[keep]
-        hit = _aliquots(sieve, 1, v) == sig[heads[-1]] - v
-        blocks.append([n[h[hit]] for h in heads] + [v[hit]])
+    for lo in range(1, width, _CHUNK):
+        hi = min(lo + _CHUNK, width)
+        s, n = np.divmod(index[lo - 1 : hi - 1], width) if k > 2 else (sieve.read(slice(lo, hi)), np.arange(lo, hi))
+        keep = n <= target(s) // tails[0]
+        s, n = s[keep], n[keep]
+        first = s * width + n
+        for heads in _tuple_blocks(k - 1, slot, _CHUNK):
+            s, last, left = split(heads)
+            v = left // weights[-1]
+            keep = (v * weights[-1] == left) & (v >= last + strict) & (v <= (partner_limit or _CAP))
+            heads, s, v = [h[keep] for h in heads], s[keep], v[keep]
+            hit = _aliquots(sieve, 1, v) == s - v
+            blocks.append([h[hit] - s[hit] * width for h in heads] + [v[hit]])
     return [np.concatenate(column) for column in zip(*blocks)]
 
 
@@ -477,15 +477,15 @@ def _mean_family_kernel(spec: FamilySpec, limit: int, sieve: SigmaSieve) -> list
     hm and gm first. When the entry reads sum_i key(n_i) = target
     (_additive: pm with p = 1, mp, feebly, and whm with p = 1), the last
     member is solved for instead, with no row filter: each (k-1)-prefix's
-    last slot is the run of the key column, sorted once, whose key residue
-    is target minus the prefix's sum: O(L log L) at k = 2, not L^2 / 2.
+    last slot is the run of the key's _sorted_entries whose residue is
+    target minus the prefix's sum: O(L log L) at k = 2, not L^2 / 2.
     A key over the denominator sigma(n)^b is n^a times the inverse of
     sigma(n)^b, which is sigma(n)^(b*(P-2)) by Fermat for the prime P; it
     exists since sigma(n) < 2^26 < P for every n <= MAX_SEARCH_LIMIT.
     int64: sigma is read in int64, and every value is a residue below
     2^31, reduced after each add and multiply, so a sum stays below 2^32
-    and a product below 2^62; a sorted entry key * (limit + 1) + n stays
-    below 2^31 * 2^24 = 2^55. A member's equation holds in the integers
+    and a product below 2^62, and every key is a value below 2^31 that
+    _sorted_entries admits. A member's equation holds in the integers
     and hence modulo the prime, where each denominator is a unit, so the
     filter cannot drop a member. A candidate that passes is kept only when
     families.check proves it, so a false positive is dropped and each
@@ -524,7 +524,7 @@ def _mean_family_kernel(spec: FamilySpec, limit: int, sieve: SigmaSieve) -> list
             num = num * _powmod(den, mod - 2, mod) % mod
         # a right side without a term is the constant target
         key, target = ((num - rhs) % mod, 0) if np.ndim(rhs) else (num, rhs)
-        order = np.sort(key[1:] * (limit + 1) + n[1:])
+        order, _ = _sorted_entries(key, limit)
         by_key = order % (limit + 1)
 
         def last(heads):

@@ -1,10 +1,10 @@
 """Reference tuples for every family, stored exactly as published.
 
-Numbers that appear in factored form are kept as factored strings and
-expanded at import time; the expansion is cross-checked against factorize so
-a transcription slip cannot survive silently. The one duplicated hm row in
-the source material is stored once. verify_tables checks every row against
-its family predicate.
+Numbers that appear in factored form are kept as factored strings, which
+seed_values expands; each expansion is cross-checked against factorize, so a
+transcription slip cannot survive silently. The one duplicated hm row in the
+source material is stored once. verify_tables checks every row against its
+family predicate.
 """
 
 from __future__ import annotations

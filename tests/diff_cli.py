@@ -10,10 +10,11 @@ A command that runs past TIMEOUT seconds is reported as timed out. The exit
 status is 1 when anything differs and 0 otherwise.
 
 The list covers every search kind (the weighted equal-sigma kinds at
-k = 2, 3 and 4, each mean family at k = 1, 2 and 3, alpha-beta with small
-and large weights, and the amicable numbers and pairs, Cohen pairs and
-sigma(n) = a*n up to 10^7), `scan-question` up to 10^7, `density multi`,
-`amicable` and `pomerance`, `construct` with --seed-limit and --ns, the
+k = 2, 3 and 4, at k = 3 up to 3*10^6, each mean family at k = 1, 2 and 3,
+alpha-beta with small and large weights, and the amicable numbers and
+pairs, Cohen pairs and sigma(n) = a*n up to 10^7), `scan-question` up to
+10^7, `density multi`, `amicable`, `pomerance` and `lemma` at k = 1 and 3,
+`construct` with --seed-limit and --ns, the
 `sieve` table as CSV, and `check` on members that the exact arithmetic
 must refuse or prove. pytest does not collect this file.
 """
@@ -59,12 +60,15 @@ COMMANDS = [
     ("search", "multiamicable", "--alphas", "3", "--limit", "100000"),
     ("search", "multiamicable", "--alphas", "3", "--limit", "10000000"),
     ("search", "multiamicable", "--alphas", "1,2,3", "--limit", "100000"),
+    ("search", "multiamicable", "--alphas", "1,1,2", "--limit", "300000"),
     ("search", "multiamicable", "--alphas", "1,1,1,1", "--limit", "3000"),
     ("search", "dickson", "--k", "2", "--limit", "100000"),
     ("search", "dickson", "--k", "3", "--limit", "100000"),
+    ("search", "dickson", "--k", "3", "--limit", "3000000"),
     ("search", "dickson", "--k", "4", "--limit", "3000"),
     ("search", "yanney", "--k", "2", "--limit", "100000"),
     ("search", "yanney", "--k", "3", "--limit", "1000000"),
+    ("search", "yanney", "--k", "3", "--limit", "3000000"),
     ("search", "yanney", "--k", "4", "--limit", "20000"),
     *(("search", kind, "--k", "1", *flags, "--limit", "100000") for kind, *flags in MEAN),
     *(("search", kind, "--k", "2", *flags, "--limit", "1000") for kind, *flags in MEAN),
@@ -80,9 +84,12 @@ COMMANDS = [
     ("density", "multi", "--alpha", "1", "--beta", "2", "--checkpoints", "100000,3000000"),
     ("density", "amicable", "--checkpoints", "100000,1000000"),
     ("density", "pomerance", "--checkpoints", "1000,1000000"),
+    ("density", "lemma", "--k", "1", "--checkpoints", "1000,1000000"),
+    ("density", "lemma", "--k", "3", "--checkpoints", "1000,30000"),
     ("construct", "--alphas", "1,2", "--seed-limit", "3000", "--a-bound", "3000"),
     ("construct", "--alphas", "2,1", "--seed-limit", "20000", "--a-bound", "200"),
     ("construct", "--alphas", "1,1,1", "--seed-limit", "3000", "--a-bound", "3000"),
+    ("construct", "--alphas", "1,1,1", "--seed-limit", "20000", "--a-bound", "3000"),
     ("construct", "--alphas", "1,2", "--seed-limit", "100000", "--a-bound", "1"),
     ("construct", "--alphas", "1,2", "--ns", "2^3*13,2^2*29", "--a-bound", "3000"),
     ("construct", "--alphas", "1,2", "--ns", "104,116", "--a-bound", "300000"),

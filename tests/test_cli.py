@@ -401,6 +401,7 @@ def test_search_cap_checked_before_sieve(monkeypatch, capsys):
         ["density", "amicable", "--checkpoints", "100,10000001", "--workers", "1"],
         ["density", "pomerance", "--checkpoints", "300,1e8", "--workers", "1"],
         ["scan-question", "--limit", "10000001", "--workers", "1"],
+        ["construct", "--alphas", "1,2", "--seed-limit", "10000001", "--a-bound", "1", "--workers", "1"],
     ):
         assert cli.run(argv) == 2, argv
         assert "search limit" in capsys.readouterr().err, argv

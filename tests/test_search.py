@@ -371,11 +371,11 @@ def test_block_splits_change_no_record(sieve_10k, monkeypatch):
 
 def test_k2_weighted_kinds_need_no_sigma_order(sieve_10k, monkeypatch):
     # at k = 2 the partner is solved for each m in natural order, so no
-    # argsort of the sigma table is made
+    # sorted index of the sigma table is built
     def no_sort(*args):
         raise AssertionError("a k = 2 scan sorted the sigma table")
 
-    monkeypatch.setattr(search, "_by_sigma", no_sort)
+    monkeypatch.setattr(search, "_sorted_entries", no_sort)
     for spec in K2_WEIGHTED:
         # an amicable pair is a Dickson pair
         kind = "dickson" if spec.kind == "amicable-pair" else spec.kind
@@ -708,15 +708,31 @@ for code in sys.argv[1:]:
 """
 
 
+def _peak_over_import(argv) -> int:
+    """The peak RSS in bytes of a CLI run of argv less that of a child that
+    only imports the search."""
+    src = str(Path(search.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    job = f"from amiforge.cli import run; run({list(argv)!r})"
+    done = subprocess.run([sys.executable, "-c", _PEAKS, "import amiforge.search", job], env=env, capture_output=True, text=True, check=True)
+    base, run = (int(v) * 1024 for v in done.stdout.split())
+    assert base > 0 and run > 0, done.stdout
+    return run - base
+
+
 def test_linear_pass_peak_memory_is_one_table_plus_blocks():
     # search amicable-pair at 3*10^6 over a child that only imports the
     # search: at most 8 bytes per table entry (the budget) plus 8 int64
     # arrays of one _CHUNK block
     limit = 3_000_000
-    src = str(Path(search.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    job = f"from amiforge.cli import run; run(['search', 'amicable-pair', '--limit', '{limit}'])"
-    done = subprocess.run([sys.executable, "-c", _PEAKS, "import amiforge.search", job], env=env, capture_output=True, text=True, check=True)
-    base, run = (int(v) * 1024 for v in done.stdout.split())
-    assert base > 0 and run > 0, done.stdout
-    assert run - base <= 8 * (limit + 1) + 8 * 8 * search._CHUNK, (run - base) / 2**20
+    peak = _peak_over_import(["search", "amicable-pair", "--limit", str(limit)])
+    assert peak <= 8 * (limit + 1) + 8 * 8 * search._CHUNK, peak / 2**20
+
+
+def test_sorted_pass_peak_memory_is_one_table_index_and_ranks_plus_blocks():
+    # search dickson --k 3 at 3*10^6: the budget's 8 bytes per table entry,
+    # 24 more per member, which hold the int64 sorted index and its int32
+    # ranks with room to spare, and 8 int64 arrays of one _CHUNK block
+    limit = 3_000_000
+    peak = _peak_over_import(["search", "dickson", "--k", "3", "--limit", str(limit)])
+    assert peak <= 8 * (limit + 1) + 24 * limit + 8 * 8 * search._CHUNK, peak / 2**20
