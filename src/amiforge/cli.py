@@ -4,14 +4,16 @@ Envelope keys are stable (command, params, results, timing, version) and all
 payload arrays are canonically ordered, so identical invocations produce
 byte-identical JSON apart from the timing block.
 
-Only arith and families load with this module; each handler imports the
-modules its command uses when it runs, so check and verify-tables, which
-build no sigma table, start without numpy.
+Only the requested format is rendered, and it is written in batches, never
+held whole. Only arith and families load with this module; each handler
+imports the modules its command uses when it runs, so check and
+verify-tables, which build no sigma table, start without numpy.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -19,7 +21,7 @@ import time
 
 from . import __version__
 from .arith import DEFAULT_SIEVE_BUDGET, parse_factored
-from .families import FIXED_K, KINDS, FamilySpec, Mismatch, _joined, check
+from .families import KIND_RULES, KINDS, FamilySpec, Mismatch, _joined, check
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -108,22 +110,16 @@ def _params_text(spec: FamilySpec) -> str:
 def _family_spec(family: str, k, p, q, alphas_text, tuple_len=None) -> FamilySpec:
     alphas = tuple(_parse_int_list(alphas_text, "alphas")) if alphas_text else None
     if k is None:
-        if tuple_len is not None:
-            k = tuple_len
-        elif family in FIXED_K:
-            k = FIXED_K[family]
-        elif family == "multiamicable" and alphas:
-            k = len(alphas)
-        else:
-            k = 2
+        k = tuple_len or KIND_RULES[family].fixed_k or (len(alphas) if family == "multiamicable" and alphas else 2)
     return FamilySpec(family, k, p=p, q=q, alphas=alphas)
 
 
-def _csv(header: str, rows, sep: str = ";") -> str:
-    """A header line, then one line per row; tuple cells are joined with commas."""
-    lines = [header]
-    lines.extend(sep.join(_joined(value, ",") for value in row) for row in rows)
-    return "\n".join(lines) + "\n"
+def _csv(header: str, rows, sep: str = ";"):
+    """A header line, then one line per row, each yielded as it is built;
+    tuple cells are joined with commas."""
+    yield header + "\n"
+    for row in rows:
+        yield sep.join(_joined(value, ",") for value in row) + "\n"
 
 
 def _record_row(record) -> dict:
@@ -146,7 +142,7 @@ def _search_payload(report, workers: int) -> dict:
     }
 
 
-def _search_csv(report) -> str:
+def _search_csv(report):
     params = _params_text(report.spec)
     rows = ((r.members, r.sigmas, report.spec.kind, params) for r in report.records)
     return _csv("tuple;sigmas;family;params", rows)
@@ -247,7 +243,7 @@ def _series_payload(series) -> list[dict]:
     ]
 
 
-def _series_csv(series) -> str:
+def _series_csv(series):
     rows = ((x, c, c / x, "") for x, c in zip(series.checkpoints, series.counts))
     return _csv("x,count,ratio,bound", rows, sep=",")
 
@@ -388,14 +384,14 @@ def run(argv=None) -> int:
             raise ValueError("workers must be >= 1")
         if args.sieve_budget < 1:
             raise ValueError("sieve budget must be >= 1")
-        params, results, csv_text, code = _HANDLERS[args.command](args)
+        params, results, csv_chunks, code = _HANDLERS[args.command](args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     elapsed = time.perf_counter() - t0
 
     if args.format == "csv":
-        text = csv_text
+        chunks = iter(csv_chunks)
     else:
         envelope = {
             "command": args.command,
@@ -404,17 +400,19 @@ def run(argv=None) -> int:
             "timing": {"seconds": round(elapsed, 6)},
             "version": __version__,
         }
-        text = json.dumps(envelope, indent=2, sort_keys=True) + "\n"
-
+        chunks = itertools.chain(json.JSONEncoder(indent=2, sort_keys=True).iterencode(envelope), ["\n"])
+    # joined 2^14 chunks at a time: the text is never held whole, and the
+    # writes are few
+    batches = map("".join, iter(lambda: list(itertools.islice(chunks, 1 << 14)), []))
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
+                fh.writelines(batches)
         except OSError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(batches)
     return code
 
 

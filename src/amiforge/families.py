@@ -1,11 +1,12 @@
 """Membership predicates for the amicability families.
 
-Each family's defining equations are written once, in `_equations`; `holds`,
+Each kind's k and parameter rules are one `KIND_RULES` entry. Each
+family's defining equations are written once, in `_equations`; `holds`,
 `check` with its mismatch diagnostics, and the `is_*` predicates all derive
-from it. The mean families' equations are the `MEAN_EQUATIONS` table, which
-the search evaluates too. Every equation is decided on exact integers (or
-Fractions where the defining equation divides), so a True verdict is a proof
-at the tested tuple.
+from it. The search reads the weighted families' `WEIGHTED_EQUATIONS` and
+`weighted_form`, and the mean families' `MEAN_EQUATIONS`, too. Every
+equation is decided on exact integers (or Fractions where the defining
+equation divides), so a True verdict is a proof at the tested tuple.
 """
 
 from __future__ import annotations
@@ -13,43 +14,38 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .arith import factorize, sigma
 
 if TYPE_CHECKING:
     from .sieve import SigmaSieve
 
-KINDS = (
-    "amicable-pair",
-    "perfect",
-    "amicable-number",
-    "dickson",
-    "yanney",
-    "cohen-pair",
-    "multiamicable",
-    "alpha-beta",
-    "pm",
-    "wpm",
-    "gm",
-    "wgm",
-    "hm",
-    "whm",
-    "feebly",
-    "mp",
-)
+class KindRules(NamedTuple):
+    min_k: int  # the least k
+    fixed_k: int | None  # the k required when only one is allowed
+    params: tuple[str, ...]  # which of p, q and alphas the kind takes
 
-_NEEDS_P = {"pm", "wpm", "hm", "whm", "mp"}
-_NEEDS_Q = {"pm", "hm", "mp"}
-_NEEDS_ALPHAS = {"cohen-pair", "multiamicable", "alpha-beta"}
-FIXED_K = {
-    "perfect": 1,
-    "amicable-number": 1,
-    "amicable-pair": 2,
-    "cohen-pair": 2,
-    "alpha-beta": 2,
+
+KIND_RULES = {
+    "amicable-pair": KindRules(2, 2, ()),
+    "perfect": KindRules(1, 1, ()),
+    "amicable-number": KindRules(1, 1, ()),
+    "dickson": KindRules(2, None, ()),
+    "yanney": KindRules(2, None, ()),
+    "cohen-pair": KindRules(2, 2, ("alphas",)),
+    "multiamicable": KindRules(1, None, ("alphas",)),
+    "alpha-beta": KindRules(2, 2, ("alphas",)),
+    "pm": KindRules(1, None, ("p", "q")),
+    "wpm": KindRules(1, None, ("p",)),
+    "gm": KindRules(1, None, ()),
+    "wgm": KindRules(1, None, ()),
+    "hm": KindRules(1, None, ("p", "q")),
+    "whm": KindRules(1, None, ("p",)),
+    "feebly": KindRules(1, None, ()),
+    "mp": KindRules(1, None, ("p", "q")),
 }
-_MIN_K = {"dickson": 2, "yanney": 2, "multiamicable": 1}
+KINDS = tuple(KIND_RULES)
 
 
 @dataclass(frozen=True)
@@ -63,24 +59,20 @@ class FamilySpec:
     alphas: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        if self.kind not in KINDS:
+        if self.kind not in KIND_RULES:
             raise ValueError(f"unknown family kind {self.kind!r}")
+        rules = KIND_RULES[self.kind]
         if self.k < 1:
             raise ValueError("k must be >= 1")
-        fixed = FIXED_K.get(self.kind)
-        if fixed is not None and self.k != fixed:
-            raise ValueError(f"{self.kind} requires k = {fixed}")
-        if self.k < _MIN_K.get(self.kind, 1):
-            raise ValueError(f"{self.kind} requires k >= {_MIN_K[self.kind]}")
-        if (self.p is not None) != (self.kind in _NEEDS_P):
-            word = "requires" if self.kind in _NEEDS_P else "does not take"
-            raise ValueError(f"{self.kind} {word} parameter p")
-        if (self.q is not None) != (self.kind in _NEEDS_Q):
-            word = "requires" if self.kind in _NEEDS_Q else "does not take"
-            raise ValueError(f"{self.kind} {word} parameter q")
-        if (self.alphas is not None) != (self.kind in _NEEDS_ALPHAS):
-            word = "requires" if self.kind in _NEEDS_ALPHAS else "does not take"
-            raise ValueError(f"{self.kind} {word} alphas")
+        if rules.fixed_k is not None and self.k != rules.fixed_k:
+            raise ValueError(f"{self.kind} requires k = {rules.fixed_k}")
+        if self.k < rules.min_k:
+            raise ValueError(f"{self.kind} requires k >= {rules.min_k}")
+        for name in ("p", "q", "alphas"):
+            if (getattr(self, name) is not None) != (name in rules.params):
+                word = "requires" if name in rules.params else "does not take"
+                label = name if name == "alphas" else f"parameter {name}"
+                raise ValueError(f"{self.kind} {word} {label}")
         if self.p is not None:
             if self.p < 1:
                 raise ValueError("p must be >= 1")
@@ -90,9 +82,8 @@ class FamilySpec:
             raise ValueError("q must be >= 1")
         if self.alphas is not None:
             object.__setattr__(self, "alphas", tuple(self.alphas))
-            want = 2 if self.kind in ("cohen-pair", "alpha-beta") else self.k
-            if len(self.alphas) != want:
-                raise ValueError(f"{self.kind} requires {want} alphas, got {len(self.alphas)}")
+            if len(self.alphas) != self.k:
+                raise ValueError(f"{self.kind} requires {self.k} alphas, got {len(self.alphas)}")
             if min(self.alphas) < 1:
                 raise ValueError("alphas must be positive integers")
 
@@ -207,8 +198,11 @@ def _equations(spec: FamilySpec, t: tuple[int, ...], sieve: SigmaSieve | None):
     kind = spec.kind
     sg = [sigma(n, sieve) for n in t]
     total = sum(t)
-    if kind == "perfect":
-        yield "sigma(n) = 2n", sg[0], 2 * t[0]
+    if kind in WEIGHTED_EQUATIONS:
+        weights, factor = weighted_form(spec)
+        target = sum(w * n for w, n in zip(weights, t))
+        for n, s in zip(t, sg):
+            yield WEIGHTED_EQUATIONS[kind].format(n=n), factor * s, target
     elif kind == "amicable-number":
         (n,), (sn,) = t, sg
         if n < 2:
@@ -218,23 +212,10 @@ def _equations(spec: FamilySpec, t: tuple[int, ...], sieve: SigmaSieve | None):
             # triple is unequal by construction and so excludes them.
             yield "n not perfect", f"sigma({n}) = {sn}", f"2n = {2 * n} (perfect excluded)"
         yield f"sigma(s({n})) = sigma({n})", sigma(sn - n, sieve), sn
-    elif kind == "amicable-pair":
-        for n, s in zip(t, sg):
-            yield f"sigma({n}) = m + n", s, total
-    elif kind == "dickson":
-        for n, s in zip(t, sg):
-            yield f"sigma({n}) = sum", s, total
-    elif kind == "yanney":
-        for n, s in zip(t, sg):
-            yield f"(k-1)*sigma({n}) = sum", (spec.k - 1) * s, total
     elif kind == "cohen-pair":
         (m, n), (a, b) = t, spec.alphas
         yield f"s({m}) = alpha*n", sg[0] - m, a * n
         yield f"s({n}) = beta*m", sg[1] - n, b * m
-    elif kind == "multiamicable":
-        target = sum(a * n for a, n in zip(spec.alphas, t))
-        for n, s in zip(t, sg):
-            yield f"sigma({n}) = sum alpha_i*n_i", s, target
     elif kind == "alpha-beta":
         (m, n), (a, b) = t, spec.alphas
         an, bm = a * n, b * m
@@ -260,6 +241,28 @@ def _equations(spec: FamilySpec, t: tuple[int, ...], sieve: SigmaSieve | None):
             lambda e: total**e,
         )
         yield MEAN_EQUATIONS[kind][0], Fraction(num, den), rhs
+
+
+# The weighted families, each read as factor*sigma(n_i) = w_1*n_1 + ... +
+# w_k*n_k for every member i, with the weights and factor of weighted_form;
+# each entry names that equation at member {n}.
+WEIGHTED_EQUATIONS = {
+    "perfect": "sigma(n) = 2n",
+    "amicable-pair": "sigma({n}) = m + n",
+    "dickson": "sigma({n}) = sum",
+    "yanney": "(k-1)*sigma({n}) = sum",
+    "multiamicable": "sigma({n}) = sum alpha_i*n_i",
+}
+
+
+def weighted_form(spec: FamilySpec) -> tuple[tuple[int, ...], int]:
+    """(weights, factor) of a WEIGHTED_EQUATIONS kind: (2,) for perfect, the
+    alphas for multiamicable and ones otherwise; factor k - 1 for yanney."""
+    if spec.kind == "perfect":
+        return (2,), 1
+    if spec.kind == "multiamicable":
+        return spec.alphas, 1
+    return (1,) * spec.k, spec.k - 1 if spec.kind == "yanney" else 1
 
 
 # The mean families, each written once as a cleared-denominator identity

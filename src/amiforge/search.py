@@ -2,26 +2,25 @@
 open question.
 
 Every search runs in this process as numpy passes over the sigma table.
-Amicable pairs, and multiamicable, Dickson and Yanney tuples of any size
-read one equation: the members share one sigma and
-a_1*n_1 + ... + a_k*n_k = factor*sigma. weighted_tuples, the one solver of
-that equation, takes the first members in blocks, in natural order at
+The weighted families read their families.weighted_form: members of one
+sigma with w_1*n_1 + ... + w_k*n_k = factor*sigma. weighted_tuples, its one
+solver at k >= 2, takes the first members in blocks, in natural order at
 k = 2 and at k >= 3 in the order of _sorted_entries, the ascending
 sigma(n)*(L + 1) + n, grows the middle ones within each sigma run and
-solves for the last. The amicable numbers are the members of its pairs at
+solves for the last; the amicable numbers are the members of its pairs at
 weights (1, 1). abundancy_solutions, the one solver of sigma(a)/a = r,
-gives perfect numbers (r = 2), the multiamicable singletons and
-construct's multipliers. Cohen and alpha-beta pairs and the open-question
-scan are each one blocked _partner_pass over members m: m solves for its
-partner, and one test accepts the pair. The mean families evaluate each
-block of candidate tuples against their MEAN_EQUATIONS entry modulo a
-prime, and the exact check confirms the few that pass. Where the entry
-reads sum_i key(n_i) = target (pm with p = 1, mp, feebly, and whm with
-p = 1, whose key is n * sigma(n)^-1 modulo the prime) the last member is
-solved for over the _sorted_entries of the key instead; hm and gm first
-narrow each prefix's last slot with a necessary inequality.
-weighted_tuples, the mean families and the equal-sigma seeds all grow
-their prefixes with _tuple_blocks, in numpy blocks of bounded size."""
+gives the single members and construct's multipliers. Cohen and
+alpha-beta pairs and the open-question scan are each one blocked
+_partner_pass over members m: m solves for its partner, and one test
+accepts the pair. The mean families evaluate each block of candidate
+tuples against their MEAN_EQUATIONS entry modulo a prime, and the exact
+check confirms the few that pass. Where the entry reads sum_i key(n_i) =
+target (pm with p = 1, mp, feebly, and whm with p = 1, whose key is
+n * sigma(n)^-1 modulo the prime) the last member is solved for over the
+_sorted_entries of the key instead; hm and gm first narrow each prefix's
+last slot with a necessary inequality. weighted_tuples, the mean families
+and the equal-sigma seeds all grow their prefixes with _tuple_blocks, in
+numpy blocks of bounded size."""
 
 from __future__ import annotations
 
@@ -32,7 +31,7 @@ from functools import cache
 import numpy as np
 
 from .arith import DEFAULT_SIEVE_BUDGET, sigma
-from .families import MEAN_EQUATIONS, FamilySpec, Mismatch, TupleRecord, check, mean_sides
+from .families import MEAN_EQUATIONS, FamilySpec, Mismatch, TupleRecord, check, mean_sides, weighted_form
 from .sieve import SigmaSieve, beyond_reach, build_sigma_sieve, covering_sieve, sigma_beyond
 
 MAX_SEARCH_LIMIT = 10**7  # sigma(n) < 2^26 up to it, which the int64 arguments use
@@ -199,10 +198,18 @@ def _tuple_blocks(k: int, slot, size: int):
     Slot j of every j-prefix runs over values[lo:hi], where
     (values, lo, hi) = slot(j, heads) for the list heads of a block's j
     member arrays, one prefix per row; lo and hi are ints or per-row
-    arrays, and at j = 0 heads is [], the one empty prefix. k >= 1.
+    arrays, and at j = 0 heads is [], the one empty prefix. k >= 1. A stack
+    of _expand generators, not recursion, holds the slots, so any k runs.
     """
-    for heads in _tuple_blocks(k - 1, slot, size) if k > 1 else [[]]:
-        yield from _expand(heads, *slot(k - 1, heads), size)
+    stack = [_expand([], *slot(0, []), size)]
+    while stack:
+        if len(stack) == k:
+            yield from stack.pop()
+        elif (heads := next(stack[-1], None)) is None:
+            stack.pop()
+        else:
+            stack.append(_expand(heads, *slot(len(stack), heads), size))
+            del heads  # the prefix block is freed with the generator that holds it
 
 
 def _expand(heads: list[np.ndarray], values: np.ndarray, lo, hi, size: int):
@@ -319,25 +326,17 @@ def weighted_tuples(sieve: SigmaSieve, limit: int, alphas, factor: int, strict: 
 
 
 def _weighted(spec: FamilySpec, limit: int, sieve: SigmaSieve):
-    """Perfect and amicable numbers, amicable pairs, and multiamicable,
-    Dickson and Yanney tuples, all members <= limit: members of one sigma
-    value with a_1*n_1 + ... + a_k*n_k = factor*sigma. The weights are the
-    alphas for multiamicable, members strictly increasing, and 1 otherwise,
-    members non-decreasing; factor is k - 1 for yanney and 1 otherwise, so
-    at k = 2 Dickson, Yanney and amicable pairs share
-    sigma(m) = sigma(n) = m + n. The amicable numbers are the members of
-    the pairs m < n of that equation: every m <= limit, whose n is solved
-    with no bound, and every n <= limit, whose m < n is then found too.
-    One member solves sigma(n) = a*n, with a = 2 for perfect."""
+    """The tuples of a families.weighted_form, members <= limit and strictly
+    increasing for multiamicable, and the amicable numbers: the members of
+    the pairs m < n of sigma(m) = sigma(n) = m + n, each m <= limit with its
+    n solved with no bound, and each n <= limit."""
     if spec.kind == "amicable-number":
         m, n = weighted_tuples(sieve, limit, (1, 1), 1, True, None)
         return [np.union1d(m, n[n <= limit])]
-    strict = spec.kind == "multiamicable"
-    alphas = spec.alphas if strict else (1,) * spec.k
+    weights, factor = weighted_form(spec)
     if spec.k == 1:
-        return [abundancy_solutions(sieve, limit, alphas[0] if strict else 2, 1)]
-    factor = spec.k - 1 if spec.kind == "yanney" else 1
-    return weighted_tuples(sieve, limit, alphas, factor, strict, limit)
+        return [abundancy_solutions(sieve, limit, weights[0], factor)]
+    return weighted_tuples(sieve, limit, weights, factor, spec.kind == "multiamicable", limit)
 
 
 # The kernel of each kind that is not a mean family: _weighted unless named.

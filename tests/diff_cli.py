@@ -15,8 +15,10 @@ alpha-beta with small and large weights, and the amicable numbers and
 pairs, Cohen pairs and sigma(n) = a*n up to 10^7), `scan-question` up to
 10^7, `density multi`, `amicable`, `pomerance` and `lemma` at k = 1 and 3,
 `construct` with --seed-limit and --ns, the
-`sieve` table as CSV, and `check` on members that the exact arithmetic
-must refuse or prove. pytest does not collect this file.
+`sieve` table as JSON and CSV, pm at k = 2 up to 10^5 in both formats,
+`check` on members that the exact arithmetic must refuse or prove and on
+non-members of each weighted kind, and one search refused by each
+FamilySpec rule. pytest does not collect this file.
 """
 
 from __future__ import annotations
@@ -39,6 +41,19 @@ MEAN = [
     ("whm", "--p", "1"),
     ("whm", "--p", "2"),
     ("feebly",),
+]
+
+# One search refused by each kind of FamilySpec rule: a fixed k, a least k,
+# a missing and an unwanted parameter, missing alphas, unwanted alphas, and
+# mp's p >= 2.
+REFUSED = [
+    ("perfect", "--k", "2"),
+    ("dickson", "--k", "1"),
+    ("pm", "--k", "2", "--p", "1"),
+    ("gm", "--k", "2", "--p", "1"),
+    ("cohen-pair",),
+    ("feebly", "--k", "2", "--alphas", "1,1"),
+    ("mp", "--k", "2", "--p", "1", "--q", "2"),
 ]
 
 COMMANDS = [
@@ -81,6 +96,9 @@ COMMANDS = [
     ("scan-question", "--limit", "100000"),
     ("scan-question", "--limit", "10000000"),
     ("sieve", "--limit", "1000000", "--format", "csv"),
+    ("sieve", "--limit", "1000000"),
+    ("search", "pm", "--k", "2", "--p", "1", "--q", "2", "--limit", "100000"),
+    ("search", "pm", "--k", "2", "--p", "1", "--q", "2", "--limit", "100000", "--format", "csv"),
     ("density", "multi", "--alpha", "1", "--beta", "2", "--checkpoints", "100000,3000000"),
     ("density", "amicable", "--checkpoints", "100000,1000000"),
     ("density", "pomerance", "--checkpoints", "1000,1000000"),
@@ -101,7 +119,13 @@ COMMANDS = [
     ("check", "perfect", "--tuple", "7*3317044064679887385961981"),
     ("check", "perfect", "--tuple", "7*318665857834031151167461"),
     ("check", "wgm", "--tuple", "7*3317044064679887385961981,1"),
+    ("check", "perfect", "--tuple", "10"),
+    ("check", "amicable-pair", "--tuple", "4,12"),
+    ("check", "dickson", "--tuple", "1,2,3"),
+    ("check", "yanney", "--tuple", "220,284,504"),
+    ("check", "multiamicable", "--alphas", "1,2", "--tuple", "220,284"),
     ("verify-tables",),
+    *(("search", *flags, "--limit", "10") for flags in REFUSED),
 ]
 
 

@@ -21,6 +21,7 @@ from amiforge.density import (
     lemma_sum_check,
 )
 from amiforge.families import (
+    KIND_RULES,
     FamilySpec,
     is_amicable_pair,
     is_feebly_amicable,
@@ -76,8 +77,6 @@ ORACLE_CONFIGS = [
     ("mp", dict(k=3, p=3, q=3)),
 ]
 
-_FIXED_K = {"perfect": 1, "amicable-number": 1, "amicable-pair": 2, "cohen-pair": 2, "alpha-beta": 2}
-
 REDISCOVERY = [
     ("pm", dict(k=2, p=1, q=2)),
     ("hm", dict(k=2, p=1, q=2)),
@@ -91,7 +90,7 @@ LEMMA_KS = (1, 2, 3)
 
 
 def make_spec(kind, kw):
-    k = kw.get("k") or _FIXED_K.get(kind) or (len(kw["alphas"]) if "alphas" in kw else 2)
+    k = kw.get("k") or KIND_RULES[kind].fixed_k or (len(kw["alphas"]) if "alphas" in kw else 2)
     return FamilySpec(kind, k, p=kw.get("p"), q=kw.get("q"), alphas=kw.get("alphas"))
 
 

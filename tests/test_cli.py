@@ -116,6 +116,18 @@ def test_search_csv(capsys):
     assert len(lines) == 10
 
 
+def test_thousand_member_scans_run(capsys):
+    # a k-member scan grows one slot per member, so k well past the
+    # recursion limit must still give its answer
+    code, doc = run_json(capsys, ["search", "pm", "--k", "1200", "--p", "1", "--q", "1", "--limit", "1"])
+    assert code == 0
+    assert doc["results"]["count"] == 1
+    assert doc["results"]["records"][0]["tuple"] == [1] * 1200
+    code, doc = run_json(capsys, ["search", "dickson", "--k", "1200", "--limit", "10"])
+    assert code == 0
+    assert doc["results"]["count"] == 0
+
+
 def test_sieve_table(capsys):
     code, doc = run_json(capsys, ["sieve", "--limit", "10"])
     assert code == 0
@@ -123,6 +135,15 @@ def test_sieve_table(capsys):
     code = cli.run(["sieve", "--limit", "3", "--format", "csv"])
     out = capsys.readouterr().out
     assert out == "n,sigma\n1,1\n2,3\n3,4\n"
+    # past 2^14 encoder chunks the text is written in several batches,
+    # which join to exactly the one-piece rendering
+    assert cli.run(["sieve", "--limit", "40000"]) == 0
+    out = capsys.readouterr().out
+    sigmas = json.loads(out)["results"]["sigma"]
+    assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+    assert cli.run(["sieve", "--limit", "40000", "--format", "csv"]) == 0
+    rows = "".join(f"{n},{s}\n" for n, s in enumerate(sigmas, start=1))
+    assert capsys.readouterr().out == "n,sigma\n" + rows
 
 
 def test_workers_flag_echo(capsys):

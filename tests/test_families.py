@@ -202,6 +202,102 @@ def test_family_spec_validation():
     assert "alphas=1,2" in spec.describe()
 
 
+# The exact FamilySpec messages. For each kind: a wrong k, then p, q and
+# alphas each missing where the kind takes them and given where it does
+# not; then the value rules, and the order in which the rules are checked.
+_SPEC_MESSAGES = [
+    ("amicable-pair", {"k": 3}, "amicable-pair requires k = 2"),
+    ("amicable-pair", {"k": 2, "p": 3}, "amicable-pair does not take parameter p"),
+    ("amicable-pair", {"k": 2, "q": 3}, "amicable-pair does not take parameter q"),
+    ("amicable-pair", {"k": 2, "alphas": (1, 1)}, "amicable-pair does not take alphas"),
+    ("perfect", {"k": 2}, "perfect requires k = 1"),
+    ("perfect", {"k": 1, "p": 3}, "perfect does not take parameter p"),
+    ("perfect", {"k": 1, "q": 3}, "perfect does not take parameter q"),
+    ("perfect", {"k": 1, "alphas": (1, 1)}, "perfect does not take alphas"),
+    ("amicable-number", {"k": 2}, "amicable-number requires k = 1"),
+    ("amicable-number", {"k": 1, "p": 3}, "amicable-number does not take parameter p"),
+    ("amicable-number", {"k": 1, "q": 3}, "amicable-number does not take parameter q"),
+    ("amicable-number", {"k": 1, "alphas": (1, 1)}, "amicable-number does not take alphas"),
+    ("dickson", {"k": 1}, "dickson requires k >= 2"),
+    ("dickson", {"k": 3, "p": 3}, "dickson does not take parameter p"),
+    ("dickson", {"k": 3, "q": 3}, "dickson does not take parameter q"),
+    ("dickson", {"k": 3, "alphas": (1, 1)}, "dickson does not take alphas"),
+    ("yanney", {"k": 1}, "yanney requires k >= 2"),
+    ("yanney", {"k": 3, "p": 3}, "yanney does not take parameter p"),
+    ("yanney", {"k": 3, "q": 3}, "yanney does not take parameter q"),
+    ("yanney", {"k": 3, "alphas": (1, 1)}, "yanney does not take alphas"),
+    ("cohen-pair", {"k": 3, "alphas": (1, 2)}, "cohen-pair requires k = 2"),
+    ("cohen-pair", {"k": 2, "alphas": (1, 2), "p": 3}, "cohen-pair does not take parameter p"),
+    ("cohen-pair", {"k": 2, "alphas": (1, 2), "q": 3}, "cohen-pair does not take parameter q"),
+    ("cohen-pair", {"k": 2}, "cohen-pair requires alphas"),
+    ("multiamicable", {"k": 0, "alphas": (1, 2)}, "k must be >= 1"),
+    ("multiamicable", {"k": 2, "alphas": (1, 2), "p": 3}, "multiamicable does not take parameter p"),
+    ("multiamicable", {"k": 2, "alphas": (1, 2), "q": 3}, "multiamicable does not take parameter q"),
+    ("multiamicable", {"k": 2}, "multiamicable requires alphas"),
+    ("alpha-beta", {"k": 1, "alphas": (1, 2)}, "alpha-beta requires k = 2"),
+    ("alpha-beta", {"k": 2, "alphas": (1, 2), "p": 3}, "alpha-beta does not take parameter p"),
+    ("alpha-beta", {"k": 2, "alphas": (1, 2), "q": 3}, "alpha-beta does not take parameter q"),
+    ("alpha-beta", {"k": 2}, "alpha-beta requires alphas"),
+    ("pm", {"k": 0, "p": 1, "q": 2}, "k must be >= 1"),
+    ("pm", {"k": 2, "q": 2}, "pm requires parameter p"),
+    ("pm", {"k": 2, "p": 1}, "pm requires parameter q"),
+    ("pm", {"k": 2, "p": 1, "q": 2, "alphas": (1, 1)}, "pm does not take alphas"),
+    ("wpm", {"k": 0, "p": 1}, "k must be >= 1"),
+    ("wpm", {"k": 2}, "wpm requires parameter p"),
+    ("wpm", {"k": 2, "p": 1, "q": 3}, "wpm does not take parameter q"),
+    ("wpm", {"k": 2, "p": 1, "alphas": (1, 1)}, "wpm does not take alphas"),
+    ("gm", {"k": 0}, "k must be >= 1"),
+    ("gm", {"k": 2, "p": 3}, "gm does not take parameter p"),
+    ("gm", {"k": 2, "q": 3}, "gm does not take parameter q"),
+    ("gm", {"k": 2, "alphas": (1, 1)}, "gm does not take alphas"),
+    ("wgm", {"k": 0}, "k must be >= 1"),
+    ("wgm", {"k": 2, "p": 3}, "wgm does not take parameter p"),
+    ("wgm", {"k": 2, "q": 3}, "wgm does not take parameter q"),
+    ("wgm", {"k": 2, "alphas": (1, 1)}, "wgm does not take alphas"),
+    ("hm", {"k": 0, "p": 1, "q": 2}, "k must be >= 1"),
+    ("hm", {"k": 2, "q": 2}, "hm requires parameter p"),
+    ("hm", {"k": 2, "p": 1}, "hm requires parameter q"),
+    ("hm", {"k": 2, "p": 1, "q": 2, "alphas": (1, 1)}, "hm does not take alphas"),
+    ("whm", {"k": 0, "p": 1}, "k must be >= 1"),
+    ("whm", {"k": 2}, "whm requires parameter p"),
+    ("whm", {"k": 2, "p": 1, "q": 3}, "whm does not take parameter q"),
+    ("whm", {"k": 2, "p": 1, "alphas": (1, 1)}, "whm does not take alphas"),
+    ("feebly", {"k": 0}, "k must be >= 1"),
+    ("feebly", {"k": 2, "p": 3}, "feebly does not take parameter p"),
+    ("feebly", {"k": 2, "q": 3}, "feebly does not take parameter q"),
+    ("feebly", {"k": 2, "alphas": (1, 1)}, "feebly does not take alphas"),
+    ("mp", {"k": 0, "p": 2, "q": 2}, "k must be >= 1"),
+    ("mp", {"k": 2, "q": 2}, "mp requires parameter p"),
+    ("mp", {"k": 2, "p": 2}, "mp requires parameter q"),
+    ("mp", {"k": 2, "p": 2, "q": 2, "alphas": (1, 1)}, "mp does not take alphas"),
+    ("mp", {"k": 2, "p": 1, "q": 2}, "mp requires p >= 2"),
+    ("pm", {"k": 2, "p": 0, "q": 2}, "p must be >= 1"),
+    ("hm", {"k": 2, "p": 1, "q": 0}, "q must be >= 1"),
+    ("cohen-pair", {"k": 2, "alphas": (1, 2, 3)}, "cohen-pair requires 2 alphas, got 3"),
+    ("alpha-beta", {"k": 2, "alphas": (1,)}, "alpha-beta requires 2 alphas, got 1"),
+    ("multiamicable", {"k": 3, "alphas": (1, 2)}, "multiamicable requires 3 alphas, got 2"),
+    ("multiamicable", {"k": 2, "alphas": (0, 1)}, "alphas must be positive integers"),
+    ("nosuch", {"k": 2}, "unknown family kind 'nosuch'"),
+    # two faults at once: the first rule checked names its fault
+    ("perfect", {"k": 2, "p": 1}, "perfect requires k = 1"),
+    ("dickson", {"k": 1, "alphas": (0,)}, "dickson requires k >= 2"),
+    ("pm", {"k": 2, "p": 0}, "pm requires parameter q"),
+    ("cohen-pair", {"k": 2, "p": 0, "alphas": (1,)}, "cohen-pair does not take parameter p"),
+    ("mp", {"k": 2, "p": 1, "q": 0}, "mp requires p >= 2"),
+]
+
+
+@pytest.mark.parametrize("kind, fields, message", _SPEC_MESSAGES)
+def test_family_spec_messages(kind, fields, message):
+    with pytest.raises(ValueError) as err:
+        FamilySpec(kind, **fields)
+    assert str(err.value) == message
+
+
+def test_family_spec_messages_cover_every_kind():
+    assert {kind for kind, _, _ in _SPEC_MESSAGES} >= set(KINDS)
+
+
 def test_holds_dispatch_covers_every_kind(sieve_10k):
     cases = {
         "perfect": (FamilySpec("perfect", 1), (6,)),

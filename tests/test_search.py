@@ -736,3 +736,12 @@ def test_sorted_pass_peak_memory_is_one_table_index_and_ranks_plus_blocks():
     limit = 3_000_000
     peak = _peak_over_import(["search", "dickson", "--k", "3", "--limit", str(limit)])
     assert peak <= 8 * (limit + 1) + 24 * limit + 8 * 8 * search._CHUNK, peak / 2**20
+
+
+def test_sieve_output_peak_memory_is_one_list_plus_batches():
+    # sieve --limit 10^6 as JSON over a child that only imports the search:
+    # the table and the list of its values, about 36 bytes an entry, with
+    # the text rendered and written in batches, never held whole
+    limit = 1_000_000
+    peak = _peak_over_import(["sieve", "--limit", str(limit)])
+    assert peak <= 64 * (limit + 1), peak / 2**20
