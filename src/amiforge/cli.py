@@ -152,10 +152,12 @@ def _cmd_sieve(args):
     from .sieve import build_sigma_sieve
 
     sieve = build_sigma_sieve(args.limit, args.sieve_budget)
-    values = sieve.as_list()
-    params = {"limit": args.limit}
-    results = {"limit": args.limit, "sigma": values}
-    return params, results, _csv("n,sigma", enumerate(values, start=1), sep=","), 0
+    # the JSON encoder needs the values as one list; CSV reads the table in
+    # blocks of 2^16 entries and never holds them all as Python ints
+    results = {"limit": args.limit, "sigma": sieve.as_list()} if args.format == "json" else None
+    blocks = range(1, args.limit + 1, 1 << 16)
+    rows = itertools.chain.from_iterable(enumerate(sieve.table[lo : lo + (1 << 16)].tolist(), lo) for lo in blocks)
+    return {"limit": args.limit}, results, _csv("n,sigma", rows, sep=","), 0
 
 
 def _cmd_check(args):
@@ -179,20 +181,19 @@ def _cmd_check(args):
 
 
 def _cmd_search(args):
-    from .search import _needed_coverage, check_search_limit, enumerate_family
+    from .search import check_search_limit, enumerate_family
     from .sieve import build_sigma_sieve
 
     spec = _family_spec(args.family, args.k, args.p, args.q, args.alphas)
     check_search_limit(args.limit, spec)
-    size = _needed_coverage(spec, args.limit, args.sieve_budget)
-    sieve = build_sigma_sieve(size, args.sieve_budget)
+    sieve = build_sigma_sieve(args.limit, args.sieve_budget)
     report = enumerate_family(spec, args.limit, sieve)
     params = {
         "family": spec.kind,
         "params": _spec_params(spec),
         "limit": args.limit,
         "workers": args.workers,
-        "sieve_limit": size,
+        "sieve_limit": args.limit,
     }
     return params, _search_payload(report, args.workers), _search_csv(report), 0
 
@@ -218,9 +219,7 @@ def _cmd_construct(args):
     else:
         seeds = find_seed_tuples(alphas, args.seed_limit, sieve, args.a_bound)
         params = {"alphas": list(alphas), "seed_limit": args.seed_limit, "a_bound": args.a_bound}
-    rows = []
-    for seed in seeds:
-        rows.extend(construct_multiamicable(seed, args.a_bound, sieve=sieve))
+    rows = construct_multiamicable(seeds, args.a_bound, sieve=sieve)
     results = [
         {
             "seed": {"alphas": list(b.seed.alphas), "ns": list(b.seed.ns)},

@@ -78,23 +78,30 @@ def find_multipliers(target: Fraction, bound: int, coprime_to=(), sieve: SigmaSi
     return [a for a in hit.tolist() if all(math.gcd(a, n) == 1 for n in coprime_to)]
 
 
-def construct_multiamicable(seed: SeedTuple, a_bound: int, sieve: SigmaSieve | None = None) -> list[ConstructedTuple]:
+def construct_multiamicable(seeds, a_bound: int, sieve: SigmaSieve | None = None) -> list[ConstructedTuple]:
     """Multiamicable tuples (a*N_1, ..., a*N_k) for every admissible a <= a_bound,
-    from a seed made by seed_ratio or find_seed_tuples. Each tuple is re-proven.
+    seed by seed in the given order and by ascending a within a seed, from
+    seeds made by seed_ratio or find_seed_tuples. Each tuple is re-proven.
 
-    A seed whose target denominator exceeds a_bound admits no multiplier,
-    since every a with sigma(a)/a = target is a multiple of it, so
-    find_multipliers returns [] for it before the sieve is read. Otherwise
-    raises CoverageError when the given sieve stops short of a_bound.
+    Seeds of one target share one find_multipliers scan, held for this call
+    only; each seed keeps the multipliers coprime to its members. A seed
+    whose target denominator exceeds a_bound admits no multiplier, since
+    every a with sigma(a)/a = target is a multiple of it, so find_multipliers
+    returns [] for it before the sieve is read. Otherwise raises
+    CoverageError when the given sieve stops short of a_bound.
     """
-    out = []
-    for a in find_multipliers(seed.target, a_bound, seed.ns, sieve=sieve):
-        members = tuple(a * n for n in seed.ns)
-        if not is_multiamicable(members, seed.alphas, sieve):
-            raise RuntimeError(
-                f"construction produced a non-member {members} from seed {seed.ns} with a={a}"
-            )
-        out.append(ConstructedTuple(seed, a, members))
+    out, scans = [], {}
+    for seed in seeds:
+        # keyed by the ints: a Fraction's hash takes a modular inverse
+        key = seed.target.numerator, seed.target.denominator
+        if key not in scans:
+            scans[key] = find_multipliers(seed.target, a_bound, sieve=sieve)
+        coprime = [a for a in scans[key] if all(math.gcd(a, n) == 1 for n in seed.ns)]
+        for a in coprime:
+            members = tuple(a * n for n in seed.ns)
+            if not is_multiamicable(members, seed.alphas, sieve):
+                raise RuntimeError(f"construction produced a non-member {members} from seed {seed.ns} with a={a}")
+            out.append(ConstructedTuple(seed, a, members))
     return out
 
 

@@ -30,17 +30,18 @@ from functools import cache
 
 import numpy as np
 
-from .arith import DEFAULT_SIEVE_BUDGET, sigma
+from .arith import factorize
 from .families import MEAN_EQUATIONS, FamilySpec, Mismatch, TupleRecord, check, mean_sides, weighted_form
-from .sieve import SigmaSieve, beyond_reach, build_sigma_sieve, covering_sieve, sigma_beyond
+from .sieve import SigmaSieve, covering_sieve, sigma_beyond
 
 MAX_SEARCH_LIMIT = 10**7  # sigma(n) < 2^26 up to it, which the int64 arguments use
 
 # Every sigma a kernel reads is below 2^59 (table entries below 2^31, values
-# of sigma_beyond below 2^59), and the linear kernels compare weights and
-# aliquot sums only with members, such sigmas, and their quotients and
-# remainders. So a value of 2^62 or more never matches, and capping it at
-# 2^62 keeps that while fitting int64.
+# of sigma_beyond below 2^59) or is alpha-beta's sigma(a*n), capped at 2^62
+# by _aliquots. The linear kernels compare weights and aliquot sums only
+# with members, such sigmas, and their quotients and remainders. So a value
+# of 2^62 or more never matches, and capping it at 2^62 keeps that while
+# fitting int64.
 _CAP = 1 << 62
 
 # The mean families' row filter works modulo this prime, 2^31 - 1. Scans take
@@ -49,11 +50,6 @@ _CAP = 1 << 62
 _MODULUS = 2**31 - 1
 _BLOCK = 1 << 13
 _CHUNK = 1 << 18
-
-# alpha-beta sieves to max(alphas)*limit up to this weight. Measured at
-# limit 10^6 on 2 cores, the wider sieve is faster up to about 6 for
-# weights (1, a) and up to about 10 for (a, a).
-_WIDE_WEIGHT = 8
 
 
 @dataclass
@@ -72,26 +68,38 @@ def _capped(value: int) -> int:
 def _aliquots(sieve: SigmaSieve, w: int, v: np.ndarray) -> np.ndarray:
     """s(w*v) = sigma(w*v) - w*v for each v >= 1, capped at 2^62.
 
-    int64: the table serves every v <= sieve.limit // w, so w*v is an index
-    within the table (a capped weight has no such v). One sigma_beyond pass
-    serves every w*v in (sieve.limit, R^2], R = min(sieve.limit, 2^28), so
-    w*v <= 2^56 there and sigma(w*v) < 2^59 by its docstring. Only a w*v
-    past R^2, which a large weight can give, is read through the exact
-    sigma(), one index at a time; the cap touches only values that no
-    kernel compares with anything as large.
+    sigma(v) comes from the table, or from sigma_beyond past it, which only
+    w = 1 needs: weighted_tuples' partners v <= sigma(n_1) <= n_1^2 lie
+    within the square of the sieve's limit, as sigma_beyond requires. Then
+    each p^e || w, from the cached factorize(w), turns sigma(v) into
+    sigma(v * p^e): with q = p^k || v, sigma is multiplicative, so its
+    factor sigma(q) becomes sigma(q * p^e) = sigma(q) + q*(sigma(p^e) - 1).
+
+    int64: at w > 1 every v is an alpha-beta member, at most
+    MAX_SEARCH_LIMIT = 10^7, so sigma(v) < 2^26, and while sigma(w) < 2^36
+    every intermediate, the sigma of a divisor of w*v, is at most
+    sigma(w)*sigma(v) < 2^62; q*p <= w*v < 2^60, and the new factor is
+    formed as a sum, never above the result. A weight with sigma(w) >= 2^36
+    takes the same steps on object arrays. The cap touches only values
+    that no kernel compares with anything as large.
     """
-    s = np.empty(len(v), dtype=np.int64)
-    w_cap = _capped(w)
-    inside = v <= sieve.limit // w
-    wv = w_cap * v[inside]
-    s[inside] = sieve.read(wv) - wv
-    near = ~inside & (v <= beyond_reach(sieve) // w)
-    wv = w_cap * v[near]
-    s[near] = sigma_beyond(sieve, wv) - wv
-    for i in np.flatnonzero(~inside & ~near).tolist():
-        x = w * int(v[i])
-        s[i] = _capped(sigma(x) - x)
-    return s
+    s = sieve.read(np.minimum(v, sieve.limit))
+    past = np.flatnonzero(v > sieve.limit)
+    s[past] = sigma_beyond(sieve, v[past])
+    f = factorize(w)
+    if f.sigma() >= 1 << 36:
+        s, v = s.astype(object), v.astype(object)
+    for p, e in f.factors:
+        if p == 2:
+            q = v & -v  # the lowest set bit, about 20 times faster than the loop
+        else:
+            q, live, power = np.ones_like(v), np.flatnonzero(v % p == 0), p
+            while len(live):
+                q[live], power = power, power * p
+                live = live[v[live] % power == 0]
+        old = (q * p - 1) // (p - 1)
+        s = s // old * (old + q * ((p ** (e + 1) - p) // (p - 1)))
+    return np.minimum(s - w * v, _CAP).astype(np.int64)
 
 
 def abundancy_solutions(sieve: SigmaSieve, bound: int, num: int, den: int) -> np.ndarray:
@@ -159,9 +167,9 @@ def _alpha_beta_pairs(spec: FamilySpec, limit: int, sieve: SigmaSieve):
     """(m, n), both <= limit, with s(a*n) = m and s(b*m) = n; m <= n when
     a = b. The pass runs over n, whose partner is m = s(a*n).
 
-    int64: both reads go through _aliquots, which forms a*n and b*m only
-    as indices within the table or values within R^2 <= 2^56, and reads a
-    value past R^2 through the exact sigma().
+    int64: both reads go through _aliquots, which reads sigma(n) and
+    sigma(m) from the table, as n, m <= limit, and applies the weight's
+    factorization.
     """
     a, b = spec.alphas
 
@@ -282,8 +290,9 @@ def weighted_tuples(sieve: SigmaSieve, limit: int, alphas, factor: int, strict: 
     passes 2^62 only for k > 2^38. Slot 0 ends at T // tails[0] and slot i
     at the quotient (T - partial) // tails[i], so a_i*v is formed only once
     it is bounded by T - partial, and every partial sum stays <= T <= 2^62.
-    Without a partner_limit, v <= T < 7*limit*factor, so for factor 1 and
-    limit >= 7 sigma_beyond serves every v past the sieve, within R^2."""
+    Without a partner_limit, factor is 1 (the amicable numbers and density
+    multi), so v <= T = sigma(n_1) <= n_1^2 <= limit^2, within the square
+    of the sieve's limit, and sigma_beyond serves every v past the sieve."""
     k, width = len(alphas), limit + 1
     weights = [_capped(a) for a in alphas]
     tails = [_capped(sum(alphas[i:])) for i in range(k)]
@@ -548,18 +557,6 @@ def _mean_family_kernel(spec: FamilySpec, limit: int, sieve: SigmaSieve) -> list
     return sorted(records, key=lambda r: r.members)
 
 
-def _needed_coverage(spec: FamilySpec, limit: int, budget: int = DEFAULT_SIEVE_BUDGET) -> int:
-    """The sieve size a search builds: alpha-beta reads sigma at alpha*n, so it
-    covers max(alphas)*limit when max(alphas) <= _WIDE_WEIGHT and the budget
-    allows, and limit otherwise, since _aliquots reads past the sieve exactly.
-    A wider sieve costs about max(alphas) times the build; past _WIDE_WEIGHT
-    that costs more than the reads past a sieve to limit save."""
-    if spec.kind == "alpha-beta" and max(spec.alphas) <= _WIDE_WEIGHT:
-        if 8 * (max(spec.alphas) * limit + 1) <= budget:
-            return max(spec.alphas) * limit
-    return limit
-
-
 def check_search_limit(limit: int, spec: FamilySpec | None = None) -> None:
     """Raise ValueError unless 1 <= limit <= MAX_SEARCH_LIMIT and spec's p,
     when given, fits the int64 exponents of the mean families' filter."""
@@ -573,15 +570,11 @@ def check_search_limit(limit: int, spec: FamilySpec | None = None) -> None:
 
 def enumerate_family(spec: FamilySpec, limit: int, sieve: SigmaSieve | None = None) -> SearchReport:
     """Every tuple of the family with all elements <= limit, found in this
-    process."""
+    process over a sieve that covers limit: the caller's or one built to it,
+    since every kernel, alpha-beta's sigma(a*n) too, reads the table only
+    to limit."""
     check_search_limit(limit, spec)
-    # A built sieve also covers the alpha*n that alpha-beta reads, within the
-    # budget; a caller's sieve need only cover limit, since _aliquots reads
-    # past its end exactly.
-    if sieve is None:
-        sieve = build_sigma_sieve(_needed_coverage(spec, limit))
-    else:
-        sieve = covering_sieve(limit, sieve)
+    sieve = covering_sieve(limit, sieve)
 
     if spec.kind in MEAN_EQUATIONS:
         records = _mean_family_kernel(spec, limit, sieve)

@@ -10,9 +10,6 @@ import numpy as np
 
 from .arith import DEFAULT_SIEVE_BUDGET
 
-# sigma_beyond factors at most this many values at a time.
-_BEYOND_BLOCK = 1 << 20
-
 MAX_SIEVE_LIMIT = 1 << 28  # sigma(n) < 2^31 up to it, so the table is int32
 
 
@@ -101,14 +98,9 @@ def covering_sieve(limit: int, sieve: SigmaSieve | None = None) -> SigmaSieve:
     return sieve
 
 
-def beyond_reach(sieve: SigmaSieve) -> int:
-    """R^2 with R = min(sieve.limit, 2^28): the largest value sigma_beyond
-    accepts, since the sieve holds every prime up to R."""
-    return min(sieve.limit, 1 << 28) ** 2
-
-
 def sigma_beyond(sieve: SigmaSieve, x: np.ndarray) -> np.ndarray:
-    """sigma of each value of the int64 array x, sieve.limit < x <= beyond_reach(sieve).
+    """sigma of each value of the int64 array x, sieve.limit < x <= R^2 with
+    R = min(sieve.limit, 2^28), since the sieve holds every prime up to R.
 
     Trial division by every prime p <= isqrt(max x), all of them within the
     sieve, which marks n >= 2 as prime exactly when sigma(n) = n + 1, so no
@@ -125,21 +117,18 @@ def sigma_beyond(sieve: SigmaSieve, x: np.ndarray) -> np.ndarray:
     2^59. Every prime power p^e formed divides x, and every prime-power
     partial sum and running product is sigma of a divisor of x, so all of
     them stay <= sigma(x); p^2 <= 2^56 in the live-set test.
-    Memory: x is taken in blocks of _BEYOND_BLOCK values, so the working
-    arrays stay near 8 int64 arrays of one block whatever len(x) is.
+    Memory: the working arrays are about 8 int64 arrays of len(x); the one
+    caller, search._aliquots, passes the partners of at most one
+    weighted_tuples block of search._CHUNK values.
     Raises ValueError when a value lies outside that range.
     """
     x = np.asarray(x, dtype=np.int64)
-    if len(x) > _BEYOND_BLOCK:
-        blocks = range(0, len(x), _BEYOND_BLOCK)
-        return np.concatenate([sigma_beyond(sieve, x[i : i + _BEYOND_BLOCK]) for i in blocks])
     out = np.empty(len(x), dtype=np.int64)
     if not len(x):
         return out
-    if x.min() <= sieve.limit or x.max() > beyond_reach(sieve):
-        raise ValueError(
-            f"sigma_beyond needs values in ({sieve.limit}, {beyond_reach(sieve)}]"
-        )
+    reach = min(sieve.limit, 1 << 28) ** 2
+    if x.min() <= sieve.limit or x.max() > reach:
+        raise ValueError(f"sigma_beyond needs values in ({sieve.limit}, {reach}]")
     top = math.isqrt(int(x.max()))
     candidates = np.arange(2, top + 1)
     primes = candidates[sieve.table[2 : top + 1] == candidates + 1]

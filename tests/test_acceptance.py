@@ -130,7 +130,7 @@ def test_criterion_2_table1_reconstruction():
         seed = seed_ratio(alphas, (n1, n2))
         assert seed.target == Fraction(entries[0][0].target)
         mults = find_multipliers(seed.target, 10**4, (n1, n2))
-        built = {(b.a, b.members) for b in construct_multiamicable(seed, 10**4)}
+        built = {(b.a, b.members) for b in construct_multiamicable([seed], 10**4)}
         for row, a in entries:
             assert a in mults, (row.pair, a)
             assert (a, row.pair) in built, row.pair

@@ -185,14 +185,11 @@ def test_sigma_falls_back_beyond_sieve():
     assert sigma(220, sieve) == 504
 
 
-def test_sigma_beyond_matches_divisor_loop(monkeypatch):
-    # every value the vectorised pass accepts over a sieve to L: (L, L^2],
-    # in one block and in blocks of 100 values
+def test_sigma_beyond_matches_divisor_loop():
+    # every value the vectorised pass accepts over a sieve to L: (L, L^2]
     limit = 40
     x = np.arange(limit + 1, limit * limit + 1)
     expected = [oracles.divisor_sigma(v) for v in x.tolist()]
-    assert sigma_beyond(build_sigma_sieve(limit), x).tolist() == expected
-    monkeypatch.setattr("amiforge.sieve._BEYOND_BLOCK", 100)
     assert sigma_beyond(build_sigma_sieve(limit), x).tolist() == expected
 
 

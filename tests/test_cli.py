@@ -179,7 +179,7 @@ def test_each_command_sizes_its_own_sieve(capsys, monkeypatch):
         (["sieve"], 10**6),
         (["sieve", "--limit", "30"], 30),
         (["search", "gm", "--limit", "20"], 20),
-        (["search", "alpha-beta", "--alphas", "3,8", "--limit", "300"], 2400),
+        (["search", "alpha-beta", "--alphas", "3,8", "--limit", "300"], 300),
         (["search", "alpha-beta", "--alphas", "3,8", "--limit", "300", "--sieve-budget", budget], 300),
         (["search", "alpha-beta", "--alphas", "1,9", "--limit", "300"], 300),
         (["search", "alpha-beta", "--alphas", "1,1000", "--limit", "300"], 300),
@@ -444,17 +444,15 @@ def test_no_process_pool_for_any_worker_count(monkeypatch, capsys):
 
 
 def test_alpha_beta_weight_past_the_budget(capsys):
-    # the 8*limit sieve needs 8*(2400+1) bytes; under a smaller budget the
-    # search covers the limit only and reads past it exactly
+    # a sieve to 8*limit would need 8*(2400+1) bytes; sigma(8*n) comes from
+    # sigma(n), so under that budget and under the default one the search
+    # sieves to the limit and finds the same records
     argv = ["search", "alpha-beta", "--alphas", "1,8", "--limit", "300", "--workers", "1"]
-    code, doc = run_json(capsys, argv + ["--sieve-budget", str(8 * 2401 - 1)])
-    assert code == 0
-    assert doc["params"]["sieve_limit"] == 300
-    narrow = [tuple(r["tuple"]) for r in doc["results"]["records"]]
-    assert narrow == oracles.naive_family("alpha-beta", 300, alphas=(1, 8)) == [(1, 7)]
-    code, doc = run_json(capsys, argv)
-    assert code == 0 and doc["params"]["sieve_limit"] == 2400
-    assert [tuple(r["tuple"]) for r in doc["results"]["records"]] == narrow
+    for budget in ([], ["--sieve-budget", str(8 * 2401 - 1)]):
+        code, doc = run_json(capsys, argv + budget)
+        assert code == 0 and doc["params"]["sieve_limit"] == 300
+        found = [tuple(r["tuple"]) for r in doc["results"]["records"]]
+        assert found == oracles.naive_family("alpha-beta", 300, alphas=(1, 8)) == [(1, 7)]
 
 
 def test_out_writes_file(tmp_path, capsys):

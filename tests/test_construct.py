@@ -59,7 +59,7 @@ def test_find_multipliers_rejects_deficient_target():
         find_multipliers(Fraction(1, 2), 100)
     # target 12/28 = 3/7: its denominator exceeds the bound, and it is still refused
     with pytest.raises(ValueError, match="target must be >= 1"):
-        construct_multiamicable(seed_ratio((1,), (12,)), 1)
+        construct_multiamicable([seed_ratio((1,), (12,))], 1)
 
 
 def test_find_multipliers_worker_determinism():
@@ -75,11 +75,11 @@ def test_find_multipliers_short_sieve_raises(sieve_1k):
     with pytest.raises(CoverageError):
         find_multipliers(Fraction(3, 2), 5000, sieve=sieve_1k)
     with pytest.raises(CoverageError):
-        construct_multiamicable(seed_ratio((1, 2), (104, 116)), 2000, sieve=sieve_1k)
+        construct_multiamicable([seed_ratio((1, 2), (104, 116))], 2000, sieve=sieve_1k)
 
 
 def test_construct_example():
-    built = construct_multiamicable(seed_ratio((1, 2), (104, 116)), 20)
+    built = construct_multiamicable([seed_ratio((1, 2), (104, 116))], 20)
     assert len(built) == 1
     b = built[0]
     assert b.a == 15
@@ -88,12 +88,12 @@ def test_construct_example():
 
 
 def test_construct_identity_multiplier():
-    built = construct_multiamicable(seed_ratio((1, 2), (7380, 7776)), 1)
+    built = construct_multiamicable([seed_ratio((1, 2), (7380, 7776))], 1)
     assert [(b.a, b.members) for b in built] == [(1, (7380, 7776))]
 
 
 def test_construct_output_is_multiamicable():
-    for b in construct_multiamicable(seed_ratio((1, 2), (104, 116)), 2000):
+    for b in construct_multiamicable([seed_ratio((1, 2), (104, 116))], 2000):
         total = b.members[0] + 2 * b.members[1]
         for n in b.members:
             assert oracles.divisor_sigma(n) == total
@@ -111,7 +111,7 @@ def test_construct_reads_sigma_from_covering_sieve(monkeypatch):
         raise AssertionError(f"factorize({n}) called although the sieve covers it")
 
     monkeypatch.setattr(arith, "factorize", no_factorize)
-    built = construct_multiamicable(seed_ratio((1, 2), (104, 116), sieve), 2000, sieve=sieve)
+    built = construct_multiamicable([seed_ratio((1, 2), (104, 116), sieve)], 2000, sieve=sieve)
     assert [b.a for b in built] == find_multipliers(Fraction(8, 5), 2000, (104, 116), sieve)
     assert built
 
@@ -157,8 +157,10 @@ def test_find_seed_tuples_a_bound_drops_only_seeds_without_multipliers():
         for a_bound in (1, 2, 5, 60, 3000):
             kept = find_seed_tuples(alphas, 3000, sieve, a_bound)
             assert kept == [s for s in every if s.target.denominator <= a_bound], (alphas, a_bound)
-            built = [b for s in every for b in construct_multiamicable(s, a_bound, sieve)]
-            assert [b for s in kept for b in construct_multiamicable(s, a_bound, sieve)] == built
+            built = construct_multiamicable(every, a_bound, sieve)
+            assert construct_multiamicable(kept, a_bound, sieve) == built
+            # one scan per target gives what one call per seed gives
+            assert [b for s in every for b in construct_multiamicable([s], a_bound, sieve)] == built
     assert find_seed_tuples((1, 2), 3000, sieve, 1)
 
 

@@ -469,30 +469,30 @@ def test_amicable_numbers_past_the_sieve_skip_factorize(sieve_10k, monkeypatch):
     assert members_of(report) == sorted((n,) for pair in pairs for n in pair)
 
 
-def test_alpha_beta_scalar_fallback_past_reach(capsys, monkeypatch):
-    # a budget of 4 KiB sieves 1..300 only, so R^2 = 90000 and 1000*n passes
-    # it for n > 90: those reads take the scalar sigma(), the rest the
-    # vectorised pass
-    scalar = []
-
-    def recording_sigma(n, sieve=None):
-        scalar.append(n)
-        return sigma(n, sieve)
-
-    monkeypatch.setattr(search, "sigma", recording_sigma)
+def test_alpha_beta_large_weight_reads_only_the_table(capsys):
+    # a budget of 4 KiB sieves 1..300 only, and 1000*n lies past R^2 = 90000
+    # for n > 90; sigma(1000*n) comes from sigma(n) and 1000 = 2^3 * 5^3
     argv = ["search", "alpha-beta", "--alphas", "1,1000", "--limit", "300", "--sieve-budget", "4096"]
     assert cli.run(argv) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["params"]["sieve_limit"] == 300
     found = [tuple(r["tuple"]) for r in doc["results"]["records"]]
     assert found == oracles.naive_family("alpha-beta", 300, alphas=(1, 1000))
-    assert scalar and min(scalar) > 300**2
-    # the aliquot sums both paths give, against the divisor loop
-    scalar.clear()
-    v = np.arange(1, 301)
-    got = search._aliquots(build_sigma_sieve(300), 1000, v)
-    assert got.tolist() == [oracles.divisor_sigma(1000 * n) - 1000 * n for n in v.tolist()]
-    assert sorted(scalar) == [1000 * n for n in range(91, 301)]
+    # the aliquot sums against the divisor loop: prime powers, several
+    # primes, and 1000
+    sieve, v = build_sigma_sieve(300), np.arange(1, 301)
+    for w in (1000, 2, 8, 3, 27, 5, 25, 7, 49, 6, 12, 30):
+        got = search._aliquots(sieve, w, v)
+        assert got.tolist() == [oracles.divisor_sigma(w * n) - w * n for n in v.tolist()], w
+    # weights with sigma(w) >= 2^36 take object arrays and the cap at 2^62;
+    # their divisor loops are too long, so the scalar sigma(), which factors
+    # each w*n whole, is the reference, on members that share the primes of
+    # 2^40 + 3 = 19 * 57869033041 and of 3^40 (2^64 + 7 = 2881943 *
+    # 6400801151761 shares none, and each of its products takes 0.1 s)
+    v = np.array([1, 2, 3, 12, 19, 38, 81, 243, 285, 300])
+    for w in (2**40 + 3, 3**40, 2**64 + 7):
+        got = search._aliquots(sieve, w, v)
+        assert got.tolist() == [min(sigma(w * n) - w * n, 2**62) for n in v.tolist()], w
 
 
 def test_alpha_beta_with_sieve_covering_only_limit():
@@ -741,7 +741,19 @@ def test_sorted_pass_peak_memory_is_one_table_index_and_ranks_plus_blocks():
 def test_sieve_output_peak_memory_is_one_list_plus_batches():
     # sieve --limit 10^6 as JSON over a child that only imports the search:
     # the table and the list of its values, about 36 bytes an entry, with
-    # the text rendered and written in batches, never held whole
+    # the text rendered and written in batches, never held whole; as CSV,
+    # rendered from blocks of the table, the table and the batches alone
     limit = 1_000_000
     peak = _peak_over_import(["sieve", "--limit", str(limit)])
     assert peak <= 64 * (limit + 1), peak / 2**20
+    peak = _peak_over_import(["sieve", "--limit", str(limit), "--format", "csv"])
+    assert peak <= 16 * (limit + 1), peak / 2**20
+
+
+def test_alpha_beta_peak_memory_is_one_table_plus_blocks():
+    # search alpha-beta --alphas 8,8 at 3*10^6 reads sigma(8*n) from the
+    # table to the limit: the budget's 8 bytes per entry plus 8 int64 arrays
+    # of one _CHUNK block
+    limit = 3_000_000
+    peak = _peak_over_import(["search", "alpha-beta", "--alphas", "8,8", "--limit", str(limit)])
+    assert peak <= 8 * (limit + 1) + 8 * 8 * search._CHUNK, peak / 2**20
