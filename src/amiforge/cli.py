@@ -114,6 +114,54 @@ def _family_spec(family: str, k, p, q, alphas_text, tuple_len=None) -> FamilySpe
     return FamilySpec(family, k, p=p, q=q, alphas=alphas)
 
 
+def _array_text(blocks):
+    """The text JSONEncoder(indent=2) gives a list of ints that is a value
+    in the envelope's results, written from an iterable of at least one
+    non-empty numpy block: a value a line at indent level 3, and the
+    closing bracket at level 2, the level of its key."""
+    lead, sep = "[\n      ", ",\n      "
+    for block in blocks:
+        yield lead
+        yield sep.join(map(str, block.tolist()))
+        lead = sep
+    yield "\n    ]"
+
+
+_PLACEHOLDER = "\0array"  # what the encoder writes for an array held as blocks
+
+
+def _batches(chunks):
+    """chunks joined 2^14 at a time, so the text is never held whole and
+    the writes are few."""
+    chunks = iter(chunks)
+    return map("".join, iter(lambda: list(itertools.islice(chunks, 1 << 14)), []))
+
+
+def _json_batches(envelope):
+    """The text of envelope as JSONEncoder(indent=2, sort_keys=True) writes
+    it, in batches. A results value held as an iterable of numpy blocks
+    (the sieve's table) is not JSON, so the encoder hands it to its default
+    hook, which writes the placeholder string for it in a chunk of its own;
+    each batch thus holds the whole placeholder of every such value the
+    encoder has met in it, and the value's text is written in its place, a
+    block at a time."""
+    arrays = []
+
+    def placeholder(blocks):
+        arrays.append(blocks)
+        return _PLACEHOLDER
+
+    marker = json.dumps(_PLACEHOLDER)
+    encoder = json.JSONEncoder(indent=2, sort_keys=True, default=placeholder)
+    for batch in _batches(encoder.iterencode(envelope)):
+        for blocks in arrays:
+            head, _, batch = batch.partition(marker)
+            yield head
+            yield from _array_text(blocks)
+        arrays.clear()
+        yield batch
+
+
 def _csv(header: str, rows, sep: str = ";"):
     """A header line, then one line per row, each yielded as it is built;
     tuple cells are joined with commas."""
@@ -149,14 +197,14 @@ def _search_csv(report):
 
 
 def _cmd_sieve(args):
-    from .sieve import build_sigma_sieve
+    from .sieve import SEGMENT, build_sigma_sieve
 
     sieve = build_sigma_sieve(args.limit, args.sieve_budget)
-    # the JSON encoder needs the values as one list; CSV reads the table in
-    # blocks of 2^16 entries and never holds them all as Python ints
-    results = {"limit": args.limit, "sigma": sieve.as_list()} if args.format == "json" else None
-    blocks = range(1, args.limit + 1, 1 << 16)
-    rows = itertools.chain.from_iterable(enumerate(sieve.table[lo : lo + (1 << 16)].tolist(), lo) for lo in blocks)
+    # either format reads the table as Python ints a block of SEGMENT
+    # entries at a time, never all at once
+    blocks = range(1, args.limit + 1, SEGMENT)
+    results = {"limit": args.limit, "sigma": (sieve.table[lo : lo + SEGMENT] for lo in blocks)}
+    rows = itertools.chain.from_iterable(enumerate(sieve.table[lo : lo + SEGMENT].tolist(), lo) for lo in blocks)
     return {"limit": args.limit}, results, _csv("n,sigma", rows, sep=","), 0
 
 
@@ -390,7 +438,7 @@ def run(argv=None) -> int:
     elapsed = time.perf_counter() - t0
 
     if args.format == "csv":
-        chunks = iter(csv_chunks)
+        batches = _batches(csv_chunks)
     else:
         envelope = {
             "command": args.command,
@@ -399,10 +447,7 @@ def run(argv=None) -> int:
             "timing": {"seconds": round(elapsed, 6)},
             "version": __version__,
         }
-        chunks = itertools.chain(json.JSONEncoder(indent=2, sort_keys=True).iterencode(envelope), ["\n"])
-    # joined 2^14 chunks at a time: the text is never held whole, and the
-    # writes are few
-    batches = map("".join, iter(lambda: list(itertools.islice(chunks, 1 << 14)), []))
+        batches = itertools.chain(_json_batches(envelope), ["\n"])
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:

@@ -14,8 +14,8 @@ from fractions import Fraction
 
 from .arith import zeta_approx
 from .families import FamilySpec
-from .search import _CHUNK, enumerate_family, weighted_tuples
-from .sieve import SigmaSieve, covering_sieve
+from .search import enumerate_family, weighted_tuples
+from .sieve import SEGMENT, SigmaSieve, covering_sieve
 
 ZETA_EPS = 1e-9
 _START_BITS = 128  # fixed-point bits of the first lemma-sum enclosure
@@ -93,8 +93,8 @@ def count_multiamicable_pairs(alpha: int, beta: int, checkpoints, sieve: SigmaSi
 def _fixed_point_sum(sieve: SigmaSieve, x: int, k: int, bits: int) -> tuple[int, int]:
     """(lo, hi) with lo <= 2^bits * sum_{n<=x} (sigma(n)/n)^k <= hi <= lo + x."""
     lo = inexact = 0
-    for start in range(1, x + 1, _CHUNK):
-        for n, s in enumerate(sieve.table[start : min(start + _CHUNK, x + 1)].tolist(), start):
+    for start in range(1, x + 1, SEGMENT):
+        for n, s in enumerate(sieve.table[start : min(start + SEGMENT, x + 1)].tolist(), start):
             q, r = divmod(s**k << bits, n**k)
             lo += q
             inexact += r != 0

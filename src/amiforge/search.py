@@ -32,7 +32,7 @@ import numpy as np
 
 from .arith import factorize
 from .families import MEAN_EQUATIONS, FamilySpec, Mismatch, TupleRecord, check, mean_sides, weighted_form
-from .sieve import SigmaSieve, covering_sieve, sigma_beyond
+from .sieve import SEGMENT, SigmaSieve, covering_sieve, sigma_beyond
 
 MAX_SEARCH_LIMIT = 10**7  # sigma(n) < 2^26 up to it, which the int64 arguments use
 
@@ -45,11 +45,12 @@ MAX_SEARCH_LIMIT = 10**7  # sigma(n) < 2^26 up to it, which the int64 arguments 
 _CAP = 1 << 62
 
 # The mean families' row filter works modulo this prime, 2^31 - 1. Scans take
-# blocks of at most _BLOCK tuples, or of _CHUNK members or prefixes for the
-# partner passes and weighted_tuples, each read when the scan starts.
+# blocks of at most _BLOCK tuples, or of _CHUNK = sieve.SEGMENT members or
+# prefixes for the partner passes and weighted_tuples, each read when the
+# scan starts.
 _MODULUS = 2**31 - 1
 _BLOCK = 1 << 13
-_CHUNK = 1 << 18
+_CHUNK = SEGMENT
 
 
 @dataclass
@@ -99,7 +100,7 @@ def _aliquots(sieve: SigmaSieve, w: int, v: np.ndarray) -> np.ndarray:
                 live = live[v[live] % power == 0]
         old = (q * p - 1) // (p - 1)
         s = s // old * (old + q * ((p ** (e + 1) - p) // (p - 1)))
-    return np.minimum(s - w * v, _CAP).astype(np.int64)
+    return np.minimum(s - w * v, _CAP).astype(np.int64, copy=False)
 
 
 def abundancy_solutions(sieve: SigmaSieve, bound: int, num: int, den: int) -> np.ndarray:
@@ -206,7 +207,8 @@ def _tuple_blocks(k: int, slot, size: int):
     Slot j of every j-prefix runs over values[lo:hi], where
     (values, lo, hi) = slot(j, heads) for the list heads of a block's j
     member arrays, one prefix per row; lo and hi are ints or per-row
-    arrays, and at j = 0 heads is [], the one empty prefix. k >= 1. A stack
+    arrays, and at j = 0 heads is [], the one empty prefix, and lo and hi
+    are ints. k >= 1. A stack
     of _expand generators, not recursion, holds the slots, so any k runs.
     """
     stack = [_expand([], *slot(0, []), size)]
@@ -224,6 +226,11 @@ def _expand(heads: list[np.ndarray], values: np.ndarray, lo, hi, size: int):
     """Each row of heads followed by each of values[lo:hi], lo and hi taken
     per row, as lists of member arrays of at most size rows; a head's
     slice is split where a block fills up."""
+    if not heads:
+        # the one empty prefix: its blocks are slices of values, views
+        for start in range(lo, hi, size):
+            yield [values[start : min(start + size, hi)]]
+        return
     lo, hi = np.broadcast_arrays(np.atleast_1d(lo), hi)
     count = np.maximum(hi - lo, 0)
     ends = np.cumsum(count)
@@ -300,7 +307,9 @@ def weighted_tuples(sieve: SigmaSieve, limit: int, alphas, factor: int, strict: 
     index, rank = _sorted_entries(sieve.table, limit) if k > 2 else (None, None)
 
     def target(s):
-        return np.minimum(s, _CAP // factor) * factor
+        t = np.minimum(s, _CAP // factor)
+        t *= factor
+        return t
 
     def split(heads):
         # the sigma, last member and T - partial of each prefix, whose entries share one sigma
@@ -321,7 +330,11 @@ def weighted_tuples(sieve: SigmaSieve, limit: int, alphas, factor: int, strict: 
     for lo in range(1, width, _CHUNK):
         hi = min(lo + _CHUNK, width)
         s, n = np.divmod(index[lo - 1 : hi - 1], width) if k > 2 else (sieve.read(slice(lo, hi)), np.arange(lo, hi))
-        keep = n <= target(s) // tails[0]
+        # the bound is formed in place, so each block allocates fewer
+        # block-sized arrays
+        bound = target(s)
+        bound //= tails[0]
+        keep = n <= bound
         s, n = s[keep], n[keep]
         first = s * width + n
         for heads in _tuple_blocks(k - 1, slot, _CHUNK):

@@ -12,6 +12,10 @@ from .arith import DEFAULT_SIEVE_BUDGET
 
 MAX_SIEVE_LIMIT = 1 << 28  # sigma(n) < 2^31 up to it, so the table is int32
 
+# Every pass over the table, the build included, works in blocks of at most
+# this many entries, so what it holds besides the table is a fixed size.
+SEGMENT = 1 << 16
+
 
 @dataclass(frozen=True, eq=False)
 class SigmaSieve:
@@ -37,26 +41,24 @@ class SigmaSieve:
         computes in: int32 stays int32 with a Python int, and would wrap."""
         return self.table[index].astype(np.int64)
 
-    def as_list(self) -> list[int]:
-        """[sigma(1), ..., sigma(limit)]."""
-        return self.table[1:].tolist()
-
 
 def build_sigma_sieve(limit: int, budget_bytes: int = DEFAULT_SIEVE_BUDGET) -> SigmaSieve:
     """Tabulate sigma up to limit in int32 by accumulating divisor pairs.
 
     Each n = d*m with d <= m has the divisor pair (d, m). The table starts
     at n + 1, the pair (1, n), with sigma(0) = 0 and sigma(1) = 1. For each
-    2 <= d <= isqrt(limit), the entries n = d*m, m = d, d+1, ..., get d + m
-    added in one slice-add, built in place in one reusable arange of
-    m <= limit/2; at n = d*d the pair counts d twice, so d is taken off.
-    int32: every entry is a partial sum of sigma(n) plus at most d, and
-    sigma(n)/n < 5.6 for n <= MAX_SIEVE_LIMIT = 2^28 by Robin's bound (see
-    sigma_beyond), so sigma(n) < 2^31. Kernels read the table in int64.
-    The table takes 4 bytes per entry and the arange 2, so the budget of 8
-    bytes per entry (2 GiB by default) covers the whole build and the table
-    it leaves. Raises ValueError, before any allocation, when limit exceeds
-    2^28 or the sieve would not fit the budget.
+    2 <= d <= isqrt(limit), the entries n = d*m, m = d, d+1, ..., limit/d,
+    get d + m added by strided slice-adds, one per segment of at most
+    SEGMENT values of m, each an int32 arange of its d + m; at n = d*d the
+    pair counts d twice, so d is taken off. int32: every entry is a partial
+    sum of sigma(n) plus at most d, and sigma(n)/n < 5.6 for n <=
+    MAX_SIEVE_LIMIT = 2^28 by Robin's bound (see sigma_beyond), so sigma(n)
+    < 2^31; every d + m is at most limit. Kernels read the table in int64.
+    The table takes 4 bytes per entry and a segment at most 4 more, so the
+    budget's charge of 8 bytes per entry (2 GiB by default) is an upper
+    bound on the whole build and the table it leaves. Raises ValueError,
+    before any allocation, when limit exceeds 2^28 or the sieve would not
+    fit the budget.
     """
     if limit < 1:
         raise ValueError("sieve limit must be >= 1")
@@ -69,12 +71,11 @@ def build_sigma_sieve(limit: int, budget_bytes: int = DEFAULT_SIEVE_BUDGET) -> S
         )
     table = np.arange(1, limit + 2, dtype=np.int32)
     table[:2] = 0, 1
-    partner = np.arange(limit // 2 + 1, dtype=np.int32)
     for d in range(2, math.isqrt(limit) + 1):
-        pair_sums = partner[d : limit // d + 1]
-        pair_sums += d
-        table[d * d :: d] += pair_sums
-        pair_sums -= d
+        end = limit // d + 1
+        for m in range(d, end, SEGMENT):
+            count = min(SEGMENT, end - m)
+            table[d * m : d * (m + count) : d] += np.arange(d + m, d + m + count, dtype=np.int32)
         table[d * d] -= d
     table.setflags(write=False)
     return SigmaSieve(limit, table)
@@ -106,9 +107,14 @@ def sigma_beyond(sieve: SigmaSieve, x: np.ndarray) -> np.ndarray:
     sieve, which marks n >= 2 as prime exactly when sigma(n) = n + 1, so no
     second sieve is built. Each prime strips its full power p^e from the
     cofactors it divides and multiplies their sum by 1 + p + ... + p^e.
-    Before p is tried, a cofactor c < p^2 has no prime factor below p and so
-    is 1 or a prime; that value leaves the live set, and a prime c
-    contributes c + 1.
+    Before p is tried, and after the last prime with p the next one, a
+    cofactor c has no prime factor below p, so it is coprime to the
+    stripped part and contributes sigma(c): the table's entry when c <=
+    sieve.limit, and c + 1 when c < p^2, as c is then a prime. Such rows
+    leave the live set before every eighth prime, not every prime, which
+    saves a pass per prime and stays exact: a cofactor left in the set is
+    only ever divided by primes it holds, and one that reaches 1
+    contributes sigma(1) = 1.
 
     int64: x <= R^2 <= 2^56. For x >= 16, sigma(x)/x < e^gamma*ln ln x +
     0.6483/ln ln x (Robin's unconditional bound, n >= 3), a convex function
@@ -119,7 +125,7 @@ def sigma_beyond(sieve: SigmaSieve, x: np.ndarray) -> np.ndarray:
     them stay <= sigma(x); p^2 <= 2^56 in the live-set test.
     Memory: the working arrays are about 8 int64 arrays of len(x); the one
     caller, search._aliquots, passes the partners of at most one
-    weighted_tuples block of search._CHUNK values.
+    weighted_tuples block of SEGMENT values.
     Raises ValueError when a value lies outside that range.
     """
     x = np.asarray(x, dtype=np.int64)
@@ -135,11 +141,11 @@ def sigma_beyond(sieve: SigmaSieve, x: np.ndarray) -> np.ndarray:
     at, c, acc = np.arange(len(x)), x.copy(), np.ones(len(x), dtype=np.int64)
 
     def finish(rows):
-        out[at[rows]] = acc[rows] * np.where(c[rows] > 1, c[rows] + 1, 1)
+        rest = c[rows]
+        out[at[rows]] = acc[rows] * np.where(rest <= sieve.limit, sieve.read(np.minimum(rest, sieve.limit)), rest + 1)
 
-    for p in primes.tolist():
-        done = c < p * p
-        if done.any():
+    for i, p in enumerate(primes.tolist()):
+        if i % 8 == 0 and (done := (c <= sieve.limit) | (c < p * p)).any():
             finish(done)
             live = ~done
             at, c, acc = at[live], c[live], acc[live]

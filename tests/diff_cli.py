@@ -7,8 +7,10 @@ to that tree's src directory. Every difference in exit code, stderr or
 stdout is reported, JSON stdout by the paths of the keys that differ (such
 as `params.sieve_limit`); it is compared with its `timing` blocks and
 `scanned` counts removed, since they vary between runs and implementations.
-A command that runs past TIMEOUT seconds is reported as timed out. The exit
-status is 1 when anything differs and 0 otherwise.
+A command that runs past TIMEOUT seconds is reported as timed out. Each
+line also gives the command's peak RSS (ru_maxrss) in both trees, and the
+last lines the largest changes in it. The exit status depends on the
+outputs alone: 1 when anything differs and 0 otherwise.
 
 The list covers every search kind (the weighted equal-sigma kinds at
 k = 2, 3 and 4, at k = 3 up to 3*10^6, each mean family at k = 1, 2 and 3,
@@ -29,8 +31,28 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 
 TIMEOUT = 30
+
+# Runs the command in its argv as a child of this small interpreter, killed
+# after the timeout, and writes "timed out" or the child's exit code and
+# ru_maxrss in KiB to the report file descriptor. On Linux a child started
+# from a large process, such as this script once it holds a parsed output,
+# counts that process's peak in its ru_maxrss, so no command starts from it.
+_LAUNCH = """
+import os, signal, subprocess, sys
+report, timeout, *cmd = sys.argv[1:]
+child = subprocess.Popen(cmd)
+expired = []
+signal.signal(signal.SIGALRM, lambda *_: expired.append(child.kill()))
+signal.alarm(int(timeout))
+_, status, usage = os.wait4(child.pid, 0)
+signal.alarm(0)
+child.returncode = os.waitstatus_to_exitcode(status)
+with open(int(report), "w") as out:
+    out.write("timed out" if expired else f"{child.returncode} {usage.ru_maxrss}")
+"""
 
 MEAN = [
     ("pm", "--p", "1", "--q", "2"),
@@ -160,18 +182,33 @@ def _differences(a, b, path: str = ""):
         yield path
 
 
-def _run(src: str, argv) -> tuple:
+def _run(src: str, argv) -> tuple[tuple, int | None]:
+    """The outcome of argv over the tree src, (exit code, stderr, stdout) or
+    ("timed out",), and its peak RSS in KiB (None when it timed out)."""
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
     cmd = [sys.executable, "-c", "import sys; from amiforge.cli import run; sys.exit(run(sys.argv[1:]))", *argv]
+    read, write = os.pipe()
+    with tempfile.TemporaryFile("w+") as out, tempfile.TemporaryFile("w+") as err:
+        launcher = [sys.executable, "-c", _LAUNCH, str(write), str(TIMEOUT), *cmd]
+        with subprocess.Popen(launcher, env=env, stdout=out, stderr=err, pass_fds=(write,)):
+            os.close(write)
+            with os.fdopen(read) as report:
+                verdict = report.read()
+        if verdict == "timed out":
+            return ("timed out",), None
+        code, rss = map(int, verdict.split())
+        out.seek(0)
+        err.seek(0)
+        stdout, stderr = out.read(), err.read()
     try:
-        done = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=TIMEOUT)
-    except subprocess.TimeoutExpired:
-        return ("timed out",)
-    try:
-        out = _strip(json.loads(done.stdout))
+        stdout = _strip(json.loads(stdout))
     except json.JSONDecodeError:
-        out = done.stdout
-    return done.returncode, done.stderr, out
+        pass
+    return (code, stderr, stdout), rss
+
+
+def _megabytes(rss: int | None) -> str:
+    return "   --  " if rss is None else f"{rss / 1024:6.1f}"
 
 
 def main(argv: list[str]) -> int:
@@ -180,17 +217,23 @@ def main(argv: list[str]) -> int:
         return 2
     parent, change = argv
     differ = 0
+    peaks = []
     for command in COMMANDS:
-        a, b = _run(parent, command), _run(change, command)
+        (a, rss_a), (b, rss_b) = _run(parent, command), _run(change, command)
+        line = " ".join(command)
+        peaks.append((rss_a, rss_b, line))
+        print(f"{'same   ' if a == b else 'DIFFERS'}  {_megabytes(rss_a)} -> {_megabytes(rss_b)} MiB  {line}")
         if a == b:
-            print(f"same     {' '.join(command)}")
             continue
         differ += 1
-        print(f"DIFFERS  {' '.join(command)}")
         # a timed-out run has only the exit entry, so it differs there
         sides = [dict(zip(("exit", "stderr", "stdout"), result)) for result in (a, b)]
         print(f"  {', '.join(_differences(*sides))}")
     print(f"{differ} of {len(COMMANDS)} commands differ")
+    timed = [p for p in peaks if None not in p[:2]]
+    print("largest peak RSS changes (MiB):")
+    for rss_a, rss_b, line in sorted(timed, key=lambda p: -abs(p[1] - p[0]))[:8]:
+        print(f"  {(rss_b - rss_a) / 1024:+6.1f}  {_megabytes(rss_a)} -> {_megabytes(rss_b)}  {line}")
     return 1 if differ else 0
 
 

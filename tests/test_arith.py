@@ -18,7 +18,7 @@ from amiforge.arith import (
     sigma,
     zeta_approx,
 )
-from amiforge.sieve import build_sigma_sieve, sigma_beyond
+from amiforge.sieve import SEGMENT, build_sigma_sieve, sigma_beyond
 
 import oracles
 
@@ -139,7 +139,7 @@ def test_aliquot_examples():
 
 def test_sieve_small_table():
     sieve = build_sigma_sieve(10)
-    assert sieve.as_list() == [1, 3, 4, 7, 6, 12, 8, 15, 13, 18]
+    assert sieve.table[1:].tolist() == [1, 3, 4, 7, 6, 12, 8, 15, 13, 18]
     assert sieve.limit == 10
     assert sieve.covers(10)
     assert not sieve.covers(11)
@@ -149,7 +149,7 @@ def test_sieve_small_table():
 
 def test_sieve_limit_one():
     sieve = build_sigma_sieve(1)
-    assert sieve.as_list() == [1]
+    assert sieve.table[1:].tolist() == [1]
 
 
 def test_sieve_amicable_entries():
@@ -183,6 +183,35 @@ def test_sieve_out_of_range():
 def test_sigma_falls_back_beyond_sieve():
     sieve = build_sigma_sieve(10)
     assert sigma(220, sieve) == 504
+
+
+def test_sieve_segment_edges():
+    # past 2 * SEGMENT, the runs m = d, d+1, ..., limit/d of small d are
+    # added in several segments; for d = 2..16 each n = d*m at either side
+    # of a segment edge, and every square d*d and the last entry, agree
+    # with the divisor loop
+    limit = 300_000
+    table = build_sigma_sieve(limit).table
+    assert limit // 2 > 2 * SEGMENT
+    edges = [
+        d * m
+        for d in range(2, 17)
+        for j in range(1, limit // d // SEGMENT + 1)
+        for m in (d + j * SEGMENT - 1, d + j * SEGMENT)
+        if d * m <= limit
+    ]
+    squares = [d * d for d in range(2, math.isqrt(limit) + 1)]
+    for n in edges + squares + [limit]:
+        assert table[n] == oracles.divisor_sigma(n), n
+
+
+def test_sigma_beyond_cofactor_divided_by_itself():
+    # the live set shrinks before every eighth prime only, so a prime
+    # cofactor below p^2 can stay in it until that prime divides it: over a
+    # sieve to 10, 14 = 2*7 keeps the cofactor 7 until p = 7; over a sieve
+    # to 40, 899 = 29*31 passes the check at p = 23 and keeps 31 < 29^2
+    for limit, x in ((10, [14, 97, 100]), (40, [899, 2 * 3 * 7, 3 * 19, 1600])):
+        assert sigma_beyond(build_sigma_sieve(limit), np.array(x)).tolist() == [oracles.divisor_sigma(v) for v in x]
 
 
 def test_sigma_beyond_matches_divisor_loop():

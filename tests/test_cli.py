@@ -12,6 +12,7 @@ import pytest
 
 from amiforge import cli
 from amiforge.families import FamilySpec
+from amiforge.sieve import SEGMENT, build_sigma_sieve
 from amiforge.tables import TableReport, TableRowResult
 
 import oracles
@@ -135,15 +136,18 @@ def test_sieve_table(capsys):
     code = cli.run(["sieve", "--limit", "3", "--format", "csv"])
     out = capsys.readouterr().out
     assert out == "n,sigma\n1,1\n2,3\n3,4\n"
-    # past 2^14 encoder chunks the text is written in several batches,
-    # which join to exactly the one-piece rendering
-    assert cli.run(["sieve", "--limit", "40000"]) == 0
-    out = capsys.readouterr().out
-    sigmas = json.loads(out)["results"]["sigma"]
-    assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
-    assert cli.run(["sieve", "--limit", "40000", "--format", "csv"]) == 0
-    rows = "".join(f"{n},{s}\n" for n, s in enumerate(sigmas, start=1))
-    assert capsys.readouterr().out == "n,sigma\n" + rows
+    # the table is written a block of SEGMENT entries at a time, and past
+    # 2^14 chunks the text in several batches; each joins to exactly the
+    # one-piece rendering
+    for limit in (1, 2 * SEGMENT, 2 * SEGMENT + 5):
+        assert cli.run(["sieve", "--limit", str(limit)]) == 0
+        out = capsys.readouterr().out
+        sigmas = json.loads(out)["results"]["sigma"]
+        assert sigmas == build_sigma_sieve(limit).table[1:].tolist()
+        assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+        assert cli.run(["sieve", "--limit", str(limit), "--format", "csv"]) == 0
+        rows = "".join(f"{n},{s}\n" for n, s in enumerate(sigmas, start=1))
+        assert capsys.readouterr().out == "n,sigma\n" + rows
 
 
 def test_workers_flag_echo(capsys):
@@ -174,7 +178,7 @@ def test_each_command_sizes_its_own_sieve(capsys, monkeypatch):
         raise ValueError("sieve size recorded")
 
     monkeypatch.setattr("amiforge.sieve.build_sigma_sieve", recorded)
-    budget = str(8 * 2401 - 1)  # just short of a sieve to 8 * 300
+    budget = str(8 * 2401 - 1)  # just short of a sieve to 2400
     for argv, size in (
         (["sieve"], 10**6),
         (["sieve", "--limit", "30"], 30),

@@ -722,38 +722,37 @@ def _peak_over_import(argv) -> int:
 
 def test_linear_pass_peak_memory_is_one_table_plus_blocks():
     # search amicable-pair at 3*10^6 over a child that only imports the
-    # search: at most 8 bytes per table entry (the budget) plus 8 int64
-    # arrays of one _CHUNK block
+    # search: the int32 table's 4 bytes per entry, which the build adds to
+    # a segment at a time, plus 16 int64 arrays of one _CHUNK block
     limit = 3_000_000
     peak = _peak_over_import(["search", "amicable-pair", "--limit", str(limit)])
-    assert peak <= 8 * (limit + 1) + 8 * 8 * search._CHUNK, peak / 2**20
+    assert peak <= 4 * (limit + 1) + 16 * 8 * search._CHUNK, peak / 2**20
 
 
 def test_sorted_pass_peak_memory_is_one_table_index_and_ranks_plus_blocks():
-    # search dickson --k 3 at 3*10^6: the budget's 8 bytes per table entry,
-    # 24 more per member, which hold the int64 sorted index and its int32
-    # ranks with room to spare, and 8 int64 arrays of one _CHUNK block
+    # search dickson --k 3 at 3*10^6: the table's 4 bytes per entry, 12 per
+    # member for the int64 sorted index and its int32 ranks, and 32 int64
+    # arrays of one _CHUNK block
     limit = 3_000_000
     peak = _peak_over_import(["search", "dickson", "--k", "3", "--limit", str(limit)])
-    assert peak <= 8 * (limit + 1) + 24 * limit + 8 * 8 * search._CHUNK, peak / 2**20
+    assert peak <= 4 * (limit + 1) + 12 * limit + 32 * 8 * search._CHUNK, peak / 2**20
 
 
-def test_sieve_output_peak_memory_is_one_list_plus_batches():
-    # sieve --limit 10^6 as JSON over a child that only imports the search:
-    # the table and the list of its values, about 36 bytes an entry, with
-    # the text rendered and written in batches, never held whole; as CSV,
-    # rendered from blocks of the table, the table and the batches alone
+def test_sieve_output_peak_memory_is_one_table_plus_batches():
+    # sieve --limit 10^6 over a child that only imports the search: as
+    # JSON and as CSV, the text is rendered from blocks of the table and
+    # written in batches, never held whole, so both take the table and the
+    # batches alone
     limit = 1_000_000
-    peak = _peak_over_import(["sieve", "--limit", str(limit)])
-    assert peak <= 64 * (limit + 1), peak / 2**20
-    peak = _peak_over_import(["sieve", "--limit", str(limit), "--format", "csv"])
-    assert peak <= 16 * (limit + 1), peak / 2**20
+    for fmt in ("json", "csv"):
+        peak = _peak_over_import(["sieve", "--limit", str(limit), "--format", fmt])
+        assert peak <= 16 * (limit + 1), (fmt, peak / 2**20)
 
 
 def test_alpha_beta_peak_memory_is_one_table_plus_blocks():
     # search alpha-beta --alphas 8,8 at 3*10^6 reads sigma(8*n) from the
-    # table to the limit: the budget's 8 bytes per entry plus 8 int64 arrays
+    # table to the limit: the table's 4 bytes per entry plus 16 int64 arrays
     # of one _CHUNK block
     limit = 3_000_000
     peak = _peak_over_import(["search", "alpha-beta", "--alphas", "8,8", "--limit", str(limit)])
-    assert peak <= 8 * (limit + 1) + 8 * 8 * search._CHUNK, peak / 2**20
+    assert peak <= 4 * (limit + 1) + 16 * 8 * search._CHUNK, peak / 2**20
