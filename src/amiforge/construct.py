@@ -3,9 +3,9 @@
 Seeds are equal-sigma tuples N_1, ..., N_k; any a coprime to every N_i with
 sigma(a)/a = (alpha_1*N_1 + ... + alpha_k*N_k) / sigma(N_1) turns them into
 the multiamicable tuple (a*N_1, ..., a*N_k), because sigma is multiplicative
-over coprime factors. The seeds come from search.equal_sigma_blocks and the
-multipliers from search.abundancy_solutions, so no scan of 1..L is made
-here.
+over coprime factors. Seeds come from search.equal_sigma_blocks, kept when
+their target is in a table of sigma(a)/a, a <= the a-bound, and multipliers
+from search.abundancy_solutions, so no scan of 1..L is made here.
 """
 
 from __future__ import annotations
@@ -18,8 +18,8 @@ import numpy as np
 
 from .arith import sigma
 from .families import is_multiamicable
-from .search import _CAP, _capped, abundancy_solutions, check_search_limit, equal_sigma_blocks
-from .sieve import SigmaSieve, covering_sieve
+from .search import _capped, abundancy_solutions, check_search_limit, equal_sigma_blocks
+from .sieve import SEGMENT, SigmaSieve, covering_sieve
 
 
 @dataclass(frozen=True)
@@ -59,12 +59,10 @@ def find_multipliers(target: Fraction, bound: int, coprime_to=(), sieve: SigmaSi
     """All a <= bound with sigma(a)/a = target and gcd(a, n) = 1 for each n.
 
     search.abundancy_solutions reads the multiples of the target's
-    denominator in one pass over the sieve; the coprimality filter then
-    runs over its survivors only. Ascending, possibly empty; [] before the
-    sieve is read when the denominator exceeds bound, since it divides
-    every such a.
-
-    Otherwise raises CoverageError when the given sieve stops short of bound.
+    denominator in one pass over the sieve, and the coprimality filter runs
+    over its survivors. Ascending, possibly empty: [] before the sieve is
+    read when the denominator, which divides every such a, exceeds bound;
+    otherwise raises CoverageError when the given sieve stops short of bound.
     """
     target = Fraction(target)
     if target < 1:
@@ -83,21 +81,14 @@ def construct_multiamicable(seeds, a_bound: int, sieve: SigmaSieve | None = None
     seed by seed in the given order and by ascending a within a seed, from
     seeds made by seed_ratio or find_seed_tuples. Each tuple is re-proven.
 
-    Seeds of one target share one find_multipliers scan, held for this call
-    only; each seed keeps the multipliers coprime to its members. A seed
-    whose target denominator exceeds a_bound admits no multiplier, since
-    every a with sigma(a)/a = target is a multiple of it, so find_multipliers
-    returns [] for it before the sieve is read. Otherwise raises
-    CoverageError when the given sieve stops short of a_bound.
+    Each seed makes one find_multipliers call (without a sieve, each call
+    builds its own), which returns [] before the sieve is read when the
+    target denominator exceeds a_bound, and otherwise raises CoverageError
+    when the given sieve stops short of a_bound.
     """
-    out, scans = [], {}
+    out = []
     for seed in seeds:
-        # keyed by the ints: a Fraction's hash takes a modular inverse
-        key = seed.target.numerator, seed.target.denominator
-        if key not in scans:
-            scans[key] = find_multipliers(seed.target, a_bound, sieve=sieve)
-        coprime = [a for a in scans[key] if all(math.gcd(a, n) == 1 for n in seed.ns)]
-        for a in coprime:
+        for a in find_multipliers(seed.target, a_bound, seed.ns, sieve):
             members = tuple(a * n for n in seed.ns)
             if not is_multiamicable(members, seed.alphas, sieve):
                 raise RuntimeError(f"construction produced a non-member {members} from seed {seed.ns} with a={a}")
@@ -109,36 +100,45 @@ def find_seed_tuples(
     alphas, n_limit: int, sieve: SigmaSieve | None = None, a_bound: int | None = None
 ) -> list[SeedTuple]:
     """All strictly increasing equal-sigma seeds N_1 < ... < N_k <= n_limit
-    whose target ratio is at least 1, from search.equal_sigma_blocks.
+    whose target ratio is at least 1, from search.equal_sigma_blocks; with
+    a_bound, only those whose float32 total/sigma is in a sorted float32
+    table of sigma(a)/a, a <= a_bound (4 bytes per a, filled a SEGMENT at a
+    time). That test drops no seed with a multiplier: both quotients are
+    correctly rounded float64 divisions of integers below 2^53, cast to
+    float32 alike, so equal rationals give equal keys; sigma(a)/a < 5.6 for
+    a <= 2^28 (the Robin argument in sieve.build_sigma_sieve), so a total
+    capped at 6*sigma admits no a; a spurious match costs one exact scan.
 
-    With a_bound, only the seeds whose target denominator is at most a_bound
-    are kept: every multiplier is a multiple of that denominator, so the
-    others admit none up to a_bound. Each block is filtered in numpy, and a
-    Fraction is built only for the seeds kept: total = sum alpha_i*N_i
-    reaches sigma when the running min(. + min(alpha_i, sigma)*N_i, sigma)
-    does, and the denominator is sigma // gcd(total mod sigma, sigma), with
-    total mod sigma summed from (alpha_i mod sigma)*N_i, taken per row in
-    Python for a weight of 2^62 or more. int64: sigma < 2^26 and N < 2^24
-    for N <= MAX_SEARCH_LIMIT, so both products stay below 2^50.
-
-    Raises CoverageError when the given sieve stops short of n_limit.
+    total = sum alpha_i*N_i is the running min(. + min(alpha_i, 6*sigma)*N_i,
+    6*sigma), >= sigma exactly when the true sum is. int64: sigma < 2^26 and
+    N < 2^24 for N <= MAX_SEARCH_LIMIT, so each product is below 2^53.
+    Raises ValueError for a_bound < 1, and CoverageError when the given
+    sieve stops short of max(n_limit, a_bound).
     """
     alphas = tuple(alphas)
-    k = len(alphas)
-    if k < 2:
+    if len(alphas) < 2:
         raise ValueError("seed search requires k >= 2")
     if min(alphas) < 1:
         raise ValueError("alphas must be positive integers")
     check_search_limit(n_limit)
-    bound = _CAP if a_bound is None else _capped(a_bound)
+    if a_bound is not None and a_bound < 1:
+        raise ValueError("bound must be >= 1")
+    sieve = covering_sieve(max(n_limit, a_bound or 1), sieve)
+    if a_bound is not None:
+        ratios = np.empty(a_bound, dtype=np.float32)
+        for lo in range(1, a_bound + 1, SEGMENT):
+            hi = min(lo + SEGMENT, a_bound + 1)
+            ratios[lo - 1 : hi - 1] = sieve.read(slice(lo, hi)) / np.arange(lo, hi)
+        ratios.sort()
     out = []
-    for s, members in equal_sigma_blocks(covering_sieve(n_limit, sieve), n_limit, k):
-        reached, rest = np.zeros_like(s), np.zeros_like(s)
+    for s, members in equal_sigma_blocks(sieve, n_limit, len(alphas)):
+        total = np.zeros_like(s)
         for a, m in zip(alphas, members):
-            reached = np.minimum(reached + np.minimum(_capped(a), s) * m, s)
-            residue = a % s if a < _CAP else np.array([a % v for v in s.tolist()])
-            rest = (rest + residue * m) % s
-        keep = (reached == s) & (s // np.gcd(rest, s) <= bound)
+            total = np.minimum(total + np.minimum(_capped(a), 6 * s) * m, 6 * s)
+        keep = total >= s
+        if a_bound is not None:
+            key = (total / s).astype(np.float32)
+            keep &= ratios[np.minimum(np.searchsorted(ratios, key), a_bound - 1)] == key
         for row in np.flatnonzero(keep).tolist():
             ns = tuple(int(m[row]) for m in members)
             out.append(SeedTuple(alphas, ns, Fraction(sum(a * n for a, n in zip(alphas, ns)), int(s[row]))))

@@ -7,17 +7,20 @@ to that tree's src directory. Every difference in exit code, stderr or
 stdout is reported, JSON stdout by the paths of the keys that differ (such
 as `params.sieve_limit`); it is compared with its `timing` blocks and
 `scanned` counts removed, since they vary between runs and implementations.
-A command that runs past TIMEOUT seconds is reported as timed out. Each
-line also gives the command's peak RSS (ru_maxrss) in both trees, and the
-last lines the largest changes in it. The exit status depends on the
-outputs alone: 1 when anything differs and 0 otherwise.
+A command that runs past TIMEOUT seconds in either tree is reported as
+timed out and counts as a difference, since its outputs were never
+compared. Each line also gives the command's peak RSS (ru_maxrss) in both
+trees, and the last lines the largest changes in it. The exit status
+depends on the outputs alone: 1 when anything differs or timed out and 0
+otherwise.
 
 The list covers every search kind (the weighted equal-sigma kinds at
 k = 2, 3 and 4, at k = 3 up to 3*10^6, each mean family at k = 1, 2 and 3,
 alpha-beta with small, composite and large weights, one of them 2^64,
 and the amicable numbers and pairs, Cohen pairs and sigma(n) = a*n up to
 10^7), `scan-question` up to 10^7, `density multi`, `amicable`, `pomerance`
-and `lemma` at k = 1 and 3, `construct` with --seed-limit and --ns, the
+and `lemma` at k = 1 and 3, `construct` with --ns and with --seed-limit (at
+k = 2 and 3, weights up to 2^64 and a-bounds from 1 to 10^7), the
 `sieve` table as JSON and CSV, pm at k = 2 up to 10^5 in both formats,
 `check` on members that the exact arithmetic must refuse or prove and on
 non-members of each weighted kind, and one search refused by each
@@ -137,6 +140,10 @@ COMMANDS = [
     ("construct", "--alphas", "1,1,1", "--seed-limit", "3000", "--a-bound", "3000"),
     ("construct", "--alphas", "1,1,1", "--seed-limit", "20000", "--a-bound", "3000"),
     ("construct", "--alphas", "1,2", "--seed-limit", "100000", "--a-bound", "1"),
+    ("construct", "--alphas", "1,18446744073709551616", "--seed-limit", "3000", "--a-bound", "3000"),
+    ("construct", "--alphas", "1,2,18446744073709551616", "--seed-limit", "3000", "--a-bound", "3000"),
+    ("construct", "--alphas", "3,1", "--seed-limit", "20000", "--a-bound", "1000000"),
+    ("construct", "--alphas", "1,2", "--seed-limit", "100", "--a-bound", "10000000"),
     ("construct", "--alphas", "1,2", "--ns", "2^3*13,2^2*29", "--a-bound", "3000"),
     ("construct", "--alphas", "1,2", "--ns", "104,116", "--a-bound", "300000"),
     ("check", "perfect", "--tuple", "2^4*31"),
@@ -222,14 +229,18 @@ def main(argv: list[str]) -> int:
         (a, rss_a), (b, rss_b) = _run(parent, command), _run(change, command)
         line = " ".join(command)
         peaks.append((rss_a, rss_b, line))
-        print(f"{'same   ' if a == b else 'DIFFERS'}  {_megabytes(rss_a)} -> {_megabytes(rss_b)} MiB  {line}")
-        if a == b:
+        timed_out = [tree for tree, result in (("parent", a), ("change", b)) if result == ("timed out",)]
+        same = a == b and not timed_out
+        print(f"{'TIMEOUT' if timed_out else 'same   ' if same else 'DIFFERS'}  {_megabytes(rss_a)} -> {_megabytes(rss_b)} MiB  {line}")
+        if same:
             continue
         differ += 1
-        # a timed-out run has only the exit entry, so it differs there
+        if timed_out:
+            print(f"  timed out in {' and '.join(timed_out)}")
+            continue
         sides = [dict(zip(("exit", "stderr", "stdout"), result)) for result in (a, b)]
         print(f"  {', '.join(_differences(*sides))}")
-    print(f"{differ} of {len(COMMANDS)} commands differ")
+    print(f"{differ} of {len(COMMANDS)} commands differ or time out")
     timed = [p for p in peaks if None not in p[:2]]
     print("largest peak RSS changes (MiB):")
     for rss_a, rss_b, line in sorted(timed, key=lambda p: -abs(p[1] - p[0]))[:8]:

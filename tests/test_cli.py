@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import multiprocessing
 import os
@@ -527,3 +528,17 @@ def test_console_script_on_path():
         timeout=60,
     )
     assert_check_perfect_28(proc)
+
+
+def test_diff_cli_counts_a_timeout_as_a_difference(monkeypatch, capsys):
+    # a command that times out in both trees was never compared, so it must
+    # not read as `same`, and the run must fail
+    spec = importlib.util.spec_from_file_location("diff_cli", REPO / "tests" / "diff_cli.py")
+    diff_cli = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(diff_cli)
+    monkeypatch.setattr(diff_cli, "COMMANDS", [("sieve", "--limit", "10")])
+    monkeypatch.setattr(diff_cli, "_run", lambda src, argv: (("timed out",), None))
+    assert diff_cli.main(["parent", "change"]) == 1
+    out = capsys.readouterr().out
+    assert "TIMEOUT" in out and "timed out in parent and change" in out
+    assert "1 of 1 commands differ or time out" in out

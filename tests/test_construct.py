@@ -141,6 +141,9 @@ def test_find_seed_tuples_includes_other_table_seed():
 def test_find_seed_tuples_sieve_too_small(sieve_1k):
     with pytest.raises(CoverageError):
         find_seed_tuples((1, 2), 2000, sieve_1k)
+    # the ratio table reads sigma up to the a-bound
+    with pytest.raises(CoverageError):
+        find_seed_tuples((1, 2), 100, sieve_1k, 2000)
 
 
 def test_find_seed_tuples_requires_k_at_least_two(sieve_1k):
@@ -148,29 +151,45 @@ def test_find_seed_tuples_requires_k_at_least_two(sieve_1k):
         find_seed_tuples((2,), 100, sieve_1k)
 
 
+def _abundancies(bound: int) -> list[Fraction]:
+    """sigma(a)/a for a = 1..bound, from the brute-force oracle."""
+    return [Fraction(oracles.divisor_sigma(a), a) for a in range(1, bound + 1)]
+
+
 def test_find_seed_tuples_a_bound_drops_only_seeds_without_multipliers():
-    # a seed whose target denominator exceeds the a-bound admits no
-    # multiplier up to it, so dropping it up front changes no construction
+    # with an a-bound the seeds kept are some of all seeds, in their order,
+    # among them every seed whose target is sigma(a)/a for some a <= a_bound,
+    # so the construction over them is the construction over all seeds
     sieve = build_sigma_sieve(3000)
+    ratios = _abundancies(3000)
+    narrower, built_any = False, False
     for alphas in ((1, 2), (1, 1, 1)):
         every = find_seed_tuples(alphas, 3000, sieve)
         for a_bound in (1, 2, 5, 60, 3000):
             kept = find_seed_tuples(alphas, 3000, sieve, a_bound)
-            assert kept == [s for s in every if s.target.denominator <= a_bound], (alphas, a_bound)
+            kept_set, hit = set(kept), set(ratios[:a_bound])
+            assert kept == [s for s in every if s in kept_set], (alphas, a_bound)
+            assert {s for s in every if s.target in hit} <= kept_set, (alphas, a_bound)
             built = construct_multiamicable(every, a_bound, sieve)
             assert construct_multiamicable(kept, a_bound, sieve) == built
-            # one scan per target gives what one call per seed gives
-            assert [b for s in every for b in construct_multiamicable([s], a_bound, sieve)] == built
+            built_any |= bool(built)
+            # fewer seeds than the filter on the target denominator keeps
+            narrower |= len(kept) < sum(s.target.denominator <= a_bound for s in every)
+    assert narrower and built_any
     assert find_seed_tuples((1, 2), 3000, sieve, 1)
+    with pytest.raises(ValueError, match="bound must be >= 1"):
+        find_seed_tuples((1, 2), 3000, sieve, 0)
 
 
 def test_find_seed_tuples_matches_combinations(sieve_10k):
-    # every strictly increasing k-subset of each sigma group, with target
-    # total/sigma >= 1 and, given a_bound, a denominator of at most a_bound;
-    # weights past int64 go through the residue and min(alpha, sigma) forms
+    # every strictly increasing k-subset of each sigma group with target
+    # total/sigma >= 1, and given a_bound some of them in the same order,
+    # every one whose target is sigma(a)/a with a <= a_bound among them;
+    # weights past int64 go through the min(alpha, 6*sigma) form
     groups = {}
     for n in range(1, 3001):
         groups.setdefault(int(sieve_10k.table[n]), []).append(n)
+    ratios = _abundancies(1000)
     for alphas, limit in (
         ((1, 2), 3000),
         ((2, 1), 3000),
@@ -180,18 +199,20 @@ def test_find_seed_tuples_matches_combinations(sieve_10k):
         ((2**64 + 3, 5), 3000),
         ((1, 2**62 + 7, 2**70 + 1), 1500),
     ):
-        every = [
-            (combo, Fraction(sum(a * n for a, n in zip(alphas, combo)), s))
+        expected = sorted(
+            (combo, target)
             for s, members in groups.items()
             for combo in combinations([n for n in members if n <= limit], len(alphas))
-        ]
+            if (target := Fraction(sum(a * n for a, n in zip(alphas, combo)), s)) >= 1
+        )
+        assert expected, alphas
         for a_bound in (None, 1, 7, 1000):
-            expected = sorted(
-                (combo, target)
-                for combo, target in every
-                if target >= 1 and (a_bound is None or target.denominator <= a_bound)
-            )
             seeds = find_seed_tuples(alphas, limit, sieve_10k, a_bound)
-            assert [(s.ns, s.target) for s in seeds] == expected, (alphas, a_bound)
             assert all(s.alphas == alphas for s in seeds)
-            assert expected or a_bound == 1, (alphas, a_bound)
+            found = [(s.ns, s.target) for s in seeds]
+            if a_bound is None:
+                assert found == expected, alphas
+                continue
+            found_set, hit = set(found), set(ratios[:a_bound])
+            assert found == [e for e in expected if e in found_set], (alphas, a_bound)
+            assert {e for e in expected if e[1] in hit} <= found_set, (alphas, a_bound)

@@ -738,6 +738,25 @@ def test_sorted_pass_peak_memory_is_one_table_index_and_ranks_plus_blocks():
     assert peak <= 4 * (limit + 1) + 12 * limit + 32 * 8 * search._CHUNK, peak / 2**20
 
 
+def test_seeded_construct_peak_memory_is_one_table_index_and_ranks_plus_blocks():
+    # construct --alphas 1,1,1 --seed-limit 20000 --a-bound 3000: the seed
+    # search's table, sorted index and ranks and 32 int64 arrays of one
+    # _CHUNK block; the seeds whose target no a <= 3000 hits are dropped in
+    # numpy, not held as Python objects
+    limit = 20_000
+    peak = _peak_over_import(["construct", "--alphas", "1,1,1", "--seed-limit", str(limit), "--a-bound", "3000"])
+    assert peak <= 4 * (limit + 1) + 12 * limit + 32 * 8 * search._CHUNK, peak / 2**20
+
+
+def test_construct_ratio_table_stays_within_the_budget_charge():
+    # construct --alphas 1,2 --seed-limit 100 --a-bound 3*10^6: the int32
+    # sigma table and the float32 table of sigma(a)/a, the 8 bytes per entry
+    # that --sieve-budget charges, plus 32 int64 arrays of one _CHUNK block
+    bound = 3_000_000
+    peak = _peak_over_import(["construct", "--alphas", "1,2", "--seed-limit", "100", "--a-bound", str(bound)])
+    assert peak <= 8 * (bound + 1) + 32 * 8 * search._CHUNK, peak / 2**20
+
+
 def test_sieve_output_peak_memory_is_one_table_plus_batches():
     # sieve --limit 10^6 over a child that only imports the search: as
     # JSON and as CSV, the text is rendered from blocks of the table and
