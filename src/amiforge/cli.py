@@ -243,7 +243,7 @@ def _cmd_search(args):
         "workers": args.workers,
         "sieve_limit": args.limit,
     }
-    return params, _search_payload(report, args.workers), _search_csv(report), 0
+    return params, _search_payload(report, args.workers) if args.format == "json" else None, _search_csv(report), 0
 
 
 def _cmd_construct(args):
@@ -362,10 +362,8 @@ def _cmd_scan_question(args):
     check_search_limit(args.limit)
     sieve = build_sigma_sieve(args.limit, args.sieve_budget)
     report = scan_open_question(args.limit, sieve)
-    params = {"limit": args.limit}
-    payload = _search_payload(report, 1)
-    payload["label"] = report.label
-    return params, payload, _search_csv(report), 0
+    payload = _search_payload(report, 1) | {"label": report.label} if args.format == "json" else None
+    return {"limit": args.limit}, payload, _search_csv(report), 0
 
 
 def _cmd_verify_tables(args):

@@ -81,13 +81,15 @@ def construct_multiamicable(seeds, a_bound: int, sieve: SigmaSieve | None = None
     seed by seed in the given order and by ascending a within a seed, from
     seeds made by seed_ratio or find_seed_tuples. Each tuple is re-proven.
 
-    Each seed makes one find_multipliers call (without a sieve, each call
-    builds its own), which returns [] before the sieve is read when the
-    target denominator exceeds a_bound, and otherwise raises CoverageError
-    when the given sieve stops short of a_bound.
+    Each seed makes one find_multipliers call, which returns [] before the
+    sieve is read when the target denominator exceeds a_bound, and otherwise
+    raises CoverageError when the given sieve stops short of a_bound; without
+    one, a sieve to a_bound is built for the first call that reads it.
     """
     out = []
     for seed in seeds:
+        if sieve is None and seed.target >= 1 and seed.target.denominator <= a_bound:
+            sieve = covering_sieve(a_bound)
         for a in find_multipliers(seed.target, a_bound, seed.ns, sieve):
             members = tuple(a * n for n in seed.ns)
             if not is_multiamicable(members, seed.alphas, sieve):

@@ -362,7 +362,7 @@ class TupleRecord:
     spec: FamilySpec
     members: tuple[int, ...]
     sigmas: tuple[int, ...]
-    provenance: str = "found"  # found | constructed | table
+    provenance: str = "found"  # found (a search) | table (verify-tables)
 
 
 @dataclass(frozen=True)

@@ -3,24 +3,24 @@ open question.
 
 Every search runs in this process as numpy passes over the sigma table.
 The weighted families read their families.weighted_form: members of one
-sigma with w_1*n_1 + ... + w_k*n_k = factor*sigma. weighted_tuples, its one
-solver at k >= 2, takes the first members in blocks, in natural order at
-k = 2 and at k >= 3 in the order of _sorted_entries, the ascending
-sigma(n)*(L + 1) + n, grows the middle ones within each sigma run and
-solves for the last; the amicable numbers are the members of its pairs at
-weights (1, 1). abundancy_solutions, the one solver of sigma(a)/a = r,
-gives the single members and construct's multipliers. Cohen and
-alpha-beta pairs and the open-question scan are each one blocked
-_partner_pass over members m: m solves for its partner, and one test
-accepts the pair. The mean families evaluate each block of candidate
-tuples against their MEAN_EQUATIONS entry modulo a prime, and the exact
-check confirms the few that pass. Where the entry reads sum_i key(n_i) =
-target (pm with p = 1, mp, feebly, and whm with p = 1, whose key is
-n * sigma(n)^-1 modulo the prime) the last member is solved for over the
-_sorted_entries of the key instead; hm and gm first narrow each prefix's
-last slot with a necessary inequality. weighted_tuples, the mean families
-and the equal-sigma seeds all grow their prefixes with _tuple_blocks, in
-numpy blocks of bounded size."""
+sigma with w_1*n_1 + ... + w_k*n_k = factor*sigma. weighted_tuples, its
+one solver at k >= 2, takes the first members in blocks, in natural order
+at k = 2 and at k >= 3 in the order of _sorted_entries, the ascending
+sigma(n)*(L + 1) + n, grows the middle ones within each sigma run from a
+binary search of that array and solves for the last; the amicable numbers
+are the members of its pairs at weights (1, 1). abundancy_solutions, the
+one solver of sigma(a)/a = r, gives the single members and construct's
+multipliers. Cohen and alpha-beta pairs and the open-question scan are
+each one blocked _partner_pass over members m: m solves for its partner,
+and one test accepts the pair. The mean families evaluate each block of
+candidate tuples against their MEAN_EQUATIONS entry modulo a prime, and
+the exact check confirms the few that pass. Where the entry reads sum_i
+key(n_i) = target (pm with p = 1, mp, feebly, and whm with p = 1, whose
+key is n * sigma(n)^-1 modulo the prime) the last member is solved for
+over the _sorted_entries of the key instead; hm and gm first narrow each
+prefix's last slot with a necessary inequality. weighted_tuples, the mean
+families and the equal-sigma seeds all grow their prefixes with
+_tuple_blocks, in numpy blocks of bounded size."""
 
 from __future__ import annotations
 
@@ -182,21 +182,21 @@ def _alpha_beta_pairs(spec: FamilySpec, limit: int, sieve: SigmaSieve):
     return _partner_pass(sieve, limit, partner, lambda n, s, m: _aliquots(sieve, b, m) == n)[::-1]
 
 
-def _sorted_entries(values, limit: int) -> tuple[np.ndarray, np.ndarray]:
+def _sorted_entries(values, limit: int) -> np.ndarray:
     """The ascending int64 entries values[n]*(limit + 1) + n for n in
-    1..limit, built a block of _CHUNK at a time and sorted in place, and
-    rank[n], the int32 position of n's entry (rank[0] is not set). The
+    1..limit, built a block of _CHUNK at a time and sorted in place. The
     members of each value form one ascending run, and an entry e holds
-    n = e % (limit + 1) and its value e // (limit + 1). int64: every value
-    is below 2^31 and limit < 2^24, so every entry is below 2^55."""
-    index, rank = np.empty(limit, dtype=np.int64), np.empty(limit + 1, dtype=np.int32)
+    n = e % (limit + 1) and its value e // (limit + 1). As each holds its own
+    n, no two are equal, so searchsorted finds an entry's own position
+    (side="left") and the next (side="right"), where the slots start.
+    int64: every value is below 2^31 and limit < 2^24, so every entry is
+    below 2^55."""
+    index = np.empty(limit, dtype=np.int64)
     for lo in range(0, limit, _CHUNK):
         hi = min(lo + _CHUNK, limit)
         index[lo:hi] = values[lo + 1 : hi + 1].astype(np.int64) * (limit + 1) + np.arange(lo + 1, hi + 1)
     index.sort()
-    for lo in range(0, limit, _CHUNK):
-        rank[index[lo : lo + _CHUNK] % (limit + 1)] = np.arange(lo, min(lo + _CHUNK, limit))
-    return index, rank
+    return index
 
 
 def _tuple_blocks(k: int, slot, size: int):
@@ -256,16 +256,15 @@ def equal_sigma_blocks(sieve: SigmaSieve, limit: int, k: int):
     blocks (sigma, members) of at most _BLOCK tuples, members a list of k
     arrays; the sieve must cover limit. _tuple_blocks grows them over the
     _sorted_entries of sigma: slot j > 0 runs from the entry after the
-    prefix's last member to the end of its sigma run, less the k - 1 - j
-    entries the later members need."""
-    index, rank = _sorted_entries(sieve.table, limit)
-    width = limit + 1
+    prefix's last member, found by searchsorted, to the end of its sigma
+    run, less the k - 1 - j entries the later members need."""
+    index, width = _sorted_entries(sieve.table, limit), limit + 1
 
     def slot(j, heads):
         if j == 0:
             return index, 0, limit
         end = np.searchsorted(index, (heads[-1] // width + 1) * width)
-        return index, rank[heads[-1] % width] + 1, end - (k - 1 - j)
+        return index, np.searchsorted(index, heads[-1], side="right"), end - (k - 1 - j)
 
     for block in _tuple_blocks(k, slot, _BLOCK):
         yield block[0] // width, [h % width for h in block]
@@ -282,12 +281,12 @@ def weighted_tuples(sieve: SigmaSieve, limit: int, alphas, factor: int, strict: 
     in blocks of _CHUNK: at k = 2 in natural order, with no sort, and at
     k >= 3 in the order of the _sorted_entries of sigma. _tuple_blocks
     grows their prefixes of entries sigma*(limit + 1) + n: middle slot i
-    runs from the previous member's rank (the next one when strict) to the
-    last v with partial + tails[i]*v <= T, as every later member is >= v,
-    which one searchsorted finds. The last member v = (T - partial) / a_k is
-    kept when the division is exact, v >= the previous member (> when
-    strict), v <= partner_limit when one is given, and sigma(v), read
-    exactly through _aliquots, equals the prefix's sigma.
+    runs from the previous member's entry (the next one when strict) to
+    the last v with partial + tails[i]*v <= T, as every later member is
+    >= v; one searchsorted finds each end. The last member v = (T -
+    partial) / a_k is kept when the division is exact, v >= the previous
+    member (> when strict), v <= partner_limit when one is given, and
+    sigma(v), read exactly through _aliquots, equals the prefix's sigma.
 
     int64: sigma is read in int64, below 2^26 for n <= MAX_SEARCH_LIMIT, so
     an entry is below 2^50, and so is T when factor is 1. Weights and tails
@@ -304,7 +303,7 @@ def weighted_tuples(sieve: SigmaSieve, limit: int, alphas, factor: int, strict: 
     weights = [_capped(a) for a in alphas]
     tails = [_capped(sum(alphas[i:])) for i in range(k)]
     factor = _capped(factor)
-    index, rank = _sorted_entries(sieve.table, limit) if k > 2 else (None, None)
+    index = _sorted_entries(sieve.table, limit) if k > 2 else None
 
     def target(s):
         t = np.minimum(s, _CAP // factor)
@@ -322,9 +321,10 @@ def weighted_tuples(sieve: SigmaSieve, limit: int, alphas, factor: int, strict: 
     def slot(j, heads):
         if j == 0:
             return first, 0, len(first)
-        s, last, left = split(heads)
+        s, _, left = split(heads)
         end = s * width + np.minimum(left // tails[j], limit)
-        return index, rank[last] + strict, np.searchsorted(index, end, side="right")
+        start = np.searchsorted(index, heads[-1], side="right" if strict else "left")
+        return index, start, np.searchsorted(index, end, side="right")
 
     blocks = [[np.empty(0, dtype=np.int64)] * k]
     for lo in range(1, width, _CHUNK):
@@ -545,7 +545,7 @@ def _mean_family_kernel(spec: FamilySpec, limit: int, sieve: SigmaSieve) -> list
             num = num * _powmod(den, mod - 2, mod) % mod
         # a right side without a term is the constant target
         key, target = ((num - rhs) % mod, 0) if np.ndim(rhs) else (num, rhs)
-        order, _ = _sorted_entries(key, limit)
+        order = _sorted_entries(key, limit)
         by_key = order % (limit + 1)
 
         def last(heads):

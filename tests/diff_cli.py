@@ -15,16 +15,18 @@ depends on the outputs alone: 1 when anything differs or timed out and 0
 otherwise.
 
 The list covers every search kind (the weighted equal-sigma kinds at
-k = 2, 3 and 4, at k = 3 up to 3*10^6, each mean family at k = 1, 2 and 3,
-alpha-beta with small, composite and large weights, one of them 2^64,
-and the amicable numbers and pairs, Cohen pairs and sigma(n) = a*n up to
-10^7), `scan-question` up to 10^7, `density multi`, `amicable`, `pomerance`
-and `lemma` at k = 1 and 3, `construct` with --ns and with --seed-limit (at
-k = 2 and 3, weights up to 2^64 and a-bounds from 1 to 10^7), the
-`sieve` table as JSON and CSV, pm at k = 2 up to 10^5 in both formats,
-`check` on members that the exact arithmetic must refuse or prove and on
-non-members of each weighted kind, and one search refused by each
-FamilySpec rule. pytest does not collect this file.
+k = 2 to 5, at k = 3 up to 3*10^6, yanney at k = 5 with repeated members
+in a sigma run, each mean family at k = 1, 2 and 3, whm's key solve at
+k = 3 up to 300, alpha-beta with small, composite and large weights, one
+of them 2^64, and the amicable numbers and pairs, Cohen pairs and
+sigma(n) = a*n up to 10^7), `scan-question` up to 10^7 and as CSV,
+`density multi`, `amicable`, `pomerance` and `lemma` at k = 1 and 3,
+`construct` with --ns and with --seed-limit (at k = 2, 3 and 4, weights up
+to 2^64 and a-bounds from 1 to 10^7), the `sieve` table as JSON and CSV,
+pm at k = 2 up to 10^5 in both formats, `check` on members that the exact
+arithmetic must refuse or prove and on non-members of each weighted kind,
+and one search refused by each FamilySpec rule. pytest does not collect
+this file.
 """
 
 from __future__ import annotations
@@ -107,6 +109,7 @@ COMMANDS = [
     ("search", "multiamicable", "--alphas", "3", "--limit", "10000000"),
     ("search", "multiamicable", "--alphas", "1,2,3", "--limit", "100000"),
     ("search", "multiamicable", "--alphas", "1,1,2", "--limit", "300000"),
+    ("search", "multiamicable", "--alphas", "1,1,1", "--limit", "1000000"),
     ("search", "multiamicable", "--alphas", "1,1,1,1", "--limit", "3000"),
     ("search", "dickson", "--k", "2", "--limit", "100000"),
     ("search", "dickson", "--k", "3", "--limit", "100000"),
@@ -116,6 +119,7 @@ COMMANDS = [
     ("search", "yanney", "--k", "3", "--limit", "1000000"),
     ("search", "yanney", "--k", "3", "--limit", "3000000"),
     ("search", "yanney", "--k", "4", "--limit", "20000"),
+    ("search", "yanney", "--k", "5", "--limit", "3000"),
     *(("search", kind, "--k", "1", *flags, "--limit", "100000") for kind, *flags in MEAN),
     *(("search", kind, "--k", "2", *flags, "--limit", "1000") for kind, *flags in MEAN),
     *(("search", kind, "--k", "3", *flags, "--limit", "100") for kind, *flags in MEAN),
@@ -123,8 +127,10 @@ COMMANDS = [
     ("search", "gm", "--k", "3", "--limit", "300"),
     ("search", "gm", "--k", "3", "--limit", "600"),
     ("search", "feebly", "--k", "3", "--limit", "300"),
+    ("search", "whm", "--k", "3", "--p", "1", "--limit", "300"),
     ("search", "yanney", "--k", "3", "--limit", "3000", "--format", "csv"),
     ("scan-question", "--limit", "100000"),
+    ("scan-question", "--limit", "100000", "--format", "csv"),
     ("scan-question", "--limit", "10000000"),
     ("sieve", "--limit", "1000000", "--format", "csv"),
     ("sieve", "--limit", "1000000"),
@@ -139,6 +145,7 @@ COMMANDS = [
     ("construct", "--alphas", "2,1", "--seed-limit", "20000", "--a-bound", "200"),
     ("construct", "--alphas", "1,1,1", "--seed-limit", "3000", "--a-bound", "3000"),
     ("construct", "--alphas", "1,1,1", "--seed-limit", "20000", "--a-bound", "3000"),
+    ("construct", "--alphas", "1,1,1,1", "--seed-limit", "10000", "--a-bound", "10000"),
     ("construct", "--alphas", "1,2", "--seed-limit", "100000", "--a-bound", "1"),
     ("construct", "--alphas", "1,18446744073709551616", "--seed-limit", "3000", "--a-bound", "3000"),
     ("construct", "--alphas", "1,2,18446744073709551616", "--seed-limit", "3000", "--a-bound", "3000"),

@@ -118,6 +118,20 @@ def test_search_csv(capsys):
     assert len(lines) == 10
 
 
+def test_csv_search_builds_no_json_payload(capsys, monkeypatch):
+    # the JSON payload holds a dict per record; a CSV run never reads it
+    def no_payload(*args):
+        raise AssertionError("a CSV search built the JSON payload")
+
+    monkeypatch.setattr(cli, "_search_payload", no_payload)
+    code = cli.run(["search", "pm", "--p", "1", "--q", "2", "--limit", "30", "--format", "csv"])
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert code == 0
+    assert lines[:2] == ["tuple;sigmas;family;params", "3,20;4,42;pm;k=2,p=1,q=2"] and len(lines) == 10
+    assert cli.run(["scan-question", "--limit", "1000", "--format", "csv"]) == 0
+    assert capsys.readouterr().out.strip().splitlines()[0] == "tuple;sigmas;family;params"
+
+
 def test_thousand_member_scans_run(capsys):
     # a k-member scan grows one slot per member, so k well past the
     # recursion limit must still give its answer

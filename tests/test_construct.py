@@ -5,6 +5,7 @@ from itertools import combinations
 import pytest
 
 from amiforge import arith
+from amiforge import sieve as sieve_module
 from amiforge.arith import sigma
 from amiforge.construct import (
     construct_multiamicable,
@@ -114,6 +115,26 @@ def test_construct_reads_sigma_from_covering_sieve(monkeypatch):
     built = construct_multiamicable([seed_ratio((1, 2), (104, 116), sieve)], 2000, sieve=sieve)
     assert [b.a for b in built] == find_multipliers(Fraction(8, 5), 2000, (104, 116), sieve)
     assert built
+
+
+def test_construct_without_a_sieve_shares_one_build(monkeypatch):
+    # a library caller passing no sieve gets one sigma table for the whole
+    # seed list, built to the a-bound, and none when no seed can have a
+    # multiplier within it
+    sieve = build_sigma_sieve(3000)
+    seeds = find_seed_tuples((1, 2), 3000, sieve, a_bound=3000)
+    builds = []
+
+    def counted(*args, **kwargs):
+        builds.append(args)
+        return build_sigma_sieve(*args, **kwargs)
+
+    monkeypatch.setattr(sieve_module, "build_sigma_sieve", counted)
+    built = construct_multiamicable(seeds, 3000)
+    assert len(seeds) > 1 and len(builds) == 1
+    assert built == construct_multiamicable(seeds, 3000, sieve)
+    wide = [seed for seed in seeds if seed.target.denominator > 1]
+    assert wide and construct_multiamicable(wide, 1) == [] and len(builds) == 1
 
 
 def test_find_seed_tuples(sieve_1k):

@@ -729,23 +729,23 @@ def test_linear_pass_peak_memory_is_one_table_plus_blocks():
     assert peak <= 4 * (limit + 1) + 16 * 8 * search._CHUNK, peak / 2**20
 
 
-def test_sorted_pass_peak_memory_is_one_table_index_and_ranks_plus_blocks():
-    # search dickson --k 3 at 3*10^6: the table's 4 bytes per entry, 12 per
-    # member for the int64 sorted index and its int32 ranks, and 32 int64
-    # arrays of one _CHUNK block
+def test_sorted_pass_peak_memory_is_one_table_and_index_plus_blocks():
+    # search dickson --k 3 at 3*10^6: the table's 4 bytes per entry, 8 per
+    # member for the int64 sorted index, and 32 int64 arrays of one _CHUNK
+    # block
     limit = 3_000_000
     peak = _peak_over_import(["search", "dickson", "--k", "3", "--limit", str(limit)])
-    assert peak <= 4 * (limit + 1) + 12 * limit + 32 * 8 * search._CHUNK, peak / 2**20
+    assert peak <= 4 * (limit + 1) + 8 * limit + 32 * 8 * search._CHUNK, peak / 2**20
 
 
-def test_seeded_construct_peak_memory_is_one_table_index_and_ranks_plus_blocks():
+def test_seeded_construct_peak_memory_is_one_table_and_index_plus_blocks():
     # construct --alphas 1,1,1 --seed-limit 20000 --a-bound 3000: the seed
-    # search's table, sorted index and ranks and 32 int64 arrays of one
-    # _CHUNK block; the seeds whose target no a <= 3000 hits are dropped in
-    # numpy, not held as Python objects
+    # search's table's 4 bytes per entry, 8 per member for the int64 sorted
+    # index, and 32 int64 arrays of one _CHUNK block; the seeds whose target
+    # no a <= 3000 hits are dropped in numpy, not held as Python objects
     limit = 20_000
     peak = _peak_over_import(["construct", "--alphas", "1,1,1", "--seed-limit", str(limit), "--a-bound", "3000"])
-    assert peak <= 4 * (limit + 1) + 12 * limit + 32 * 8 * search._CHUNK, peak / 2**20
+    assert peak <= 4 * (limit + 1) + 8 * limit + 32 * 8 * search._CHUNK, peak / 2**20
 
 
 def test_construct_ratio_table_stays_within_the_budget_charge():
