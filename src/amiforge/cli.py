@@ -16,6 +16,7 @@ import argparse
 import itertools
 import json
 import math
+import os
 import sys
 import time
 
@@ -459,4 +460,14 @@ def run(argv=None) -> int:
 
 
 def main() -> None:
-    raise SystemExit(run())
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe, as `| head` does; the rest of the
+        # output goes to devnull, so the flush at exit raises no second
+        # error, and the exit code is 1, as for EPIPE (Python docs, "Note on
+        # SIGPIPE")
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    raise SystemExit(code)

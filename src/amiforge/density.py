@@ -79,7 +79,7 @@ def count_multiamicable_pairs(alpha: int, beta: int, checkpoints, sieve: SigmaSi
     The search's weighted_tuples solves n = (sigma(m) - alpha*m) / beta and
     verifies it, so n itself needs no scan bound: with no partner_limit, a
     partner past the sieve is checked exactly and in int64, by the
-    vectorised sieve.sigma_beyond pass of its block (see weighted_tuples).
+    vectorised sieve.sigma_beyond pass of its batch (see weighted_tuples).
     """
     if alpha < 1 or beta < 1:
         raise ValueError("alpha and beta must be positive integers")

@@ -69,24 +69,20 @@ def _capped(value: int) -> int:
 def _aliquots(sieve: SigmaSieve, w: int, v: np.ndarray) -> np.ndarray:
     """s(w*v) = sigma(w*v) - w*v for each v >= 1, capped at 2^62.
 
-    sigma(v) comes from the table, or from sigma_beyond past it, which only
-    w = 1 needs: weighted_tuples' partners v <= sigma(n_1) <= n_1^2 lie
-    within the square of the sieve's limit, as sigma_beyond requires. Then
-    each p^e || w, from the cached factorize(w), turns sigma(v) into
-    sigma(v * p^e): with q = p^k || v, sigma is multiplicative, so its
-    factor sigma(q) becomes sigma(q * p^e) = sigma(q) + q*(sigma(p^e) - 1).
+    Every v is an alpha-beta member, within the sieve, so sigma(v) comes
+    from the table. Then each p^e || w, from the cached factorize(w), turns
+    sigma(v) into sigma(v * p^e): with q = p^k || v, sigma is
+    multiplicative, so its factor sigma(q) becomes sigma(q * p^e) = sigma(q)
+    + q*(sigma(p^e) - 1).
 
-    int64: at w > 1 every v is an alpha-beta member, at most
-    MAX_SEARCH_LIMIT = 10^7, so sigma(v) < 2^26, and while sigma(w) < 2^36
-    every intermediate, the sigma of a divisor of w*v, is at most
-    sigma(w)*sigma(v) < 2^62; q*p <= w*v < 2^60, and the new factor is
-    formed as a sum, never above the result. A weight with sigma(w) >= 2^36
-    takes the same steps on object arrays. The cap touches only values
+    int64: v <= MAX_SEARCH_LIMIT = 10^7, so sigma(v) < 2^26, and while
+    sigma(w) < 2^36 every intermediate, the sigma of a divisor of w*v, is
+    at most sigma(w)*sigma(v) < 2^62; q*p <= w*v < 2^60, and the new factor
+    is formed as a sum, never above the result. A weight with sigma(w) >=
+    2^36 takes the same steps on object arrays. The cap touches only values
     that no kernel compares with anything as large.
     """
-    s = sieve.read(np.minimum(v, sieve.limit))
-    past = np.flatnonzero(v > sieve.limit)
-    s[past] = sigma_beyond(sieve, v[past])
+    s = sieve.read(v)
     f = factorize(w)
     if f.sigma() >= 1 << 36:
         s, v = s.astype(object), v.astype(object)
@@ -286,7 +282,12 @@ def weighted_tuples(sieve: SigmaSieve, limit: int, alphas, factor: int, strict: 
     >= v; one searchsorted finds each end. The last member v = (T -
     partial) / a_k is kept when the division is exact, v >= the previous
     member (> when strict), v <= partner_limit when one is given, and
-    sigma(v), read exactly through _aliquots, equals the prefix's sigma.
+    sigma(v) equals the prefix's sigma. A v within the sieve is read from
+    the table at once. One past it waits: once at least _CHUNK such rows
+    have gathered, and again at the end, one sigma_beyond call answers them
+    all, as its cost is a pass per prime however few values it holds. The
+    rows that wait keep their places among the rest, so the arrays come in
+    the same order whatever _CHUNK is, which density's bisection needs.
 
     int64: sigma is read in int64, below 2^26 for n <= MAX_SEARCH_LIMIT, so
     an entry is below 2^50, and so is T when factor is 1. Weights and tails
@@ -298,7 +299,9 @@ def weighted_tuples(sieve: SigmaSieve, limit: int, alphas, factor: int, strict: 
     it is bounded by T - partial, and every partial sum stays <= T <= 2^62.
     Without a partner_limit, factor is 1 (the amicable numbers and density
     multi), so v <= T = sigma(n_1) <= n_1^2 <= limit^2, within the square
-    of the sieve's limit, and sigma_beyond serves every v past the sieve."""
+    of the sieve's limit, and sigma_beyond serves every v past the sieve;
+    with a partner_limit no v lies past it. A call holds fewer than
+    2*_CHUNK values, as one block adds at most _CHUNK."""
     k, width = len(alphas), limit + 1
     weights = [_capped(a) for a in alphas]
     tails = [_capped(sum(alphas[i:])) for i in range(k)]
@@ -327,6 +330,18 @@ def weighted_tuples(sieve: SigmaSieve, limit: int, alphas, factor: int, strict: 
         return index, start, np.searchsorted(index, end, side="right")
 
     blocks = [[np.empty(0, dtype=np.int64)] * k]
+    waiting, past = [], 0
+
+    def answer():
+        # one sigma_beyond call for every waiting row past the table
+        *members, s = (np.concatenate(column) for column in zip(*waiting))
+        v = members[-1]
+        rows = np.flatnonzero(v > sieve.limit)
+        hit = np.ones(len(v), dtype=bool)
+        hit[rows] = sigma_beyond(sieve, v[rows]) == s[rows]
+        blocks.append([m[hit] for m in members])
+        waiting.clear()
+
     for lo in range(1, width, _CHUNK):
         hi = min(lo + _CHUNK, width)
         s, n = np.divmod(index[lo - 1 : hi - 1], width) if k > 2 else (sieve.read(slice(lo, hi)), np.arange(lo, hi))
@@ -342,8 +357,17 @@ def weighted_tuples(sieve: SigmaSieve, limit: int, alphas, factor: int, strict: 
             v = left // weights[-1]
             keep = (v * weights[-1] == left) & (v >= last + strict) & (v <= (partner_limit or _CAP))
             heads, s, v = [h[keep] for h in heads], s[keep], v[keep]
-            hit = _aliquots(sieve, 1, v) == s - v
-            blocks.append([h[hit] - s[hit] * width for h in heads] + [v[hit]])
+            # rows within the sieve are answered now; those past it wait
+            hit = v > sieve.limit
+            inside = np.flatnonzero(~hit)
+            hit[inside] = sieve.read(v[inside]) == s[inside]
+            past += len(v) - len(inside)
+            waiting.append([h[hit] - s[hit] * width for h in heads] + [v[hit], s[hit]])
+            if past >= _CHUNK:
+                answer()
+                past = 0
+    if waiting:
+        answer()
     return [np.concatenate(column) for column in zip(*blocks)]
 
 

@@ -14,7 +14,10 @@ MAX_SIEVE_LIMIT = 1 << 28  # sigma(n) < 2^31 up to it, so the table is int32
 
 # Every pass over the table, the build included, works in blocks of at most
 # this many entries, so what it holds besides the table is a fixed size.
-SEGMENT = 1 << 16
+# 2^14 entries make a block of int64 arrays 128 KiB each; weighted_tuples
+# gathers its partners past the table into batches of at least this many,
+# so smaller blocks do not mean more sigma_beyond passes.
+SEGMENT = 1 << 14
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,8 +127,8 @@ def sigma_beyond(sieve: SigmaSieve, x: np.ndarray) -> np.ndarray:
     partial sum and running product is sigma of a divisor of x, so all of
     them stay <= sigma(x); p^2 <= 2^56 in the live-set test.
     Memory: the working arrays are about 8 int64 arrays of len(x); the one
-    caller, search._aliquots, passes the partners of at most one
-    weighted_tuples block of SEGMENT values.
+    caller, search.weighted_tuples, passes a batch of at least SEGMENT and
+    fewer than 2*SEGMENT partners, and a last batch of the rest.
     Raises ValueError when a value lies outside that range.
     """
     x = np.asarray(x, dtype=np.int64)

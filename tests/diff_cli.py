@@ -20,7 +20,9 @@ in a sigma run, each mean family at k = 1, 2 and 3, whm's key solve at
 k = 3 up to 300, alpha-beta with small, composite and large weights, one
 of them 2^64, and the amicable numbers and pairs, Cohen pairs and
 sigma(n) = a*n up to 10^7), `scan-question` up to 10^7 and as CSV,
-`density multi`, `amicable`, `pomerance` and `lemma` at k = 1 and 3,
+`density multi` at weights (1, 2), (2, 1) and (1, 1) and `amicable` up to
+3*10^6, whose partners past the sieve fill many sigma_beyond batches,
+`pomerance`, and `lemma` at k = 1 and 3,
 `construct` with --ns and with --seed-limit (at k = 2, 3 and 4, weights up
 to 2^64 and a-bounds from 1 to 10^7), the `sieve` table as JSON and CSV,
 pm at k = 2 up to 10^5 in both formats, `check` on members that the exact
@@ -138,6 +140,9 @@ COMMANDS = [
     ("search", "pm", "--k", "2", "--p", "1", "--q", "2", "--limit", "100000", "--format", "csv"),
     ("density", "multi", "--alpha", "1", "--beta", "2", "--checkpoints", "100000,3000000"),
     ("density", "amicable", "--checkpoints", "100000,1000000"),
+    ("density", "amicable", "--checkpoints", "10,3000000"),
+    ("density", "multi", "--alpha", "2", "--beta", "1", "--checkpoints", "1000,1000000"),
+    ("density", "multi", "--alpha", "1", "--beta", "1", "--checkpoints", "1000,1000000"),
     ("density", "pomerance", "--checkpoints", "1000,1000000"),
     ("density", "lemma", "--k", "1", "--checkpoints", "1000,1000000"),
     ("density", "lemma", "--k", "3", "--checkpoints", "1000,30000"),

@@ -533,6 +533,21 @@ def test_console_script_installed(tmp_path):
     assert_check_perfect_28(proc)
 
 
+def test_closed_pipe_exits_without_a_traceback():
+    # `amiforge sieve --limit 100000 --format csv | head -c 20`: the reader
+    # leaves after a few bytes, and the CLI exits 1 with nothing on stderr
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
+    launcher = "import sys\nfrom amiforge.cli import main\nsys.exit(main())\n"
+    argv = [sys.executable, "-c", launcher, "sieve", "--limit", "100000", "--format", "csv"]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        assert len(proc.stdout.read(20)) == 20
+        proc.stdout.close()
+        stderr = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == 1
+    assert "Traceback" not in stderr and not stderr, stderr
+
+
 @pytest.mark.skipif(shutil.which("amiforge") is None, reason="amiforge console script not installed")
 def test_console_script_on_path():
     proc = subprocess.run(

@@ -14,13 +14,13 @@ from amiforge import arith, cli, search
 from amiforge.arith import sigma
 from amiforge.construct import find_multipliers, find_seed_tuples
 from amiforge.density import count_multiamicable_pairs
-from amiforge.families import MEAN_EQUATIONS, FamilySpec, holds
+from amiforge.families import MEAN_EQUATIONS, FamilySpec, holds, weighted_form
 from amiforge.search import (
     MAX_SEARCH_LIMIT,
     enumerate_family,
     scan_open_question,
 )
-from amiforge.sieve import CoverageError, SigmaSieve, build_sigma_sieve
+from amiforge.sieve import CoverageError, SigmaSieve, build_sigma_sieve, sigma_beyond
 
 import oracles
 
@@ -350,13 +350,21 @@ def test_block_splits_change_no_record(sieve_10k, monkeypatch):
     # 1210 past the limit and the sieve
     short = build_sigma_sieve(1600)
     to_1200 = build_sigma_sieve(1200)
+    # weighted_tuples' own arrays, order included: the rows whose partner
+    # waits for a sigma_beyond batch keep their places among the rest
+    raw = [
+        (to_1200, 1200, (1, 1), 1, True, None),
+        (short, 1600, (1, 2), 1, True, None),
+        (sieve_10k, 3000, *weighted_form(FamilySpec("dickson", 3)), False, 3000),
+    ]
 
     def outputs():
         found = [members_of(enumerate_family(spec, limit, sieve=sieve_10k)) for spec, limit in specs]
         found.append(members_of(enumerate_family(FamilySpec("amicable-number", 1), 1200, sieve=to_1200)))
         seeds = [find_seed_tuples(alphas, 3000, sieve_10k) for alphas in ((1, 2), (1, 1, 1))]
         counts = [count_multiamicable_pairs(1, 2, (1000, 1600), short), count_multiamicable_pairs(1, 1, (3000,), sieve_10k)]
-        return found, seeds, counts
+        columns = [[c.tolist() for c in search.weighted_tuples(*case)] for case in raw]
+        return found, seeds, counts, columns
 
     whole = outputs()
     # multiamicable (1, 2, 3) and (2, 1) have no tuple this low
@@ -364,6 +372,7 @@ def test_block_splits_change_no_record(sieve_10k, monkeypatch):
     assert [not found for found in whole[0][:10]] == empty and all(whole[1])
     assert whole[0][-1] == [(220,), (284,), (1184,)]
     assert [c.counts for c in whole[2]] == [(0, 1), (3,)]
+    assert whole[3][:2] == [[[220, 1184], [284, 1210]], [[1560], [1740]]] and whole[3][2][0]
     monkeypatch.setattr(search, "_BLOCK", 7)
     monkeypatch.setattr(search, "_CHUNK", 5)
     assert outputs() == whole
@@ -469,6 +478,24 @@ def test_amicable_numbers_past_the_sieve_skip_factorize(sieve_10k, monkeypatch):
     assert members_of(report) == sorted((n,) for pair in pairs for n in pair)
 
 
+def test_partners_past_the_sieve_are_answered_in_batches(monkeypatch):
+    # each sigma_beyond call but the last holds at least _CHUNK partners,
+    # not one block's few, so the calls are at most values / _CHUNK + 1
+    sizes = []
+
+    def counted(sieve, x):
+        sizes.append(len(x))
+        return sigma_beyond(sieve, x)
+
+    monkeypatch.setattr(search, "sigma_beyond", counted)
+    monkeypatch.setattr(search, "_CHUNK", 1024)
+    report = enumerate_family(FamilySpec("amicable-number", 1), 100_000)
+    assert len(report.records) == 26
+    calls = [n for n in sizes if n]
+    assert len(calls) <= -(-sum(calls) // 1024) + 1, calls
+    assert all(n >= 1024 for n in calls[:-1]), calls
+
+
 def test_alpha_beta_large_weight_reads_only_the_table(capsys):
     # a budget of 4 KiB sieves 1..300 only, and 1000*n lies past R^2 = 90000
     # for n > 90; sigma(1000*n) comes from sigma(n) and 1000 = 2^3 * 5^3
@@ -496,7 +523,8 @@ def test_alpha_beta_large_weight_reads_only_the_table(capsys):
 
 
 def test_alpha_beta_with_sieve_covering_only_limit():
-    # a*n and b*m past the caller's sieve are read exactly by sigma_beyond
+    # sigma(a*n) and sigma(b*m) past the caller's sieve come from the
+    # table's sigma(n) and sigma(m) and the weights' factorizations
     sieve = build_sigma_sieve(150)
     for alphas in ((1, 2), (2, 1), (1, 3), (3, 5), (2, 2)):
         spec = FamilySpec("alpha-beta", 2, alphas=alphas)
@@ -723,10 +751,11 @@ def _peak_over_import(argv) -> int:
 def test_linear_pass_peak_memory_is_one_table_plus_blocks():
     # search amicable-pair at 3*10^6 over a child that only imports the
     # search: the int32 table's 4 bytes per entry, which the build adds to
-    # a segment at a time, plus 16 int64 arrays of one _CHUNK block
+    # a segment at a time, plus 3 MiB for the block arrays and the
+    # allocator's fixed overhead, which does not scale with the block
     limit = 3_000_000
     peak = _peak_over_import(["search", "amicable-pair", "--limit", str(limit)])
-    assert peak <= 4 * (limit + 1) + 16 * 8 * search._CHUNK, peak / 2**20
+    assert peak <= 4 * (limit + 1) + 3 * 2**20, peak / 2**20
 
 
 def test_sorted_pass_peak_memory_is_one_table_and_index_plus_blocks():
@@ -760,12 +789,12 @@ def test_construct_ratio_table_stays_within_the_budget_charge():
 def test_sieve_output_peak_memory_is_one_table_plus_batches():
     # sieve --limit 10^6 over a child that only imports the search: as
     # JSON and as CSV, the text is rendered from blocks of the table and
-    # written in batches, never held whole, so both take the table and the
-    # batches alone
+    # written in batches, never held whole, so both take the table's 4
+    # bytes per entry and 3 MiB for the batches alone
     limit = 1_000_000
     for fmt in ("json", "csv"):
         peak = _peak_over_import(["sieve", "--limit", str(limit), "--format", fmt])
-        assert peak <= 16 * (limit + 1), (fmt, peak / 2**20)
+        assert peak <= 4 * (limit + 1) + 3 * 2**20, (fmt, peak / 2**20)
 
 
 def test_alpha_beta_peak_memory_is_one_table_plus_blocks():
