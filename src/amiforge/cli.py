@@ -312,11 +312,15 @@ def _cmd_density(args):
     else:
         pts = _parse_int_list(args.checkpoints, "checkpoints")
     params = {"mode": mode, "checkpoints": pts}
+    # every mode sieves to its top checkpoint, and all but lemma share the
+    # search cap, checked before the sieve is built
+    top = max(int(max(pts)), 1) if mode == "pomerance" else max(pts)
+    if mode != "lemma":
+        check_search_limit(top)
+    sieve = build_sigma_sieve(top, args.sieve_budget)
 
     if mode == "lemma":
         params["k"] = args.k
-        top = int(max(pts))
-        sieve = build_sigma_sieve(top, args.sieve_budget)
         reports = [density.lemma_sum_check(x, args.k, sieve) for x in pts]
         results = [
             {
@@ -334,9 +338,6 @@ def _cmd_density(args):
         return params, results, _csv("x,k,lhs,rhs,margin,holds,exact", rows, sep=","), 0
 
     if mode == "pomerance":
-        top = max(int(max(pts)), 1)
-        check_search_limit(top)
-        sieve = build_sigma_sieve(top, args.sieve_budget)
         rows = density.pomerance_curve(pts, sieve)
         results = [
             {"x": x, "count": c, "bound": bound, "ratio": ratio} for x, c, bound, ratio in rows
@@ -344,10 +345,6 @@ def _cmd_density(args):
         csv_rows = ((x, c, ratio, bound) for x, c, bound, ratio in rows)
         return params, results, _csv("x,count,ratio,bound", csv_rows, sep=","), 0
 
-    top = max(pts)
-    if mode == "amicable":
-        check_search_limit(top)
-    sieve = build_sigma_sieve(top, args.sieve_budget)
     if mode == "multi":
         params["alpha"], params["beta"] = args.alpha, args.beta
         series = density.count_multiamicable_pairs(args.alpha, args.beta, pts, sieve)

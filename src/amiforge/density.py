@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .arith import zeta_approx
 from .families import FamilySpec
-from .search import enumerate_family, weighted_tuples
+from .search import check_search_limit, enumerate_family, weighted_tuples
 from .sieve import SEGMENT, SigmaSieve, covering_sieve
 
 ZETA_EPS = 1e-9
@@ -74,7 +74,7 @@ def count_amicable(checkpoints, sieve: SigmaSieve | None = None) -> CountSeries:
 
 def count_multiamicable_pairs(alpha: int, beta: int, checkpoints, sieve: SigmaSieve | None = None) -> CountSeries:
     """M(x) at each checkpoint: pairs with sigma(m) = sigma(n) = alpha*m + beta*n,
-    m < n, counted by the smaller member m <= x.
+    m < n, counted by the smaller member m <= x, which shares the search cap.
 
     The search's weighted_tuples solves n = (sigma(m) - alpha*m) / beta and
     verifies it, so n itself needs no scan bound: with no partner_limit, a
@@ -85,6 +85,7 @@ def count_multiamicable_pairs(alpha: int, beta: int, checkpoints, sieve: SigmaSi
         raise ValueError("alpha and beta must be positive integers")
     pts = _validate_checkpoints(checkpoints)
     limit = pts[-1]
+    check_search_limit(limit)
     sieve = covering_sieve(limit, sieve)
     members = weighted_tuples(sieve, limit, (alpha, beta), 1, True, None)[0]
     return _series(pts, members.tolist())

@@ -45,12 +45,10 @@ MAX_SEARCH_LIMIT = 10**7  # sigma(n) < 2^26 up to it, which the int64 arguments 
 _CAP = 1 << 62
 
 # The mean families' row filter works modulo this prime, 2^31 - 1. Scans take
-# blocks of at most _BLOCK tuples, or of _CHUNK = sieve.SEGMENT members or
-# prefixes for the partner passes and weighted_tuples, each read when the
-# scan starts.
+# blocks of at most _BLOCK tuples, or of sieve.SEGMENT members or prefixes
+# for the partner passes and weighted_tuples, each read when the scan starts.
 _MODULUS = 2**31 - 1
 _BLOCK = 1 << 13
-_CHUNK = SEGMENT
 
 
 @dataclass
@@ -110,13 +108,13 @@ def abundancy_solutions(sieve: SigmaSieve, bound: int, num: int, den: int) -> np
     in division form, sigma(a) % num == 0 and sigma(a) // num == j, so no
     product with num is formed; a num capped at 2^62 divides no table
     entry, all of which are below 2^31, so it matches nothing, as its true
-    value would not. j runs in blocks of _CHUNK, each reading sigma(j*den)
+    value would not. j runs in blocks of SEGMENT, each reading sigma(j*den)
     in int64 through a strided slice of the table.
     """
     num, count = _capped(num), bound // den
     found = [np.empty(0, dtype=np.int64)]
-    for lo in range(1, count + 1, _CHUNK):
-        hi = min(lo + _CHUNK, count + 1)
+    for lo in range(1, count + 1, SEGMENT):
+        hi = min(lo + SEGMENT, count + 1)
         j, s = np.arange(lo, hi), sieve.read(slice(lo * den, hi * den, den))
         found.append(j[(s % num == 0) & (s // num == j)] * den)
     return np.concatenate(found)
@@ -126,11 +124,11 @@ def _partner_pass(sieve: SigmaSieve, limit: int, partner, accept) -> tuple[np.nd
     """The accepted pairs (m, n), m in 1..limit, as two arrays in the order
     of m: partner(m, s), s = sigma(m), gives each m its partner n and a mask
     of the valid ones, and accept(m, s, n) tests those. m runs in int64
-    blocks of _CHUNK, so the pass holds a few block arrays besides the
+    blocks of SEGMENT, so the pass holds a few block arrays besides the
     table; each rule states its own int64 argument."""
     found = [(np.empty(0, dtype=np.int64),) * 2]
-    for lo in range(1, limit + 1, _CHUNK):
-        hi = min(lo + _CHUNK, limit + 1)
+    for lo in range(1, limit + 1, SEGMENT):
+        hi = min(lo + SEGMENT, limit + 1)
         m, s = np.arange(lo, hi), sieve.read(slice(lo, hi))
         n, keep = partner(m, s)
         m, s, n = m[keep], s[keep], n[keep]
@@ -180,7 +178,7 @@ def _alpha_beta_pairs(spec: FamilySpec, limit: int, sieve: SigmaSieve):
 
 def _sorted_entries(values, limit: int) -> np.ndarray:
     """The ascending int64 entries values[n]*(limit + 1) + n for n in
-    1..limit, built a block of _CHUNK at a time and sorted in place. The
+    1..limit, built a block of SEGMENT at a time and sorted in place. The
     members of each value form one ascending run, and an entry e holds
     n = e % (limit + 1) and its value e // (limit + 1). As each holds its own
     n, no two are equal, so searchsorted finds an entry's own position
@@ -188,8 +186,8 @@ def _sorted_entries(values, limit: int) -> np.ndarray:
     int64: every value is below 2^31 and limit < 2^24, so every entry is
     below 2^55."""
     index = np.empty(limit, dtype=np.int64)
-    for lo in range(0, limit, _CHUNK):
-        hi = min(lo + _CHUNK, limit)
+    for lo in range(0, limit, SEGMENT):
+        hi = min(lo + SEGMENT, limit)
         index[lo:hi] = values[lo + 1 : hi + 1].astype(np.int64) * (limit + 1) + np.arange(lo + 1, hi + 1)
     index.sort()
     return index
@@ -204,47 +202,51 @@ def _tuple_blocks(k: int, slot, size: int):
     (values, lo, hi) = slot(j, heads) for the list heads of a block's j
     member arrays, one prefix per row; lo and hi are ints or per-row
     arrays, and at j = 0 heads is [], the one empty prefix, and lo and hi
-    are ints. k >= 1. A stack
-    of _expand generators, not recursion, holds the slots, so any k runs.
+    are ints. k >= 1. Each level holds one block, views of values at level
+    0 and _expand's (rows, column) after, so the k levels hold O(k) block
+    arrays; _gather forms the heads for a slot rule and for the consumer.
+    A stack of generators, not recursion, holds them, so any k runs.
     """
-    stack = [_expand([], *slot(0, []), size)]
+    values, lo, hi = slot(0, [])
+    stack = [((None, values[start : min(start + size, hi)]) for start in range(lo, hi, size))]
+    path = []  # the current block of each level but the last
     while stack:
-        if len(stack) == k:
-            yield from stack.pop()
-        elif (heads := next(stack[-1], None)) is None:
+        if (block := next(stack[-1], None)) is None:
             stack.pop()
+            del path[-1:]
+        elif len(stack) == k:
+            yield _gather([*path, block])
         else:
-            stack.append(_expand(heads, *slot(len(stack), heads), size))
-            del heads  # the prefix block is freed with the generator that holds it
+            path.append(block)
+            stack.append(_expand(*slot(len(stack), _gather(path)), size))
 
 
-def _expand(heads: list[np.ndarray], values: np.ndarray, lo, hi, size: int):
-    """Each row of heads followed by each of values[lo:hi], lo and hi taken
-    per row, as lists of member arrays of at most size rows; a head's
-    slice is split where a block fills up."""
-    if not heads:
-        # the one empty prefix: its blocks are slices of values, views
-        for start in range(lo, hi, size):
-            yield [values[start : min(start + size, hi)]]
-        return
-    lo, hi = np.broadcast_arrays(np.atleast_1d(lo), hi)
-    count = np.maximum(hi - lo, 0)
-    ends = np.cumsum(count)
+def _gather(path: list) -> list[np.ndarray]:
+    """The member arrays of the last block of path, one (rows, column)
+    block per level: its own column, and each earlier member read from its
+    level's column through the rows of the levels after it."""
+    members, rows = [], slice(None)
+    for parent, column in reversed(path):
+        members.append(column[rows])
+        rows = rows if parent is None else parent[rows]
+    return members[::-1]
+
+
+def _expand(values: np.ndarray, lo, hi, size: int):
+    """Each prefix row followed by each of values[lo:hi], lo and hi taken
+    per row, in blocks (rows, column) of at most size rows: the prefix row
+    each row extends and its new member; a slice splits where a block fills."""
+    ends = np.cumsum(np.maximum(hi - lo, 0))
+    offset = lo - np.append(0, ends[:-1])  # position p of all slices, in prefix i's, is values[p + offset[i]]
+    del lo, hi
     total = int(ends[-1])
     for start in range(0, total, size):
         stop = min(start + size, total)
         a, b = np.searchsorted(ends, [start, stop - 1], side="right")
-        first, length = lo[a : b + 1].copy(), count[a : b + 1].copy()
-        skip = start - (ends[a] - count[a])
-        first[0] += skip
-        length[0] -= skip
-        length[-1] -= ends[b] - stop
-        yield [np.repeat(h[a : b + 1], length) for h in heads] + [values[_ranges(first, length)]]
-
-
-def _ranges(lo: np.ndarray, length: np.ndarray) -> np.ndarray:
-    """The concatenated ranges lo[i] .. lo[i] + length[i] - 1."""
-    return np.arange(length.sum()) + np.repeat(lo - (np.cumsum(length) - length), length)
+        length = np.minimum(ends[a : b + 1], stop) - start
+        length[1:] = np.diff(length)
+        rows = np.repeat(np.arange(a, b + 1), length)
+        yield rows, values[np.arange(start, stop) + np.repeat(offset[a : b + 1], length)]
 
 
 def equal_sigma_blocks(sieve: SigmaSieve, limit: int, k: int):
@@ -274,7 +276,7 @@ def weighted_tuples(sieve: SigmaSieve, limit: int, alphas, factor: int, strict: 
     limit. Rows come in the order of their first members.
 
     The first members n <= T // tails[0], tails[i] = a_i + ... + a_k, run
-    in blocks of _CHUNK: at k = 2 in natural order, with no sort, and at
+    in blocks of SEGMENT: at k = 2 in natural order, with no sort, and at
     k >= 3 in the order of the _sorted_entries of sigma. _tuple_blocks
     grows their prefixes of entries sigma*(limit + 1) + n: middle slot i
     runs from the previous member's entry (the next one when strict) to
@@ -283,11 +285,11 @@ def weighted_tuples(sieve: SigmaSieve, limit: int, alphas, factor: int, strict: 
     partial) / a_k is kept when the division is exact, v >= the previous
     member (> when strict), v <= partner_limit when one is given, and
     sigma(v) equals the prefix's sigma. A v within the sieve is read from
-    the table at once. One past it waits: once at least _CHUNK such rows
+    the table at once. One past it waits: once at least SEGMENT such rows
     have gathered, and again at the end, one sigma_beyond call answers them
     all, as its cost is a pass per prime however few values it holds. The
     rows that wait keep their places among the rest, so the arrays come in
-    the same order whatever _CHUNK is, which density's bisection needs.
+    the same order whatever SEGMENT is, which density's bisection needs.
 
     int64: sigma is read in int64, below 2^26 for n <= MAX_SEARCH_LIMIT, so
     an entry is below 2^50, and so is T when factor is 1. Weights and tails
@@ -301,7 +303,7 @@ def weighted_tuples(sieve: SigmaSieve, limit: int, alphas, factor: int, strict: 
     multi), so v <= T = sigma(n_1) <= n_1^2 <= limit^2, within the square
     of the sieve's limit, and sigma_beyond serves every v past the sieve;
     with a partner_limit no v lies past it. A call holds fewer than
-    2*_CHUNK values, as one block adds at most _CHUNK."""
+    2*SEGMENT values, as one block adds at most SEGMENT."""
     k, width = len(alphas), limit + 1
     weights = [_capped(a) for a in alphas]
     tails = [_capped(sum(alphas[i:])) for i in range(k)]
@@ -342,8 +344,8 @@ def weighted_tuples(sieve: SigmaSieve, limit: int, alphas, factor: int, strict: 
         blocks.append([m[hit] for m in members])
         waiting.clear()
 
-    for lo in range(1, width, _CHUNK):
-        hi = min(lo + _CHUNK, width)
+    for lo in range(1, width, SEGMENT):
+        hi = min(lo + SEGMENT, width)
         s, n = np.divmod(index[lo - 1 : hi - 1], width) if k > 2 else (sieve.read(slice(lo, hi)), np.arange(lo, hi))
         # the bound is formed in place, so each block allocates fewer
         # block-sized arrays
@@ -352,7 +354,7 @@ def weighted_tuples(sieve: SigmaSieve, limit: int, alphas, factor: int, strict: 
         keep = n <= bound
         s, n = s[keep], n[keep]
         first = s * width + n
-        for heads in _tuple_blocks(k - 1, slot, _CHUNK):
+        for heads in _tuple_blocks(k - 1, slot, SEGMENT):
             s, last, left = split(heads)
             v = left // weights[-1]
             keep = (v * weights[-1] == left) & (v >= last + strict) & (v <= (partner_limit or _CAP))
@@ -363,7 +365,7 @@ def weighted_tuples(sieve: SigmaSieve, limit: int, alphas, factor: int, strict: 
             hit[inside] = sieve.read(v[inside]) == s[inside]
             past += len(v) - len(inside)
             waiting.append([h[hit] - s[hit] * width for h in heads] + [v[hit], s[hit]])
-            if past >= _CHUNK:
+            if past >= SEGMENT:
                 answer()
                 past = 0
     if waiting:

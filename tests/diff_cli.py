@@ -17,9 +17,11 @@ otherwise.
 The list covers every search kind (the weighted equal-sigma kinds at
 k = 2 to 5, at k = 3 up to 3*10^6, yanney at k = 5 with repeated members
 in a sigma run, each mean family at k = 1, 2 and 3, whm's key solve at
-k = 3 up to 300, alpha-beta with small, composite and large weights, one
-of them 2^64, and the amicable numbers and pairs, Cohen pairs and
-sigma(n) = a*n up to 10^7), `scan-question` up to 10^7 and as CSV,
+k = 3 up to 300, deep prefixes in yanney at k = 10, mp at k = 60, hm at
+k = 100 and gm and pm at k = 300, alpha-beta with small, composite and
+large weights, one of them 2^64, and the amicable numbers and pairs,
+Cohen pairs and sigma(n) = a*n up to 10^7), `scan-question` up to 10^7
+and as CSV,
 `density multi` at weights (1, 2), (2, 1) and (1, 1) and `amicable` up to
 3*10^6, whose partners past the sieve fill many sigma_beyond batches,
 `pomerance`, and `lemma` at k = 1 and 3,
@@ -130,6 +132,11 @@ COMMANDS = [
     ("search", "gm", "--k", "3", "--limit", "600"),
     ("search", "feebly", "--k", "3", "--limit", "300"),
     ("search", "whm", "--k", "3", "--p", "1", "--limit", "300"),
+    ("search", "gm", "--k", "300", "--limit", "2"),
+    ("search", "pm", "--k", "300", "--p", "1", "--q", "1", "--limit", "2"),
+    ("search", "hm", "--k", "100", "--p", "1", "--q", "10000", "--limit", "3"),
+    ("search", "mp", "--k", "60", "--p", "2", "--q", "1", "--limit", "3"),
+    ("search", "yanney", "--k", "10", "--limit", "100"),
     ("search", "yanney", "--k", "3", "--limit", "3000", "--format", "csv"),
     ("scan-question", "--limit", "100000"),
     ("scan-question", "--limit", "100000", "--format", "csv"),

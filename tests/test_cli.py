@@ -449,6 +449,18 @@ def test_search_cap_checked_before_sieve(monkeypatch, capsys):
     assert capsys.readouterr().err == "error: search limit 10000001 exceeds the cap of 10000000\n"
 
 
+def test_density_multi_cap_checked_before_sieve(monkeypatch, capsys):
+    # density multi shares the search cap with density amicable: a
+    # checkpoint past it is refused with exit 2 and no sieve is built
+    def no_sieve(*args, **kwargs):
+        raise AssertionError("a sieve was built for a checkpoint over the cap")
+
+    monkeypatch.setattr("amiforge.sieve.build_sigma_sieve", no_sieve)
+    argv = ["density", "multi", "--alpha", "1", "--beta", "1", "--checkpoints", "12000000", "--workers", "1"]
+    assert cli.run(argv) == 2
+    assert capsys.readouterr().err == "error: search limit 12000000 exceeds the cap of 10000000\n"
+
+
 def test_no_process_pool_for_any_worker_count(monkeypatch, capsys):
     def no_pool(*args, **kwargs):
         raise AssertionError("a process pool was started")

@@ -89,6 +89,17 @@ def test_amicable_members_search_cap(monkeypatch):
         amicable_members(search.MAX_SEARCH_LIMIT + 1)
 
 
+def test_count_multiamicable_pairs_search_cap(monkeypatch):
+    # weighted_tuples' int64 argument holds for members up to the cap, so
+    # M(x) refuses a checkpoint past it before any sieve is built
+    def no_sieve(*args, **kwargs):
+        raise AssertionError("a sieve was built for a checkpoint over the cap")
+
+    monkeypatch.setattr(sieve_module, "build_sigma_sieve", no_sieve)
+    with pytest.raises(ValueError, match="exceeds the cap"):
+        count_multiamicable_pairs(1, 1, (1000, search.MAX_SEARCH_LIMIT + 1))
+
+
 def test_lemma_example_x10_k1(sieve_1k):
     report = lemma_sum_check(10, 1, sieve_1k)
     assert isinstance(report, BoundReport)

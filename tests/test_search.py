@@ -345,6 +345,8 @@ def test_block_splits_change_no_record(sieve_10k, monkeypatch):
     ]
     specs += [(spec, 10**4) for spec in K2_WEIGHTED]
     specs += [(mean_spec(k, **kw), limit) for k, limit in ((2, 300), (3, 60)) for kw in MEAN_CASES]
+    # deep prefixes: yanney at k = 8 (5 records) and hm at k = 100 (4)
+    specs += [(FamilySpec("yanney", 8), 120), (FamilySpec("hm", 100, p=1, q=10000), 3)]
     # (1560, 1740) counts at x = 1600 with its partner past x and the sieve,
     # and the amicable number 1184 is found at L = 1200 with its partner
     # 1210 past the limit and the sieve
@@ -371,11 +373,34 @@ def test_block_splits_change_no_record(sieve_10k, monkeypatch):
     empty = [spec.alphas in ((1, 2, 3), (2, 1)) for spec, _ in specs[:10]]
     assert [not found for found in whole[0][:10]] == empty and all(whole[1])
     assert whole[0][-1] == [(220,), (284,), (1184,)]
+    assert [len(found) for found in whole[0][-3:-1]] == [5, 4]
     assert [c.counts for c in whole[2]] == [(0, 1), (3,)]
     assert whole[3][:2] == [[[220, 1184], [284, 1210]], [[1560], [1740]]] and whole[3][2][0]
     monkeypatch.setattr(search, "_BLOCK", 7)
-    monkeypatch.setattr(search, "_CHUNK", 5)
+    monkeypatch.setattr(search, "SEGMENT", 5)
     assert outputs() == whole
+
+
+def test_tuple_blocks_follow_itertools_at_every_depth_and_block_size():
+    # the mean kinds' whole slot, each member from the last one on, gives
+    # combinations_with_replacement, and one from the next member on gives
+    # combinations, whose last prefixes have empty slices; blocks come in
+    # the order of their prefixes and then of each prefix's slice
+    values = np.arange(1, 6)
+
+    def whole(j, heads):
+        return values, heads[-1] - 1 if heads else 0, len(values)
+
+    def strict(j, heads):
+        return values, heads[-1] if heads else 0, len(values)
+
+    for k in range(1, 9):
+        for slot, tuples in ((whole, combinations_with_replacement), (strict, combinations)):
+            for size in (1, 3, 64):
+                blocks = list(search._tuple_blocks(k, slot, size))
+                assert all(len(b) == k and 1 <= len(b[0]) <= size for b in blocks), (k, size)
+                found = [t for b in blocks for t in zip(*(m.tolist() for m in b))]
+                assert found == list(tuples(values.tolist(), k)), (k, slot, size)
 
 
 def test_k2_weighted_kinds_need_no_sigma_order(sieve_10k, monkeypatch):
@@ -479,8 +504,8 @@ def test_amicable_numbers_past_the_sieve_skip_factorize(sieve_10k, monkeypatch):
 
 
 def test_partners_past_the_sieve_are_answered_in_batches(monkeypatch):
-    # each sigma_beyond call but the last holds at least _CHUNK partners,
-    # not one block's few, so the calls are at most values / _CHUNK + 1
+    # each sigma_beyond call but the last holds at least SEGMENT partners,
+    # not one block's few, so the calls are at most values / SEGMENT + 1
     sizes = []
 
     def counted(sieve, x):
@@ -488,7 +513,7 @@ def test_partners_past_the_sieve_are_answered_in_batches(monkeypatch):
         return sigma_beyond(sieve, x)
 
     monkeypatch.setattr(search, "sigma_beyond", counted)
-    monkeypatch.setattr(search, "_CHUNK", 1024)
+    monkeypatch.setattr(search, "SEGMENT", 1024)
     report = enumerate_family(FamilySpec("amicable-number", 1), 100_000)
     assert len(report.records) == 26
     calls = [n for n in sizes if n]
@@ -760,30 +785,30 @@ def test_linear_pass_peak_memory_is_one_table_plus_blocks():
 
 def test_sorted_pass_peak_memory_is_one_table_and_index_plus_blocks():
     # search dickson --k 3 at 3*10^6: the table's 4 bytes per entry, 8 per
-    # member for the int64 sorted index, and 32 int64 arrays of one _CHUNK
+    # member for the int64 sorted index, and 32 int64 arrays of one SEGMENT
     # block
     limit = 3_000_000
     peak = _peak_over_import(["search", "dickson", "--k", "3", "--limit", str(limit)])
-    assert peak <= 4 * (limit + 1) + 8 * limit + 32 * 8 * search._CHUNK, peak / 2**20
+    assert peak <= 4 * (limit + 1) + 8 * limit + 32 * 8 * search.SEGMENT, peak / 2**20
 
 
 def test_seeded_construct_peak_memory_is_one_table_and_index_plus_blocks():
     # construct --alphas 1,1,1 --seed-limit 20000 --a-bound 3000: the seed
     # search's table's 4 bytes per entry, 8 per member for the int64 sorted
-    # index, and 32 int64 arrays of one _CHUNK block; the seeds whose target
+    # index, and 32 int64 arrays of one SEGMENT block; the seeds whose target
     # no a <= 3000 hits are dropped in numpy, not held as Python objects
     limit = 20_000
     peak = _peak_over_import(["construct", "--alphas", "1,1,1", "--seed-limit", str(limit), "--a-bound", "3000"])
-    assert peak <= 4 * (limit + 1) + 8 * limit + 32 * 8 * search._CHUNK, peak / 2**20
+    assert peak <= 4 * (limit + 1) + 8 * limit + 32 * 8 * search.SEGMENT, peak / 2**20
 
 
 def test_construct_ratio_table_stays_within_the_budget_charge():
     # construct --alphas 1,2 --seed-limit 100 --a-bound 3*10^6: the int32
     # sigma table and the float32 table of sigma(a)/a, the 8 bytes per entry
-    # that --sieve-budget charges, plus 32 int64 arrays of one _CHUNK block
+    # that --sieve-budget charges, plus 32 int64 arrays of one SEGMENT block
     bound = 3_000_000
     peak = _peak_over_import(["construct", "--alphas", "1,2", "--seed-limit", "100", "--a-bound", str(bound)])
-    assert peak <= 8 * (bound + 1) + 32 * 8 * search._CHUNK, peak / 2**20
+    assert peak <= 8 * (bound + 1) + 32 * 8 * search.SEGMENT, peak / 2**20
 
 
 def test_sieve_output_peak_memory_is_one_table_plus_batches():
@@ -797,10 +822,22 @@ def test_sieve_output_peak_memory_is_one_table_plus_batches():
         assert peak <= 4 * (limit + 1) + 3 * 2**20, (fmt, peak / 2**20)
 
 
+def test_huge_k_peak_memory_is_linear_in_k():
+    # search gm and pm at k = 300 and L = 2 over a child that only imports
+    # the search: each level holds one (rows, column) block of at most
+    # k + 1 rows, not a copy of every earlier member, so the scan holds
+    # block arrays linear in k, bounded here by 8 int64 arrays of k + 1
+    # entries per member, plus 3 MiB
+    k = 300
+    for argv in (["gm", "--k", str(k)], ["pm", "--k", str(k), "--p", "1", "--q", "1"]):
+        peak = _peak_over_import(["search", *argv, "--limit", "2"])
+        assert peak <= 3 * 2**20 + 64 * k * (k + 1), (argv[0], peak / 2**20)
+
+
 def test_alpha_beta_peak_memory_is_one_table_plus_blocks():
     # search alpha-beta --alphas 8,8 at 3*10^6 reads sigma(8*n) from the
     # table to the limit: the table's 4 bytes per entry plus 16 int64 arrays
-    # of one _CHUNK block
+    # of one SEGMENT block
     limit = 3_000_000
     peak = _peak_over_import(["search", "alpha-beta", "--alphas", "8,8", "--limit", str(limit)])
-    assert peak <= 4 * (limit + 1) + 16 * 8 * search._CHUNK, peak / 2**20
+    assert peak <= 4 * (limit + 1) + 16 * 8 * search.SEGMENT, peak / 2**20
