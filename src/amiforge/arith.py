@@ -125,7 +125,7 @@ def sigma(n: int, sieve: SigmaSieve | None = None) -> int:
     if n < 1:
         raise ValueError("sigma requires n >= 1")
     if sieve is not None and n <= sieve.limit:
-        return int(sieve.table[n])
+        return sieve.sigma(n)
     return factorize(n).sigma()
 
 

@@ -201,11 +201,11 @@ def _cmd_sieve(args):
     from .sieve import SEGMENT, build_sigma_sieve
 
     sieve = build_sigma_sieve(args.limit, args.sieve_budget)
-    # either format reads the table as Python ints a block of SEGMENT
-    # entries at a time, never all at once
+    # either format reads sigma as Python ints a block of SEGMENT values
+    # of n at a time, never all at once
     blocks = range(1, args.limit + 1, SEGMENT)
-    results = {"limit": args.limit, "sigma": (sieve.table[lo : lo + SEGMENT] for lo in blocks)}
-    rows = itertools.chain.from_iterable(enumerate(sieve.table[lo : lo + SEGMENT].tolist(), lo) for lo in blocks)
+    results = {"limit": args.limit, "sigma": (sieve.read(slice(lo, lo + SEGMENT)) for lo in blocks)}
+    rows = itertools.chain.from_iterable(enumerate(sieve.read(slice(lo, lo + SEGMENT)).tolist(), lo) for lo in blocks)
     return {"limit": args.limit}, results, _csv("n,sigma", rows, sep=","), 0
 
 

@@ -95,7 +95,7 @@ def _fixed_point_sum(sieve: SigmaSieve, x: int, k: int, bits: int) -> tuple[int,
     """(lo, hi) with lo <= 2^bits * sum_{n<=x} (sigma(n)/n)^k <= hi <= lo + x."""
     lo = inexact = 0
     for start in range(1, x + 1, SEGMENT):
-        for n, s in enumerate(sieve.table[start : min(start + SEGMENT, x + 1)].tolist(), start):
+        for n, s in enumerate(sieve.read(slice(start, min(start + SEGMENT, x + 1))).tolist(), start):
             q, r = divmod(s**k << bits, n**k)
             lo += q
             inexact += r != 0

@@ -104,12 +104,12 @@ def abundancy_solutions(sieve: SigmaSieve, bound: int, num: int, den: int) -> np
     sigma(a)/a = num/den exactly when sigma(a) = num*j. The sieve must cover
     bound.
 
-    int64: j*den <= bound indexes the table, and sigma(a) = num*j is tested
-    in division form, sigma(a) % num == 0 and sigma(a) // num == j, so no
-    product with num is formed; a num capped at 2^62 divides no table
-    entry, all of which are below 2^31, so it matches nothing, as its true
-    value would not. j runs in blocks of SEGMENT, each reading sigma(j*den)
-    in int64 through a strided slice of the table.
+    int64: j*den <= bound is within the sieve, and sigma(a) = num*j is
+    tested in division form, sigma(a) % num == 0 and sigma(a) // num == j,
+    so no product with num is formed; a num capped at 2^62 divides no
+    sigma(a), all of which are below 2^31, so it matches nothing, as its
+    true value would not. j runs in blocks of SEGMENT, each reading
+    sigma(j*den) in int64 through SigmaSieve.read of a strided slice.
     """
     num, count = _capped(num), bound // den
     found = [np.empty(0, dtype=np.int64)]
@@ -176,11 +176,13 @@ def _alpha_beta_pairs(spec: FamilySpec, limit: int, sieve: SigmaSieve):
     return _partner_pass(sieve, limit, partner, lambda n, s, m: _aliquots(sieve, b, m) == n)[::-1]
 
 
-def _sorted_entries(values, limit: int) -> np.ndarray:
-    """The ascending int64 entries values[n]*(limit + 1) + n for n in
-    1..limit, built a block of SEGMENT at a time and sorted in place. The
-    members of each value form one ascending run, and an entry e holds
-    n = e % (limit + 1) and its value e // (limit + 1). As each holds its own
+def _sorted_entries(read, limit: int) -> np.ndarray:
+    """The ascending int64 entries value(n)*(limit + 1) + n for n in
+    1..limit, where read(slice) gives the int64 values over a slice of
+    0..limit (SigmaSieve.read, or an int64 key array's __getitem__), built
+    a block of SEGMENT at a time and sorted in place. The members of each
+    value form one ascending run, and an entry e holds n = e % (limit + 1)
+    and its value e // (limit + 1). As each holds its own
     n, no two are equal, so searchsorted finds an entry's own position
     (side="left") and the next (side="right"), where the slots start.
     int64: every value is below 2^31 and limit < 2^24, so every entry is
@@ -188,7 +190,7 @@ def _sorted_entries(values, limit: int) -> np.ndarray:
     index = np.empty(limit, dtype=np.int64)
     for lo in range(0, limit, SEGMENT):
         hi = min(lo + SEGMENT, limit)
-        index[lo:hi] = values[lo + 1 : hi + 1].astype(np.int64) * (limit + 1) + np.arange(lo + 1, hi + 1)
+        index[lo:hi] = read(slice(lo + 1, hi + 1)) * (limit + 1) + np.arange(lo + 1, hi + 1)
     index.sort()
     return index
 
@@ -256,7 +258,7 @@ def equal_sigma_blocks(sieve: SigmaSieve, limit: int, k: int):
     _sorted_entries of sigma: slot j > 0 runs from the entry after the
     prefix's last member, found by searchsorted, to the end of its sigma
     run, less the k - 1 - j entries the later members need."""
-    index, width = _sorted_entries(sieve.table, limit), limit + 1
+    index, width = _sorted_entries(sieve.read, limit), limit + 1
 
     def slot(j, heads):
         if j == 0:
@@ -308,7 +310,7 @@ def weighted_tuples(sieve: SigmaSieve, limit: int, alphas, factor: int, strict: 
     weights = [_capped(a) for a in alphas]
     tails = [_capped(sum(alphas[i:])) for i in range(k)]
     factor = _capped(factor)
-    index = _sorted_entries(sieve.table, limit) if k > 2 else None
+    index = _sorted_entries(sieve.read, limit) if k > 2 else None
 
     def target(s):
         t = np.minimum(s, _CAP // factor)
@@ -491,7 +493,7 @@ def _last_slot(spec: FamilySpec, limit: int, sieve: SigmaSieve):
         s = min(16, 4096 // p)
         c = _iroot(q << s * p, p)
         c += c**p != q << s * p
-        cap = np.array([min((v * c - 1) >> s, k * limit) for v in sieve.table[: limit + 1].tolist()])
+        cap = np.array([min((v * c - 1) >> s, k * limit) for v in sieve.read(slice(limit + 1)).tolist()])
 
         def last(heads):
             return everything, heads[-1] - 1, np.minimum(np.min([cap[h] for h in heads], axis=0) - sum(heads), limit)
@@ -536,7 +538,7 @@ def _mean_family_kernel(spec: FamilySpec, limit: int, sieve: SigmaSieve) -> list
     and hence modulo the prime, where each denominator is a unit, so the
     filter cannot drop a member. A candidate that passes is kept only when
     families.check proves it, so a false positive is dropped and each
-    record is proven once. Only sieve.table[: limit + 1] is read.
+    record is proven once. Only sigma(n) for n <= limit is read.
     """
     mod, k = _MODULUS, spec.k
     n = np.arange(limit + 1, dtype=np.int64)
@@ -571,7 +573,7 @@ def _mean_family_kernel(spec: FamilySpec, limit: int, sieve: SigmaSieve) -> list
             num = num * _powmod(den, mod - 2, mod) % mod
         # a right side without a term is the constant target
         key, target = ((num - rhs) % mod, 0) if np.ndim(rhs) else (num, rhs)
-        order = _sorted_entries(key, limit)
+        order = _sorted_entries(key.__getitem__, limit)
         by_key = order % (limit + 1)
 
         def last(heads):

@@ -1,5 +1,6 @@
-"""The sigma table: a numpy sieve of sigma(n) for 1 <= n <= limit, and one
-exact vectorised pass for sigma past its end."""
+"""The sigma table: a numpy sieve of sigma over the odd numbers up to a
+limit, read as sigma(n) for every n <= limit, and one exact vectorised pass
+for sigma past its end."""
 
 from __future__ import annotations
 
@@ -22,14 +23,19 @@ SEGMENT = 1 << 14
 
 @dataclass(frozen=True, eq=False)
 class SigmaSieve:
-    """Lookup table of sigma(n) for 1 <= n <= limit.
+    """sigma(n) for 0 <= n <= limit, held as sigma of the odd numbers only.
 
-    The table is int32 and marked read-only after construction, so one
-    sieve can be shared freely between searches.
+    odd[j] = sigma(2j - 1) for 1 <= j <= (limit + 1) // 2, and odd[0] = 0.
+    sigma is multiplicative and sigma(2^e) = 2^(e+1) - 1, so n = b*m with
+    b = n & -n, the largest power of two dividing n, and m odd has sigma(n)
+    = odd[(m + 1) // 2] * (2b - 1): half the entries of a table of every
+    sigma(n). read and sigma are its only readers. The table is int32 and
+    marked read-only after construction, so one sieve can be shared freely
+    between searches.
     """
 
     limit: int
-    table: np.ndarray
+    odd: np.ndarray
 
     def covers(self, n: int) -> bool:
         return 1 <= n <= self.limit
@@ -37,27 +43,86 @@ class SigmaSieve:
     def sigma(self, n: int) -> int:
         if not 1 <= n <= self.limit:
             raise ValueError(f"sigma({n}) outside sieve range 1..{self.limit}")
-        return int(self.table[n])
+        b = n & -n
+        return int(self.odd[(n // b + 1) >> 1]) * int(2 * b - 1)
 
     def read(self, index) -> np.ndarray:
-        """sigma at index (int array or slice) in int64, which every kernel
-        computes in: int32 stays int32 with a Python int, and would wrap."""
-        return self.table[index].astype(np.int64)
+        """sigma(n) in int64, which every kernel computes in, for each n of
+        index: an int array or a slice of 0..limit, with sigma(0) = 0. An n
+        of an array outside 0..limit raises IndexError; a slice stops at
+        limit, as a slice of a table would.
+
+        An array reads each n from its odd part m = n >> (number of trailing
+        zeros). A slice of positive step fills each class n = 2^e * m, m
+        odd, with a strided assignment from the table: in an arithmetic
+        progression the n of one class are evenly spaced, and so are the
+        entries of their m, so a block takes at most about log2(limit)
+        assignments. int64: every entry is sigma of an odd m <= 2^28, below
+        2^31, and the product with 2b - 1 is sigma(n), which is below 2^31
+        too (see build_sigma_sieve).
+        """
+        if isinstance(index, slice):
+            span = range(self.limit + 1)[index]
+            if span.step > 0:
+                return self._progression(span)
+            n = np.arange(span.start, span.stop, span.step)
+        else:
+            n = np.asarray(index, dtype=np.int64)
+            if n.size and (n.min() < 0 or n.max() > self.limit):
+                raise IndexError(f"sigma read outside 0..{self.limit}")
+        b = n & -n
+        return self.odd[((n >> np.bitwise_count(b - 1)) + 1) >> 1] * (2 * b - 1)
+
+    def _progression(self, span: range) -> np.ndarray:
+        """read over span = range(a, stop, s), s >= 1, one class n = 2^e mod
+        2^(e+1) at a time until every n >= 1 is placed; n = 0 is in no class
+        and keeps its 0. With s = 2^t * s', s' odd: for e < t, a + i*s is in
+        class e for every i or for none, so when 2^t does not divide a every
+        n is placed before e reaches t; for e >= t, a + i*s is in class e
+        when i*s' = (2^e - a)/2^t mod 2^(e+1-t), so the class's i lie
+        period = 2^(e+1-t) apart, its n lie s*period apart, and the entries
+        (n/2^e + 1)/2 of their odd parts s*period/2^(e+1) apart. The classes
+        are filled in int32, where each product sigma(n) < 2^31 fits and
+        numpy multiplies a strided run without a casting buffer, and the
+        result is cast to int64 once."""
+        out = np.zeros(len(span), dtype=np.int32)
+        a, s = span.start, span.step
+        t = (s & -s).bit_length() - 1
+        inverse = pow(s >> t, -1, 1 << 64)  # of s' modulo every period
+        left = len(span) - (0 in span)
+        for e in range((span[-1] if span else 0).bit_length()):
+            if not left:
+                break
+            if e < t:
+                period, first = 1, 0 if a % (2 << e) == 1 << e else len(span)
+            else:
+                period = 2 << (e - t)
+                first = (((1 << e) - a) >> t) * inverse % period
+            if first < len(span):
+                gap = s * period >> (e + 1)
+                j = ((span[first] >> e) + 1) >> 1
+                run = out[first::period]
+                np.multiply(self.odd[j : j + gap * len(run) : gap], (2 << e) - 1, out=run)
+                left -= len(run)
+        return out.astype(np.int64)
 
 
 def build_sigma_sieve(limit: int, budget_bytes: int = DEFAULT_SIEVE_BUDGET) -> SigmaSieve:
-    """Tabulate sigma up to limit in int32 by accumulating divisor pairs.
+    """Tabulate sigma of the odd numbers up to limit in int32 by
+    accumulating divisor pairs.
 
-    Each n = d*m with d <= m has the divisor pair (d, m). The table starts
-    at n + 1, the pair (1, n), with sigma(0) = 0 and sigma(1) = 1. For each
-    2 <= d <= isqrt(limit), the entries n = d*m, m = d, d+1, ..., limit/d,
-    get d + m added by strided slice-adds, one per segment of at most
-    SEGMENT values of m, each an int32 arange of its d + m; at n = d*d the
-    pair counts d twice, so d is taken off. int32: every entry is a partial
-    sum of sigma(n) plus at most d, and sigma(n)/n < 5.6 for n <=
-    MAX_SIEVE_LIMIT = 2^28 by Robin's bound (see sigma_beyond), so sigma(n)
-    < 2^31; every d + m is at most limit. Kernels read the table in int64.
-    The table takes 4 bytes per entry and a segment at most 4 more, so the
+    Each odd n = d*m with d <= m has the divisor pair (d, m), both odd, as
+    every divisor of an odd number is. Entry j, for n = 2j - 1, starts at
+    n + 1 = 2j, the pair (1, n), with sigma(1) = 1 and entry 0 = 0. For
+    each odd 3 <= d <= isqrt(limit), the entries of n = d*m, m = d, d+2,
+    ..., up to limit/d, which lie d apart at (d*m + 1)/2, get d + m added by
+    strided slice-adds, one per segment of at most SEGMENT values of m, each
+    an int32 arange of its d + m; at n = d*d the pair counts d twice, so d
+    is taken off. int32: every entry is a partial sum of sigma(n) plus at
+    most d, and sigma(n)/n < 5.6 for n <= MAX_SIEVE_LIMIT = 2^28 by Robin's
+    bound (see sigma_beyond), so sigma(n) < 2^31 for every n, odd or not;
+    every d + m is at most limit. SigmaSieve.read forms sigma(n) in int64.
+    The table takes 2 bytes per n and a segment at most 4 more, so the
     budget's charge of 8 bytes per entry (2 GiB by default) is an upper
     bound on the whole build and the table it leaves. Raises ValueError,
     before any allocation, when limit exceeds 2^28 or the sieve would not
@@ -72,16 +137,17 @@ def build_sigma_sieve(limit: int, budget_bytes: int = DEFAULT_SIEVE_BUDGET) -> S
         raise ValueError(
             f"sieve to {limit} needs {need} bytes which exceeds the budget of {budget_bytes}"
         )
-    table = np.arange(1, limit + 2, dtype=np.int32)
-    table[:2] = 0, 1
-    for d in range(2, math.isqrt(limit) + 1):
+    odd = np.arange(0, limit + 2, 2, dtype=np.int32)
+    odd[1] = 1
+    for d in range(3, math.isqrt(limit) + 1, 2):
         end = limit // d + 1
-        for m in range(d, end, SEGMENT):
-            count = min(SEGMENT, end - m)
-            table[d * m : d * (m + count) : d] += np.arange(d + m, d + m + count, dtype=np.int32)
-        table[d * d] -= d
-    table.setflags(write=False)
-    return SigmaSieve(limit, table)
+        for m in range(d, end, 2 * SEGMENT):
+            count = min(SEGMENT, (end - m + 1) // 2)
+            start = (d * m + 1) // 2
+            odd[start : start + d * count : d] += np.arange(d + m, d + m + 2 * count, 2, dtype=np.int32)
+        odd[(d * d + 1) // 2] -= d
+    odd.setflags(write=False)
+    return SigmaSieve(limit, odd)
 
 
 class CoverageError(ValueError):
@@ -140,7 +206,7 @@ def sigma_beyond(sieve: SigmaSieve, x: np.ndarray) -> np.ndarray:
         raise ValueError(f"sigma_beyond needs values in ({sieve.limit}, {reach}]")
     top = math.isqrt(int(x.max()))
     candidates = np.arange(2, top + 1)
-    primes = candidates[sieve.table[2 : top + 1] == candidates + 1]
+    primes = candidates[sieve.read(slice(2, top + 1)) == candidates + 1]
     at, c, acc = np.arange(len(x)), x.copy(), np.ones(len(x), dtype=np.int64)
 
     def finish(rows):

@@ -24,9 +24,10 @@ Cohen pairs and sigma(n) = a*n up to 10^7), `scan-question` up to 10^7
 and as CSV,
 `density multi` at weights (1, 2), (2, 1) and (1, 1) and `amicable` up to
 3*10^6, whose partners past the sieve fill many sigma_beyond batches,
-`pomerance`, and `lemma` at k = 1 and 3,
+`pomerance`, and `lemma` at k = 1, 2 and 3,
 `construct` with --ns and with --seed-limit (at k = 2, 3 and 4, weights up
-to 2^64 and a-bounds from 1 to 10^7), the `sieve` table as JSON and CSV,
+to 2^64 and a-bounds from 1 to 10^7), the `sieve` table as JSON and CSV
+up to 10^6 and at the odd, even and power-of-two limits 1, 2 and 2^17,
 pm at k = 2 up to 10^5 in both formats, `check` on members that the exact
 arithmetic must refuse or prove and on non-members of each weighted kind,
 and one search refused by each FamilySpec rule. pytest does not collect
@@ -143,6 +144,9 @@ COMMANDS = [
     ("scan-question", "--limit", "10000000"),
     ("sieve", "--limit", "1000000", "--format", "csv"),
     ("sieve", "--limit", "1000000"),
+    ("sieve", "--limit", "1"),
+    ("sieve", "--limit", "2", "--format", "csv"),
+    ("sieve", "--limit", "131072"),
     ("search", "pm", "--k", "2", "--p", "1", "--q", "2", "--limit", "100000"),
     ("search", "pm", "--k", "2", "--p", "1", "--q", "2", "--limit", "100000", "--format", "csv"),
     ("density", "multi", "--alpha", "1", "--beta", "2", "--checkpoints", "100000,3000000"),
@@ -153,6 +157,7 @@ COMMANDS = [
     ("density", "pomerance", "--checkpoints", "1000,1000000"),
     ("density", "lemma", "--k", "1", "--checkpoints", "1000,1000000"),
     ("density", "lemma", "--k", "3", "--checkpoints", "1000,30000"),
+    ("density", "lemma", "--k", "2", "--checkpoints", "30000"),
     ("construct", "--alphas", "1,2", "--seed-limit", "3000", "--a-bound", "3000"),
     ("construct", "--alphas", "2,1", "--seed-limit", "20000", "--a-bound", "200"),
     ("construct", "--alphas", "1,1,1", "--seed-limit", "3000", "--a-bound", "3000"),

@@ -139,7 +139,7 @@ def test_aliquot_examples():
 
 def test_sieve_small_table():
     sieve = build_sigma_sieve(10)
-    assert sieve.table[1:].tolist() == [1, 3, 4, 7, 6, 12, 8, 15, 13, 18]
+    assert sieve.read(slice(1, None)).tolist() == [1, 3, 4, 7, 6, 12, 8, 15, 13, 18]
     assert sieve.limit == 10
     assert sieve.covers(10)
     assert not sieve.covers(11)
@@ -149,7 +149,7 @@ def test_sieve_small_table():
 
 def test_sieve_limit_one():
     sieve = build_sigma_sieve(1)
-    assert sieve.table[1:].tolist() == [1]
+    assert sieve.read(slice(1, None)).tolist() == [1]
 
 
 def test_sieve_amicable_entries():
@@ -167,9 +167,9 @@ def test_sieve_agrees_with_divisor_loop(sieve_10k):
     # every limit 1..200 lies at, just below or just above a perfect square,
     # where the divisor pair (d, d) is counted once
     for limit in range(1, 201):
-        table = build_sigma_sieve(limit).table
-        assert table[0] == 0
-        assert table[1:].tolist() == [oracles.divisor_sigma(n) for n in range(1, limit + 1)], limit
+        sieve = build_sigma_sieve(limit)
+        assert sieve.read(np.array([0])).tolist() == [0]
+        assert sieve.read(slice(1, None)).tolist() == [oracles.divisor_sigma(n) for n in range(1, limit + 1)], limit
 
 
 def test_sieve_out_of_range():
@@ -186,23 +186,75 @@ def test_sigma_falls_back_beyond_sieve():
 
 
 def test_sieve_segment_edges():
-    # past 2 * SEGMENT, the runs m = d, d+1, ..., limit/d of small d are
-    # added in several segments; for d = 2..16 each n = d*m at either side
-    # of a segment edge, and every square d*d and the last entry, agree
-    # with the divisor loop
+    # the odd runs m = d, d+2, ..., up to limit/d of odd d are added in
+    # segments of SEGMENT values of m, so past 2 * SEGMENT a segment edge
+    # falls at each m = d + 2*SEGMENT*j; for every odd d, each n = d*m at
+    # either side of an edge, the last m of the run, every square d*d and
+    # the last entries agree with the divisor loop
     limit = 300_000
-    table = build_sigma_sieve(limit).table
-    assert limit // 2 > 2 * SEGMENT
+    sieve = build_sigma_sieve(limit)
+    assert (limit // 3 - 3) // 2 > 2 * SEGMENT
     edges = [
         d * m
-        for d in range(2, 17)
-        for j in range(1, limit // d // SEGMENT + 1)
-        for m in (d + j * SEGMENT - 1, d + j * SEGMENT)
+        for d in range(3, math.isqrt(limit) + 1, 2)
+        for j in range(1, limit // d // (2 * SEGMENT) + 1)
+        for m in (d + 2 * j * SEGMENT - 2, d + 2 * j * SEGMENT)
         if d * m <= limit
     ]
+    assert len(edges) > 6
+    ends = [d * (limit // d - (limit // d + 1) % 2) for d in range(3, math.isqrt(limit) + 1, 2)]
     squares = [d * d for d in range(2, math.isqrt(limit) + 1)]
-    for n in edges + squares + [limit]:
-        assert table[n] == oracles.divisor_sigma(n), n
+    n = edges + ends + squares + [limit - 1, limit]
+    assert sieve.read(np.array(n)).tolist() == [oracles.divisor_sigma(v) for v in n]
+
+
+def test_sieve_powers_of_two():
+    # sigma(2^e) = 2^(e+1) - 1 is the factor every even n is read with
+    limit = 2**17 + 3
+    sieve = build_sigma_sieve(limit)
+    powers = [2**e for e in range(18)]
+    expected = [oracles.divisor_sigma(v) for v in powers]
+    assert sieve.read(np.array(powers)).tolist() == expected
+    assert [sieve.sigma(v) for v in powers] == expected
+    assert sieve.read(slice(None))[powers].tolist() == expected
+
+
+def test_sieve_slices_from_zero_read_sigma_zero():
+    sieve = build_sigma_sieve(50)
+    table = [0] + [oracles.divisor_sigma(n) for n in range(1, 51)]
+    for k in range(53):
+        assert sieve.read(slice(0, k)).tolist() == table[:k], k
+        assert sieve.read(np.arange(min(k, 51))).tolist() == table[:k], k
+    assert sieve.read(slice(0, 1)).dtype == np.int64
+
+
+def test_sieve_strided_slices_of_abundancy_solutions():
+    # search.abundancy_solutions reads sigma(j*den) for j in lo..hi - 1 as
+    # the slice (lo*den, hi*den, den); here in blocks of 97 values of j
+    limit = 3000
+    sieve = build_sigma_sieve(limit)
+    for den in (1, 2, 3, 4, 5, 6, 8, 12, 120, 1024, 3000):
+        count = limit // den
+        for lo in range(1, count + 1, 97):
+            hi = min(lo + 97, count + 1)
+            expected = [oracles.divisor_sigma(j * den) for j in range(lo, hi)]
+            assert sieve.read(slice(lo * den, hi * den, den)).tolist() == expected, (den, lo)
+    # and any other progression, whose start the step's power of two need
+    # not divide
+    table = [0] + [oracles.divisor_sigma(n) for n in range(1, limit + 1)]
+    for step in (1, 2, 3, 4, 6, 8, 12, 48, 96):
+        for start in range(17):
+            assert sieve.read(slice(start, None, step)).tolist() == table[start::step], (start, step)
+
+
+def test_sieve_read_past_the_limit_raises():
+    # at an odd limit, limit + 1 = 2*m with m <= limit, whose entry exists
+    for limit in (10, 11):
+        sieve = build_sigma_sieve(limit)
+        for bad in ([limit + 1], [1, limit + 1], [-1]):
+            with pytest.raises(IndexError):
+                sieve.read(np.array(bad))
+        assert sieve.read(slice(limit - 1, limit + 5)).tolist() == [oracles.divisor_sigma(n) for n in (limit - 1, limit)]
 
 
 def test_sigma_beyond_cofactor_divided_by_itself():
@@ -256,7 +308,7 @@ def test_sieve_validation():
 def test_sieve_table_read_only():
     sieve = build_sigma_sieve(10)
     with pytest.raises(ValueError):
-        sieve.table[3] = 99
+        sieve.odd[3] = 99
 
 
 def test_abundancy_examples():

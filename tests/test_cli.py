@@ -158,7 +158,7 @@ def test_sieve_table(capsys):
         assert cli.run(["sieve", "--limit", str(limit)]) == 0
         out = capsys.readouterr().out
         sigmas = json.loads(out)["results"]["sigma"]
-        assert sigmas == build_sigma_sieve(limit).table[1:].tolist()
+        assert sigmas == build_sigma_sieve(limit).read(slice(1, None)).tolist()
         assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
         assert cli.run(["sieve", "--limit", str(limit), "--format", "csv"]) == 0
         rows = "".join(f"{n},{s}\n" for n, s in enumerate(sigmas, start=1))

@@ -209,7 +209,7 @@ def test_find_seed_tuples_matches_combinations(sieve_10k):
     # weights past int64 go through the min(alpha, 6*sigma) form
     groups = {}
     for n in range(1, 3001):
-        groups.setdefault(int(sieve_10k.table[n]), []).append(n)
+        groups.setdefault(sieve_10k.sigma(n), []).append(n)
     ratios = _abundancies(1000)
     for alphas, limit in (
         ((1, 2), 3000),

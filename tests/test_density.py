@@ -173,7 +173,7 @@ def test_harmonic_identity(sieve_1k):
 def test_lemma_sigma_sum_identity(sieve_100k):
     # sum_{n<=x} sigma(n) = sum_{u<=x} u*floor(x/u): u divides floor(x/u) of 1..x
     for x in (1, 10, 1000, 10**5):
-        assert int(sieve_100k.table[1 : x + 1].sum()) == sum(u * (x // u) for u in range(1, x + 1))
+        assert int(sieve_100k.read(slice(1, x + 1)).sum()) == sum(u * (x // u) for u in range(1, x + 1))
 
 
 def test_lemma_enclosure_doubles_from_one_bit(monkeypatch, sieve_1k):

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 from pathlib import Path
@@ -39,6 +40,28 @@ AMICABLE_PAIRS_10K = [
 
 def members_of(report):
     return [r.members for r in report.records]
+
+
+@dataclass(frozen=True, eq=False)
+class PlantedSieve(SigmaSieve):
+    """A sieve whose read and sigma return values[n], a read-only int64
+    array of sigma over 0..limit in which a test plants or garbles values."""
+
+    values: np.ndarray
+
+    def sigma(self, n):
+        return int(self.values[n])
+
+    def read(self, index):
+        return self.values[index]
+
+
+def planted(sieve, index, value):
+    """sieve with its sigma over 0..limit copied and set to value at index."""
+    values = sieve.read(slice(None))
+    values[index] = value
+    values.setflags(write=False)
+    return PlantedSieve(sieve.limit, sieve.odd, values)
 
 
 def test_pm_example(sieve_1k):
@@ -276,7 +299,7 @@ def test_additive_mean_families_solve_the_last_member(monkeypatch):
     # once per block of the L^2 / 2 pairs (5 * 10^9 here)
     limit = 100_000
     sieve = build_sigma_sieve(limit)
-    sig = sieve.table.tolist()
+    sig = sieve.read(slice(None)).tolist()
     calls = []
     exact_sides = search.mean_sides
 
@@ -464,10 +487,7 @@ def test_iroot_is_the_floor_of_the_root():
 
 def test_mean_kernel_reads_only_the_limit(sieve_10k):
     # entries past the limit are zero, which no sigma is; the records must not change
-    table = sieve_10k.table.copy()
-    table[301:] = 0
-    table.setflags(write=False)
-    garbled = SigmaSieve(sieve_10k.limit, table)
+    garbled = planted(sieve_10k, slice(301, None), 0)
     for spec in (FamilySpec("hm", 2, p=1, q=2), FamilySpec("wgm", 2)):
         clean = enumerate_family(spec, 300, sieve=sieve_10k)
         assert members_of(enumerate_family(spec, 300, sieve=garbled)) == members_of(clean)
@@ -636,10 +656,7 @@ def test_scan_open_question_empty(sieve_1k):
 def test_scan_open_question_finds_planted_pair(sieve_1k):
     # every real scan comes back empty, so plant sigma(3) = sigma(4) = 5,
     # which makes (3, 4) solve 5^2 = 3^2 + 4^2 with equal sigma
-    table = sieve_1k.table.copy()
-    table[3] = table[4] = 5
-    table.setflags(write=False)
-    report = scan_open_question(1000, SigmaSieve(sieve_1k.limit, table))
+    report = scan_open_question(1000, planted(sieve_1k, [3, 4], 5))
     assert [r.members for r in report.records] == [(3, 4)]
     assert report.records[0].sigmas == (5, 5)
 
@@ -669,7 +686,7 @@ def test_scanned_counts_whole_range(sieve_1k):
 
 
 def test_int32_table_read_as_int64(sieve_1k):
-    assert sieve_1k.table.dtype == np.int32
+    assert sieve_1k.odd.dtype == np.int32
     assert sieve_1k.read(slice(1, 4)).dtype == np.int64
     assert sieve_1k.read(np.array([220, 284])).tolist() == [504, 504]
 
@@ -677,11 +694,8 @@ def test_int32_table_read_as_int64(sieve_1k):
 def test_scan_question_past_int32_squares(sieve_100k):
     # sigma(m)^2 passes 2^31 once sigma(m) > 46341; plant the triple
     # (60000, 80000, 100000) and compare with the scan in exact integers
-    table = sieve_100k.table.copy()
-    table[60000] = table[80000] = 100000
-    table.setflags(write=False)
-    planted = SigmaSieve(sieve_100k.limit, table)
-    sig = table.tolist()
+    sieve = planted(sieve_100k, [60000, 80000], 100000)
+    sig = sieve.values.tolist()
     expected = []
     for m in range(1, 10**5 + 1):
         target = sig[m] ** 2 - m * m
@@ -689,7 +703,7 @@ def test_scan_question_past_int32_squares(sieve_100k):
         if m <= n <= 10**5 and n * n == target and sig[n] == sig[m]:
             expected.append((m, n))
     assert expected == [(60000, 80000)]
-    assert [r.members for r in scan_open_question(10**5, planted).records] == expected
+    assert [r.members for r in scan_open_question(10**5, sieve).records] == expected
     assert scan_open_question(10**5, sieve_100k).records == []
 
 
@@ -698,7 +712,7 @@ def test_k3_weighted_keys_past_int32(sieve_100k):
     # Yanney triples against the sigma groups, in exact integers
     limit = 10**5
     groups = {}
-    for n, s in enumerate(sieve_100k.table[: limit + 1].tolist()):
+    for n, s in enumerate(sieve_100k.read(slice(limit + 1)).tolist()):
         if n:
             groups.setdefault(s, []).append(n)
     for kind, factor in (("dickson", 1), ("yanney", 2)):
@@ -718,14 +732,14 @@ def test_mean_filter_powers_past_int32():
     # 1571328, whose square passes 2^31 in the modular powers
     limit = 600000
     sieve = build_sigma_sieve(limit)
-    expected = [(n,) for n, s in enumerate(sieve.table.tolist()) if n and s * s == 9 * n * n]
+    expected = [(n,) for n, s in enumerate(sieve.read(slice(None)).tolist()) if n and s * s == 9 * n * n]
     assert expected == [(120,), (672,), (523776,)]
     assert members_of(enumerate_family(FamilySpec("pm", 1, p=2, q=9), limit, sieve)) == expected
 
 
 def test_abundancy_numerators_past_int32(sieve_100k):
     # a numerator that int32 cannot hold meets the table in int64
-    sig = sieve_100k.table.tolist()
+    sig = sieve_100k.read(slice(None)).tolist()
     for num, den in ((2**31 - 1, 1), (2**31 + 1, 3), (2**40, 7), (2**62 + 5, 1)):
         expected = [a for a in range(1, 10**5 + 1) if sig[a] * den == num * a]
         assert search.abundancy_solutions(sieve_100k, 10**5, num, den).tolist() == expected
@@ -735,7 +749,7 @@ def test_abundancy_numerators_past_int32(sieve_100k):
 def test_seed_weights_past_int32(sieve_10k):
     # weights of 2^31 and more meet the sigma of equal_sigma_blocks in int64
     groups = {}
-    for n, s in enumerate(sieve_10k.table[:3001].tolist()):
+    for n, s in enumerate(sieve_10k.read(slice(3001)).tolist()):
         if n:
             groups.setdefault(s, []).append(n)
     for alphas in ((2**31 + 1, 1), (1, 2**40), (3, 2**31 - 1)):
@@ -775,21 +789,21 @@ def _peak_over_import(argv) -> int:
 
 def test_linear_pass_peak_memory_is_one_table_plus_blocks():
     # search amicable-pair at 3*10^6 over a child that only imports the
-    # search: the int32 table's 4 bytes per entry, which the build adds to
-    # a segment at a time, plus 3 MiB for the block arrays and the
+    # search: the int32 table of odd n, 2 bytes per n, which the build adds
+    # to a segment at a time, plus 3 MiB for the block arrays and the
     # allocator's fixed overhead, which does not scale with the block
     limit = 3_000_000
     peak = _peak_over_import(["search", "amicable-pair", "--limit", str(limit)])
-    assert peak <= 4 * (limit + 1) + 3 * 2**20, peak / 2**20
+    assert peak <= 2 * (limit + 1) + 3 * 2**20, peak / 2**20
 
 
 def test_sorted_pass_peak_memory_is_one_table_and_index_plus_blocks():
-    # search dickson --k 3 at 3*10^6: the table's 4 bytes per entry, 8 per
+    # search dickson --k 3 at 3*10^6: the table's 2 bytes per n, 8 per
     # member for the int64 sorted index, and 32 int64 arrays of one SEGMENT
     # block
     limit = 3_000_000
     peak = _peak_over_import(["search", "dickson", "--k", "3", "--limit", str(limit)])
-    assert peak <= 4 * (limit + 1) + 8 * limit + 32 * 8 * search.SEGMENT, peak / 2**20
+    assert peak <= 2 * (limit + 1) + 8 * limit + 32 * 8 * search.SEGMENT, peak / 2**20
 
 
 def test_seeded_construct_peak_memory_is_one_table_and_index_plus_blocks():
@@ -804,22 +818,23 @@ def test_seeded_construct_peak_memory_is_one_table_and_index_plus_blocks():
 
 def test_construct_ratio_table_stays_within_the_budget_charge():
     # construct --alphas 1,2 --seed-limit 100 --a-bound 3*10^6: the int32
-    # sigma table and the float32 table of sigma(a)/a, the 8 bytes per entry
-    # that --sieve-budget charges, plus 32 int64 arrays of one SEGMENT block
+    # sigma table of odd n, 2 bytes per n, and the float32 table of
+    # sigma(a)/a, 4 bytes per a, within the 8 bytes per entry that
+    # --sieve-budget charges, plus 32 int64 arrays of one SEGMENT block
     bound = 3_000_000
     peak = _peak_over_import(["construct", "--alphas", "1,2", "--seed-limit", "100", "--a-bound", str(bound)])
-    assert peak <= 8 * (bound + 1) + 32 * 8 * search.SEGMENT, peak / 2**20
+    assert peak <= 2 * (bound + 1) + 4 * bound + 32 * 8 * search.SEGMENT, peak / 2**20
 
 
 def test_sieve_output_peak_memory_is_one_table_plus_batches():
     # sieve --limit 10^6 over a child that only imports the search: as
     # JSON and as CSV, the text is rendered from blocks of the table and
-    # written in batches, never held whole, so both take the table's 4
-    # bytes per entry and 3 MiB for the batches alone
+    # written in batches, never held whole, so both take the table's 2
+    # bytes per n and 3 MiB for the batches alone
     limit = 1_000_000
     for fmt in ("json", "csv"):
         peak = _peak_over_import(["sieve", "--limit", str(limit), "--format", fmt])
-        assert peak <= 4 * (limit + 1) + 3 * 2**20, (fmt, peak / 2**20)
+        assert peak <= 2 * (limit + 1) + 3 * 2**20, (fmt, peak / 2**20)
 
 
 def test_huge_k_peak_memory_is_linear_in_k():
@@ -836,8 +851,8 @@ def test_huge_k_peak_memory_is_linear_in_k():
 
 def test_alpha_beta_peak_memory_is_one_table_plus_blocks():
     # search alpha-beta --alphas 8,8 at 3*10^6 reads sigma(8*n) from the
-    # table to the limit: the table's 4 bytes per entry plus 16 int64 arrays
-    # of one SEGMENT block
+    # table to the limit: the table's 2 bytes per n plus 16 int64 arrays of
+    # one SEGMENT block
     limit = 3_000_000
     peak = _peak_over_import(["search", "alpha-beta", "--alphas", "8,8", "--limit", str(limit)])
-    assert peak <= 4 * (limit + 1) + 16 * 8 * search.SEGMENT, peak / 2**20
+    assert peak <= 2 * (limit + 1) + 16 * 8 * search.SEGMENT, peak / 2**20
