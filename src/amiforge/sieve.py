@@ -52,59 +52,20 @@ class SigmaSieve:
         of an array outside 0..limit raises IndexError; a slice stops at
         limit, as a slice of a table would.
 
-        An array reads each n from its odd part m = n >> (number of trailing
-        zeros). A slice of positive step fills each class n = 2^e * m, m
-        odd, with a strided assignment from the table: in an arithmetic
-        progression the n of one class are evenly spaced, and so are the
-        entries of their m, so a block takes at most about log2(limit)
-        assignments. int64: every entry is sigma of an odd m <= 2^28, below
-        2^31, and the product with 2b - 1 is sigma(n), which is below 2^31
-        too (see build_sigma_sieve).
+        Each n reads the entry (m + 1) / 2 of its odd part m = n / b, b = n &
+        -n; n = 0 has b = 0, divides by 1 and reads entry 0. int64: every
+        entry is sigma of an odd m <= 2^28, below 2^31, and the product with
+        2b - 1 is sigma(n), which is below 2^31 too (see build_sigma_sieve).
         """
         if isinstance(index, slice):
             span = range(self.limit + 1)[index]
-            if span.step > 0:
-                return self._progression(span)
-            n = np.arange(span.start, span.stop, span.step)
+            n = np.arange(span.start, span.stop, span.step, dtype=np.int64)
         else:
             n = np.asarray(index, dtype=np.int64)
             if n.size and (n.min() < 0 or n.max() > self.limit):
                 raise IndexError(f"sigma read outside 0..{self.limit}")
         b = n & -n
-        return self.odd[((n >> np.bitwise_count(b - 1)) + 1) >> 1] * (2 * b - 1)
-
-    def _progression(self, span: range) -> np.ndarray:
-        """read over span = range(a, stop, s), s >= 1, one class n = 2^e mod
-        2^(e+1) at a time until every n >= 1 is placed; n = 0 is in no class
-        and keeps its 0. With s = 2^t * s', s' odd: for e < t, a + i*s is in
-        class e for every i or for none, so when 2^t does not divide a every
-        n is placed before e reaches t; for e >= t, a + i*s is in class e
-        when i*s' = (2^e - a)/2^t mod 2^(e+1-t), so the class's i lie
-        period = 2^(e+1-t) apart, its n lie s*period apart, and the entries
-        (n/2^e + 1)/2 of their odd parts s*period/2^(e+1) apart. The classes
-        are filled in int32, where each product sigma(n) < 2^31 fits and
-        numpy multiplies a strided run without a casting buffer, and the
-        result is cast to int64 once."""
-        out = np.zeros(len(span), dtype=np.int32)
-        a, s = span.start, span.step
-        t = (s & -s).bit_length() - 1
-        inverse = pow(s >> t, -1, 1 << 64)  # of s' modulo every period
-        left = len(span) - (0 in span)
-        for e in range((span[-1] if span else 0).bit_length()):
-            if not left:
-                break
-            if e < t:
-                period, first = 1, 0 if a % (2 << e) == 1 << e else len(span)
-            else:
-                period = 2 << (e - t)
-                first = (((1 << e) - a) >> t) * inverse % period
-            if first < len(span):
-                gap = s * period >> (e + 1)
-                j = ((span[first] >> e) + 1) >> 1
-                run = out[first::period]
-                np.multiply(self.odd[j : j + gap * len(run) : gap], (2 << e) - 1, out=run)
-                left -= len(run)
-        return out.astype(np.int64)
+        return self.odd[(n // np.maximum(b, 1) + 1) >> 1] * (2 * b - 1)
 
 
 def build_sigma_sieve(limit: int, budget_bytes: int = DEFAULT_SIEVE_BUDGET) -> SigmaSieve:

@@ -239,8 +239,7 @@ def test_sieve_strided_slices_of_abundancy_solutions():
             hi = min(lo + 97, count + 1)
             expected = [oracles.divisor_sigma(j * den) for j in range(lo, hi)]
             assert sieve.read(slice(lo * den, hi * den, den)).tolist() == expected, (den, lo)
-    # and any other progression, whose start the step's power of two need
-    # not divide
+    # and other progressions, from every start
     table = [0] + [oracles.divisor_sigma(n) for n in range(1, limit + 1)]
     for step in (1, 2, 3, 4, 6, 8, 12, 48, 96):
         for start in range(17):
