@@ -198,14 +198,12 @@ def _search_csv(report):
 
 
 def _cmd_sieve(args):
-    from .sieve import SEGMENT, build_sigma_sieve
+    from .sieve import build_sigma_sieve
 
     sieve = build_sigma_sieve(args.limit, args.sieve_budget)
-    # either format reads sigma as Python ints a block of SEGMENT values
-    # of n at a time, never all at once
-    blocks = range(1, args.limit + 1, SEGMENT)
-    results = {"limit": args.limit, "sigma": (sieve.read(slice(lo, lo + SEGMENT)) for lo in blocks)}
-    rows = itertools.chain.from_iterable(enumerate(sieve.read(slice(lo, lo + SEGMENT)).tolist(), lo) for lo in blocks)
+    # either format reads sigma as Python ints a block at a time, never all at once
+    results = {"limit": args.limit, "sigma": (s for _, s in sieve.blocks(args.limit))}
+    rows = itertools.chain.from_iterable(enumerate(s.tolist(), int(n[0])) for n, s in sieve.blocks(args.limit))
     return {"limit": args.limit}, results, _csv("n,sigma", rows, sep=","), 0
 
 

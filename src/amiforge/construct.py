@@ -19,7 +19,7 @@ import numpy as np
 from .arith import sigma
 from .families import is_multiamicable
 from .search import _capped, abundancy_solutions, check_search_limit, equal_sigma_blocks
-from .sieve import SEGMENT, SigmaSieve, covering_sieve
+from .sieve import SigmaSieve, covering_sieve
 
 
 @dataclass(frozen=True)
@@ -104,7 +104,7 @@ def find_seed_tuples(
     """All strictly increasing equal-sigma seeds N_1 < ... < N_k <= n_limit
     whose target ratio is at least 1, from search.equal_sigma_blocks; with
     a_bound, only those whose float32 total/sigma is in a sorted float32
-    table of sigma(a)/a, a <= a_bound (4 bytes per a, filled a SEGMENT at a
+    table of sigma(a)/a, a <= a_bound (4 bytes per a, filled a block at a
     time). That test drops no seed with a multiplier: both quotients are
     correctly rounded float64 divisions of integers below 2^53, cast to
     float32 alike, so equal rationals give equal keys; sigma(a)/a < 5.6 for
@@ -128,9 +128,8 @@ def find_seed_tuples(
     sieve = covering_sieve(max(n_limit, a_bound or 1), sieve)
     if a_bound is not None:
         ratios = np.empty(a_bound, dtype=np.float32)
-        for lo in range(1, a_bound + 1, SEGMENT):
-            hi = min(lo + SEGMENT, a_bound + 1)
-            ratios[lo - 1 : hi - 1] = sieve.read(slice(lo, hi)) / np.arange(lo, hi)
+        for a, s in sieve.blocks(a_bound):
+            ratios[a[0] - 1 : a[-1]] = s / a
         ratios.sort()
     out = []
     for s, members in equal_sigma_blocks(sieve, n_limit, len(alphas)):

@@ -15,7 +15,7 @@ from fractions import Fraction
 from .arith import zeta_approx
 from .families import FamilySpec
 from .search import check_search_limit, enumerate_family, weighted_tuples
-from .sieve import SEGMENT, SigmaSieve, covering_sieve
+from .sieve import SigmaSieve, covering_sieve
 
 ZETA_EPS = 1e-9
 _START_BITS = 128  # fixed-point bits of the first lemma-sum enclosure
@@ -94,8 +94,8 @@ def count_multiamicable_pairs(alpha: int, beta: int, checkpoints, sieve: SigmaSi
 def _fixed_point_sum(sieve: SigmaSieve, x: int, k: int, bits: int) -> tuple[int, int]:
     """(lo, hi) with lo <= 2^bits * sum_{n<=x} (sigma(n)/n)^k <= hi <= lo + x."""
     lo = inexact = 0
-    for start in range(1, x + 1, SEGMENT):
-        for n, s in enumerate(sieve.read(slice(start, min(start + SEGMENT, x + 1))).tolist(), start):
+    for block, sigmas in sieve.blocks(x):
+        for n, s in enumerate(sigmas.tolist(), int(block[0])):
             q, r = divmod(s**k << bits, n**k)
             lo += q
             inexact += r != 0

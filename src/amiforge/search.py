@@ -45,8 +45,8 @@ MAX_SEARCH_LIMIT = 10**7  # sigma(n) < 2^26 up to it, which the int64 arguments 
 _CAP = 1 << 62
 
 # The mean families' row filter works modulo this prime, 2^31 - 1. Scans take
-# blocks of at most _BLOCK tuples, or of sieve.SEGMENT members or prefixes
-# for the partner passes and weighted_tuples, each read when the scan starts.
+# blocks of at most _BLOCK tuples, or of sieve.SEGMENT members or prefixes in
+# weighted_tuples and the sieve's blocks, each read when the scan starts.
 _MODULUS = 2**31 - 1
 _BLOCK = 1 << 13
 
@@ -64,14 +64,14 @@ def _capped(value: int) -> int:
     return min(value, _CAP)
 
 
-def _aliquots(sieve: SigmaSieve, w: int, v: np.ndarray) -> np.ndarray:
+def _aliquots(s: np.ndarray, w: int, v: np.ndarray) -> np.ndarray:
     """s(w*v) = sigma(w*v) - w*v for each v >= 1, capped at 2^62.
 
-    Every v is an alpha-beta member, within the sieve, so sigma(v) comes
-    from the table. Then each p^e || w, from the cached factorize(w), turns
-    sigma(v) into sigma(v * p^e): with q = p^k || v, sigma is
-    multiplicative, so its factor sigma(q) becomes sigma(q * p^e) = sigma(q)
-    + q*(sigma(p^e) - 1).
+    s = sigma(v), which the caller reads from the table, as every v is an
+    alpha-beta member within the sieve. Each p^e || w, from the cached
+    factorize(w), turns sigma(v) into sigma(v * p^e): with q = p^k || v,
+    sigma is multiplicative, so its factor sigma(q) becomes sigma(q * p^e) =
+    sigma(q) + q*(sigma(p^e) - 1).
 
     int64: v <= MAX_SEARCH_LIMIT = 10^7, so sigma(v) < 2^26, and while
     sigma(w) < 2^36 every intermediate, the sigma of a divisor of w*v, is
@@ -80,7 +80,6 @@ def _aliquots(sieve: SigmaSieve, w: int, v: np.ndarray) -> np.ndarray:
     2^36 takes the same steps on object arrays. The cap touches only values
     that no kernel compares with anything as large.
     """
-    s = sieve.read(v)
     f = factorize(w)
     if f.sigma() >= 1 << 36:
         s, v = s.astype(object), v.astype(object)
@@ -104,32 +103,26 @@ def abundancy_solutions(sieve: SigmaSieve, bound: int, num: int, den: int) -> np
     sigma(a)/a = num/den exactly when sigma(a) = num*j. The sieve must cover
     bound.
 
-    int64: j*den <= bound is within the sieve, and sigma(a) = num*j is
-    tested in division form, sigma(a) % num == 0 and sigma(a) // num == j,
-    so no product with num is formed; a num capped at 2^62 divides no
-    sigma(a), all of which are below 2^31, so it matches nothing, as its
-    true value would not. j runs in blocks of SEGMENT, each reading
-    sigma(j*den) in int64 through SigmaSieve.read of a strided slice.
+    int64: a <= bound is within the sieve, and sigma(a) = num*j is tested
+    as sigma(a) % num == 0 and (sigma(a) // num)*den == a, below 2^31 *
+    bound <= 2^59, so no product with num is formed; a num capped at 2^62
+    divides no sigma(a), all of which are below 2^31, so it matches
+    nothing, as its true value would not. a runs over the multiples of den
+    in the blocks of SigmaSieve.blocks, each with sigma(a) in int64.
     """
-    num, count = _capped(num), bound // den
-    found = [np.empty(0, dtype=np.int64)]
-    for lo in range(1, count + 1, SEGMENT):
-        hi = min(lo + SEGMENT, count + 1)
-        j, s = np.arange(lo, hi), sieve.read(slice(lo * den, hi * den, den))
-        found.append(j[(s % num == 0) & (s // num == j)] * den)
-    return np.concatenate(found)
+    num = _capped(num)
+    found = [a[(s % num == 0) & (s // num * den == a)] for a, s in sieve.blocks(bound, den)]
+    return np.concatenate([np.empty(0, dtype=np.int64), *found])
 
 
 def _partner_pass(sieve: SigmaSieve, limit: int, partner, accept) -> tuple[np.ndarray, np.ndarray]:
     """The accepted pairs (m, n), m in 1..limit, as two arrays in the order
     of m: partner(m, s), s = sigma(m), gives each m its partner n and a mask
-    of the valid ones, and accept(m, s, n) tests those. m runs in int64
-    blocks of SEGMENT, so the pass holds a few block arrays besides the
-    table; each rule states its own int64 argument."""
+    of the valid ones, and accept(m, s, n) tests those. m and s come in
+    the int64 blocks of SigmaSieve.blocks; each rule states its own int64
+    argument."""
     found = [(np.empty(0, dtype=np.int64),) * 2]
-    for lo in range(1, limit + 1, SEGMENT):
-        hi = min(lo + SEGMENT, limit + 1)
-        m, s = np.arange(lo, hi), sieve.read(slice(lo, hi))
+    for m, s in sieve.blocks(limit):
         n, keep = partner(m, s)
         m, s, n = m[keep], s[keep], n[keep]
         hit = accept(m, s, n)
@@ -162,18 +155,18 @@ def _alpha_beta_pairs(spec: FamilySpec, limit: int, sieve: SigmaSieve):
     """(m, n), both <= limit, with s(a*n) = m and s(b*m) = n; m <= n when
     a = b. The pass runs over n, whose partner is m = s(a*n).
 
-    int64: both reads go through _aliquots, which reads sigma(n) and
-    sigma(m) from the table, as n, m <= limit, and applies the weight's
-    factorization.
+    int64: _aliquots applies each weight's factorization to sigma from the
+    table, as n, m <= limit: the block's sigma(n), read once by the pass,
+    and sigma(m), read by the accept rule.
     """
     a, b = spec.alphas
 
     def partner(n, s):
-        m = _aliquots(sieve, a, n)
+        m = _aliquots(s, a, n)
         keep = (m >= 1) & (m <= limit)
         return m, keep & (m <= n) if a == b else keep
 
-    return _partner_pass(sieve, limit, partner, lambda n, s, m: _aliquots(sieve, b, m) == n)[::-1]
+    return _partner_pass(sieve, limit, partner, lambda n, s, m: _aliquots(sieve.read(m), b, m) == n)[::-1]
 
 
 def _sorted_entries(read, limit: int) -> np.ndarray:
@@ -200,16 +193,16 @@ def _tuple_blocks(k: int, slot, size: int):
     tuples, each block a list of k member arrays, in the order of their
     prefixes and then of each prefix's slice.
 
-    Slot j of every j-prefix runs over values[lo:hi], where
-    (values, lo, hi) = slot(j, heads) for the list heads of a block's j
-    member arrays, one prefix per row; lo and hi are ints or per-row
-    arrays, and at j = 0 heads is [], the one empty prefix, and lo and hi
-    are ints. k >= 1. Each level holds one block, views of values at level
-    0 and _expand's (rows, column) after, so the k levels hold O(k) block
-    arrays; _gather forms the heads for a slot rule and for the consumer.
-    A stack of generators, not recursion, holds them, so any k runs.
+    Slot j of every j-prefix runs over values[lo:hi], where (values, lo, hi)
+    = slot(j, last, path) for a block of prefixes, one per row, at levels
+    path; last is its newest member array, path[-1][1], or None at j = 0,
+    the one empty prefix, where lo and hi are ints (later ints or per-row
+    arrays). A rule that reads every member forms them with _gather(path).
+    k >= 1. Each level holds one block, views of values at level 0 and
+    _expand's (rows, column) after, so the k levels hold O(k) block arrays;
+    a stack of generators, not recursion, holds them, so any k runs.
     """
-    values, lo, hi = slot(0, [])
+    values, lo, hi = slot(0, None, [])
     stack = [((None, values[start : min(start + size, hi)]) for start in range(lo, hi, size))]
     path = []  # the current block of each level but the last
     while stack:
@@ -220,7 +213,7 @@ def _tuple_blocks(k: int, slot, size: int):
             yield _gather([*path, block])
         else:
             path.append(block)
-            stack.append(_expand(*slot(len(stack), _gather(path)), size))
+            stack.append(_expand(*slot(len(stack), block[1], path), size))
 
 
 def _gather(path: list) -> list[np.ndarray]:
@@ -260,11 +253,11 @@ def equal_sigma_blocks(sieve: SigmaSieve, limit: int, k: int):
     run, less the k - 1 - j entries the later members need."""
     index, width = _sorted_entries(sieve.read, limit), limit + 1
 
-    def slot(j, heads):
+    def slot(j, last, path):
         if j == 0:
             return index, 0, limit
-        end = np.searchsorted(index, (heads[-1] // width + 1) * width)
-        return index, np.searchsorted(index, heads[-1], side="right"), end - (k - 1 - j)
+        end = np.searchsorted(index, (last // width + 1) * width)
+        return index, np.searchsorted(index, last, side="right"), end - (k - 1 - j)
 
     for block in _tuple_blocks(k, slot, _BLOCK):
         yield block[0] // width, [h % width for h in block]
@@ -325,12 +318,12 @@ def weighted_tuples(sieve: SigmaSieve, limit: int, alphas, factor: int, strict: 
             left -= w * (h - base)
         return s, heads[-1] - base, left
 
-    def slot(j, heads):
+    def slot(j, last, path):
         if j == 0:
             return first, 0, len(first)
-        s, _, left = split(heads)
+        s, _, left = split(_gather(path))
         end = s * width + np.minimum(left // tails[j], limit)
-        start = np.searchsorted(index, heads[-1], side="right" if strict else "left")
+        start = np.searchsorted(index, last, side="right" if strict else "left")
         return index, start, np.searchsorted(index, end, side="right")
 
     blocks = [[np.empty(0, dtype=np.int64)] * k]
@@ -582,13 +575,15 @@ def _mean_family_kernel(spec: FamilySpec, limit: int, sieve: SigmaSieve) -> list
 
         return last
 
-    def whole(heads):
-        return n[1:], heads[-1] - 1 if heads else 0, limit
+    def slot(j, top, path):
+        if j == k - 1 and last is not None:
+            return last(_gather(path))
+        return n[1:], 0 if top is None else top - 1, limit
 
     entry = _additive(spec) if k > 1 else None
-    last = solved(entry) if entry else last or whole
+    last = solved(entry) if entry else last
 
-    blocks = _tuple_blocks(k, lambda j, heads: (last if j == k - 1 else whole)(heads), _BLOCK)
+    blocks = _tuple_blocks(k, slot, _BLOCK)
     records = []
     for members in blocks if entry else filtered(blocks):
         for t in zip(*(m.tolist() for m in members)):

@@ -67,6 +67,13 @@ class SigmaSieve:
         b = n & -n
         return self.odd[(n // np.maximum(b, 1) + 1) >> 1] * (2 * b - 1)
 
+    def blocks(self, stop: int, step: int = 1):
+        """(n, sigma(n)) as int64 arrays for n = step, 2*step, ... <= stop, a
+        block of SEGMENT at a time; read raises IndexError for an n past limit."""
+        for lo in range(step, stop + 1, step * SEGMENT):
+            n = np.arange(lo, min(lo + step * SEGMENT, stop + 1), step, dtype=np.int64)
+            yield n, self.read(n)
+
 
 def build_sigma_sieve(limit: int, budget_bytes: int = DEFAULT_SIEVE_BUDGET) -> SigmaSieve:
     """Tabulate sigma of the odd numbers up to limit in int32 by

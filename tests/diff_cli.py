@@ -30,8 +30,11 @@ to 2^64 and a-bounds from 1 to 10^7), the `sieve` table as JSON and CSV
 up to 10^6 and at the odd, even and power-of-two limits 1, 2 and 2^17,
 pm at k = 2 up to 10^5 in both formats, `check` on members that the exact
 arithmetic must refuse or prove and on non-members of each weighted kind,
-and one search refused by each FamilySpec rule. pytest does not collect
-this file.
+one search refused by each FamilySpec rule, and one command just past the
+first block edge, 2^14, of each pass over SigmaSieve.blocks: `sieve` as
+CSV, `density lemma` at k = 2, Cohen pairs and `scan-question` to 16385,
+and `construct --ns 104,116`, whose target 8/5 reads a = 5*j past 5*2^14
+at --a-bound 81925. pytest does not collect this file.
 """
 
 from __future__ import annotations
@@ -185,6 +188,11 @@ COMMANDS = [
     ("check", "multiamicable", "--alphas", "1,2", "--tuple", "220,284"),
     ("verify-tables",),
     *(("search", *flags, "--limit", "10") for flags in REFUSED),
+    ("sieve", "--limit", "16385", "--format", "csv"),
+    ("density", "lemma", "--k", "2", "--checkpoints", "16384,16385"),
+    ("search", "cohen-pair", "--alphas", "1,2", "--limit", "16385"),
+    ("scan-question", "--limit", "16385"),
+    ("construct", "--alphas", "1,2", "--ns", "104,116", "--a-bound", "81925"),
 ]
 
 

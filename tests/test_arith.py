@@ -229,8 +229,8 @@ def test_sieve_slices_from_zero_read_sigma_zero():
 
 
 def test_sieve_strided_slices_of_abundancy_solutions():
-    # search.abundancy_solutions reads sigma(j*den) for j in lo..hi - 1 as
-    # the slice (lo*den, hi*den, den); here in blocks of 97 values of j
+    # the strided slices (lo*den, hi*den, den) of sigma(j*den) for j in
+    # lo..hi - 1, here in blocks of 97 values of j
     limit = 3000
     sieve = build_sigma_sieve(limit)
     for den in (1, 2, 3, 4, 5, 6, 8, 12, 120, 1024, 3000):
@@ -254,6 +254,24 @@ def test_sieve_read_past_the_limit_raises():
             with pytest.raises(IndexError):
                 sieve.read(np.array(bad))
         assert sieve.read(slice(limit - 1, limit + 5)).tolist() == [oracles.divisor_sigma(n) for n in (limit - 1, limit)]
+
+
+def test_sieve_blocks_cover_every_multiple_to_the_stop():
+    # blocks yields n = step, 2*step, ... <= stop, SEGMENT at a time, with
+    # sigma(n) in int64, at and around every block edge and to the limit
+    limit = 2 * SEGMENT + 40
+    sieve = build_sigma_sieve(limit)
+    table = [0] + [oracles.divisor_sigma(n) for n in range(1, limit + 1)]
+    for step in (1, 3, 5):
+        for stop in (1, SEGMENT - 1, SEGMENT, SEGMENT + 1, 2 * SEGMENT + 5, limit):
+            blocks = list(sieve.blocks(stop, step))
+            assert all(n.dtype == s.dtype == np.int64 for n, s in blocks)
+            assert all(len(n) == SEGMENT for n, _ in blocks[:-1]), (step, stop)
+            assert [v for n, _ in blocks for v in n.tolist()] == list(range(step, stop + 1, step)), (step, stop)
+            assert [v for _, s in blocks for v in s.tolist()] == table[step : stop + 1 : step], (step, stop)
+    assert list(sieve.blocks(4, 5)) == []
+    with pytest.raises(IndexError):
+        list(sieve.blocks(limit + 1))
 
 
 def test_sigma_beyond_cofactor_divided_by_itself():

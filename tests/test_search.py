@@ -14,7 +14,7 @@ import pytest
 from amiforge import arith, cli, search
 from amiforge.arith import sigma
 from amiforge.construct import find_multipliers, find_seed_tuples
-from amiforge.density import count_multiamicable_pairs
+from amiforge.density import count_multiamicable_pairs, lemma_sum_check
 from amiforge.families import MEAN_EQUATIONS, FamilySpec, holds, weighted_form
 from amiforge.search import (
     MAX_SEARCH_LIMIT,
@@ -356,9 +356,10 @@ K2_WEIGHTED = [
 ]
 
 
-def test_block_splits_change_no_record(sieve_10k, monkeypatch):
+def test_block_splits_change_no_record(sieve_10k, monkeypatch, capsys):
     # blocks of 7 tuples and of 5 prefixes split nearly every prefix's slice
-    # across blocks, and every kind that grows prefixes must find the same
+    # across blocks, and every kind that grows prefixes must find the same;
+    # blocks of 5 members split every pass over SigmaSieve.blocks too
     specs = [
         (FamilySpec("yanney", 3), 3000),
         (FamilySpec("yanney", 4), 1000),
@@ -370,6 +371,13 @@ def test_block_splits_change_no_record(sieve_10k, monkeypatch):
     specs += [(mean_spec(k, **kw), limit) for k, limit in ((2, 300), (3, 60)) for kw in MEAN_CASES]
     # deep prefixes: yanney at k = 8 (5 records) and hm at k = 100 (4)
     specs += [(FamilySpec("yanney", 8), 120), (FamilySpec("hm", 100, p=1, q=10000), 3)]
+    # the passes over the sieve's blocks: sigma(a) = r*a, the partner passes
+    linear = [
+        FamilySpec("perfect", 1),
+        FamilySpec("multiamicable", 1, alphas=(3,)),
+        FamilySpec("cohen-pair", 2, alphas=(1, 1)),
+        FamilySpec("alpha-beta", 2, alphas=(1, 2)),
+    ]
     # (1560, 1740) counts at x = 1600 with its partner past x and the sieve,
     # and the amicable number 1184 is found at L = 1200 with its partner
     # 1210 past the limit and the sieve
@@ -389,7 +397,12 @@ def test_block_splits_change_no_record(sieve_10k, monkeypatch):
         seeds = [find_seed_tuples(alphas, 3000, sieve_10k) for alphas in ((1, 2), (1, 1, 1))]
         counts = [count_multiamicable_pairs(1, 2, (1000, 1600), short), count_multiamicable_pairs(1, 1, (3000,), sieve_10k)]
         columns = [[c.tolist() for c in search.weighted_tuples(*case)] for case in raw]
-        return found, seeds, counts, columns
+        passes = [members_of(enumerate_family(spec, 10**4, sieve=sieve_10k)) for spec in linear]
+        passes.append(members_of(scan_open_question(10**4, sieve_10k)))
+        lemma = [lemma_sum_check(3000, k, sieve_10k) for k in (1, 2)]
+        seeded = find_seed_tuples((1, 2), 3000, sieve_10k, a_bound=10**4)
+        assert cli.run(["sieve", "--limit", "1000", "--format", "csv"]) == 0
+        return found, seeds, counts, columns, passes, lemma, seeded, capsys.readouterr().out
 
     whole = outputs()
     # multiamicable (1, 2, 3) and (2, 1) have no tuple this low
@@ -399,8 +412,11 @@ def test_block_splits_change_no_record(sieve_10k, monkeypatch):
     assert [len(found) for found in whole[0][-3:-1]] == [5, 4]
     assert [c.counts for c in whole[2]] == [(0, 1), (3,)]
     assert whole[3][:2] == [[[220, 1184], [284, 1210]], [[1560], [1740]]] and whole[3][2][0]
+    assert [len(found) for found in whole[4]] == [4, 2, 9, 2, 0]
+    assert whole[6] and whole[7].count("\n") == 1001
     monkeypatch.setattr(search, "_BLOCK", 7)
     monkeypatch.setattr(search, "SEGMENT", 5)
+    monkeypatch.setattr("amiforge.sieve.SEGMENT", 5)
     assert outputs() == whole
 
 
@@ -411,11 +427,11 @@ def test_tuple_blocks_follow_itertools_at_every_depth_and_block_size():
     # the order of their prefixes and then of each prefix's slice
     values = np.arange(1, 6)
 
-    def whole(j, heads):
-        return values, heads[-1] - 1 if heads else 0, len(values)
+    def whole(j, last, path):
+        return values, 0 if last is None else last - 1, len(values)
 
-    def strict(j, heads):
-        return values, heads[-1] if heads else 0, len(values)
+    def strict(j, last, path):
+        return values, 0 if last is None else last, len(values)
 
     for k in range(1, 9):
         for slot, tuples in ((whole, combinations_with_replacement), (strict, combinations)):
@@ -554,7 +570,7 @@ def test_alpha_beta_large_weight_reads_only_the_table(capsys):
     # primes, and 1000
     sieve, v = build_sigma_sieve(300), np.arange(1, 301)
     for w in (1000, 2, 8, 3, 27, 5, 25, 7, 49, 6, 12, 30):
-        got = search._aliquots(sieve, w, v)
+        got = search._aliquots(sieve.read(v), w, v)
         assert got.tolist() == [oracles.divisor_sigma(w * n) - w * n for n in v.tolist()], w
     # weights with sigma(w) >= 2^36 take object arrays and the cap at 2^62;
     # their divisor loops are too long, so the scalar sigma(), which factors
@@ -563,7 +579,7 @@ def test_alpha_beta_large_weight_reads_only_the_table(capsys):
     # 6400801151761 shares none, and each of its products takes 0.1 s)
     v = np.array([1, 2, 3, 12, 19, 38, 81, 243, 285, 300])
     for w in (2**40 + 3, 3**40, 2**64 + 7):
-        got = search._aliquots(sieve, w, v)
+        got = search._aliquots(sieve.read(v), w, v)
         assert got.tolist() == [min(sigma(w * n) - w * n, 2**62) for n in v.tolist()], w
 
 
@@ -808,12 +824,13 @@ def test_sorted_pass_peak_memory_is_one_table_and_index_plus_blocks():
 
 def test_seeded_construct_peak_memory_is_one_table_and_index_plus_blocks():
     # construct --alphas 1,1,1 --seed-limit 20000 --a-bound 3000: the seed
-    # search's table's 4 bytes per entry, 8 per member for the int64 sorted
-    # index, and 32 int64 arrays of one SEGMENT block; the seeds whose target
-    # no a <= 3000 hits are dropped in numpy, not held as Python objects
+    # search's int32 table of odd n, 2 bytes per n, 8 per member for the
+    # int64 sorted index, and 32 int64 arrays of one SEGMENT block; the seeds
+    # whose target no a <= 3000 hits are dropped in numpy, not held as Python
+    # objects
     limit = 20_000
     peak = _peak_over_import(["construct", "--alphas", "1,1,1", "--seed-limit", str(limit), "--a-bound", "3000"])
-    assert peak <= 4 * (limit + 1) + 8 * limit + 32 * 8 * search.SEGMENT, peak / 2**20
+    assert peak <= 2 * (limit + 1) + 8 * limit + 32 * 8 * search.SEGMENT, peak / 2**20
 
 
 def test_construct_ratio_table_stays_within_the_budget_charge():
